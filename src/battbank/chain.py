@@ -21,27 +21,42 @@ class Trajectory:
         return len(self.x_path)
 
 
-def _cum_rows(chain: BackgroundChain) -> np.ndarray:
-    return np.cumsum(chain.transition, axis=1)
+def cumulative_transition(chain: BackgroundChain) -> np.ndarray:
+    """Row-wise cumulative transition matrix for inverse-CDF sampling.
+
+    Each row is pinned to exactly 1.0 from its last positive entry on, so
+    `searchsorted(cum[x], u, side="right")` with u in [0, 1) always returns
+    a successor of positive probability, even for rows that validation
+    accepted as summing to within rounding of 1.
+    """
+    P = chain.transition
+    cum = np.cumsum(P, axis=1)
+    last = P.shape[1] - 1 - np.argmax(P[:, ::-1] > 0, axis=1)
+    for x, j in enumerate(last):
+        cum[x, j:] = 1.0
+    return cum
 
 
-def sample_next(chain: BackgroundChain, x: int, rng: np.random.Generator) -> int:
-    """Draw the successor of x; consumes exactly one uniform from rng."""
-    row = np.cumsum(chain.transition[x])
-    return int(np.searchsorted(row, rng.random(), side="right"))
+# uniforms drawn and resolved per block: n_states * _BLOCK indices at a time
+_BLOCK = 1 << 14
 
 
 def generate_trajectory(chain: BackgroundChain, x0: int, T: int, seed: int) -> Trajectory:
+    """Background path of T steps from x0. PCG64(seed) yields T uniforms,
+    the k-th choosing the successor of step k. Uniforms are drawn a block
+    at a time, and each block's successors from every state are found in
+    bulk, so only the index chase runs step by step."""
     rng = np.random.default_rng(seed)
-    cum = _cum_rows(chain)
-    path = np.empty(T + 1, dtype=np.int64)
-    path[0] = x0
-    x = x0
-    draws = rng.random(T)
-    for k in range(T):
-        x = int(np.searchsorted(cum[x], draws[k], side="right"))
-        path[k + 1] = x
-    return Trajectory(seed=seed, x_path=tuple(int(v) for v in path))
+    cum = cumulative_transition(chain)
+    x = int(x0)
+    path = [x]
+    for lo in range(0, T, _BLOCK):
+        u = rng.random(min(_BLOCK, T - lo))
+        succ = [np.searchsorted(row, u, side="right").tolist() for row in cum]
+        for k in range(len(u)):
+            x = succ[x][k]
+            path.append(x)
+    return Trajectory(seed=seed, x_path=tuple(path))
 
 
 def net_generation(chain: BackgroundChain, x: int) -> int:

@@ -129,7 +129,8 @@ def cmd_solve_exact(args) -> int:
     unconstrained = all(bat.ramp >= bat.capacity for bat in bank.batteries)
     from .policies import make_policy
     v_greedy = oracle.evaluate_policy_exact(
-        bank, chain, make_policy("greedy", bank, chain), tol=args.tol)
+        bank, chain, make_policy("greedy", bank, chain), tol=args.tol,
+        model=sol.model)
     gap = float(np.abs(v_greedy - sol.values()).max())
     if lossless and unconstrained:
         verdict = "PASS" if gap <= 1e-8 else "FAIL"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -119,3 +120,84 @@ def state_actions(bank: BankConfig, chain: BackgroundChain, s: State) -> StateAc
             for row in posts
         ]
     return StateActions(actions=acts, posts=posts, rewards=rewards, next_b=next_b)
+
+
+class ModelRow:
+    """One state's compiled feasible set, in feasible_actions order.
+
+    `next_bid[i]` is the occupancy id reached by action i; `kmat` holds the
+    action's kernel features and stays None until a caller asks for it.
+    """
+
+    __slots__ = ("actions", "rewards", "next_bid", "posts", "kmat")
+
+    def __init__(self, ent: StateActions, next_bid: list[int]):
+        self.actions = ent.actions
+        self.rewards = ent.rewards
+        self.next_bid = next_bid
+        self.posts = ent.posts
+        self.kmat = None
+
+
+class BankModel:
+    """The MDP of one bank and chain, tabulated once per state on demand.
+
+    A state's id is `x * num_b + occupancy_id(b)`, where the occupancy id is
+    mixed-radix with the first battery slowest, so ids follow the order of
+    `oracle.enumerate_states`. Each row is filled from `state_actions` the
+    first time it is requested, and then shared by every caller.
+    """
+
+    def __init__(self, batteries, chain: BackgroundChain):
+        self.bank = BankConfig(batteries=batteries)
+        self.chain = chain
+        strides = []
+        num_b = 1
+        for B in reversed(self.bank.capacities):
+            strides.append(num_b)
+            num_b *= B + 1
+        self.strides = tuple(reversed(strides))
+        self._stride_vec = np.array(self.strides, dtype=np.int64)
+        self.num_b = num_b
+        self._rows: dict[int, ModelRow] = {}
+
+    def occupancy_id(self, b: tuple[int, ...]) -> int:
+        return sum(v * m for v, m in zip(b, self.strides))
+
+    def state_id(self, s: State) -> int:
+        return s.x * self.num_b + self.occupancy_id(s.b)
+
+    def state(self, sid: int) -> State:
+        x, rest = divmod(sid, self.num_b)
+        b = []
+        for m in self.strides:
+            v, rest = divmod(rest, m)
+            b.append(v)
+        return State(x=x, b=tuple(b))
+
+    def row(self, sid: int, kernels: bool = False) -> ModelRow:
+        """State sid's row; with kernels=True its `kmat` is filled too."""
+        r = self._rows.get(sid)
+        if r is None:
+            ent = state_actions(self.bank, self.chain, self.state(sid))
+            next_bid = np.array(ent.next_b, dtype=np.int64) @ self._stride_vec
+            r = self._rows[sid] = ModelRow(ent, next_bid.tolist())
+        if kernels and r.kmat is None:
+            from .features import kernel_matrix  # features imports this module
+            r.kmat = kernel_matrix(self.bank, r.posts)
+        return r
+
+
+# One entry: callers work through one bank at a time, and a larger cache
+# would keep the models of finished runs, each as big as the state space.
+@functools.lru_cache(maxsize=1)
+def _compiled(batteries, chain: BackgroundChain) -> BankModel:
+    return BankModel(batteries, chain)
+
+
+def bank_model(bank: BankConfig, chain: BackgroundChain) -> BankModel:
+    """The shared compiled model of this bank's batteries and this chain.
+
+    Chains compare by identity, so a config loaded again gets a new model.
+    """
+    return _compiled(bank.batteries, chain)

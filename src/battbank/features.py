@@ -68,6 +68,15 @@ def feature_vector(bank: BankConfig, chain: BackgroundChain, s: State,
     return phi
 
 
+def q_values(bank: BankConfig, s_x: int, rewards: np.ndarray, kmat: np.ndarray,
+             w: np.ndarray) -> np.ndarray:
+    """Linear Q estimates for one state's whole feasible set, exploiting the
+    block sparsity of the feature map: rewards and kmat are the set's
+    rewards and kernel_matrix rows."""
+    blk = w[block_slice(s_x, bank.n)]
+    return w[0] * rewards + blk[0] + kmat @ blk[1:]
+
+
 def q_hat(phi: np.ndarray, w: np.ndarray) -> float:
     if phi.shape != w.shape:
         raise ValueError(f"dimension mismatch: phi {phi.shape} vs w {w.shape}")

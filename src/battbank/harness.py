@@ -5,14 +5,15 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .chain import Trajectory, generate_trajectory
-from .core import BankConfig, BackgroundChain, State, config_fingerprint
-from .env import apply_action, reward
+from .core import BankConfig, BackgroundChain, config_fingerprint
+from .env import apply_action, bank_model, reward
 from .learner import LearnSchedule, train
 from .policies import make_policy
 
@@ -42,21 +43,34 @@ def coupled_rollout(bank: BankConfig, chain: BackgroundChain,
                     policies: list[tuple[str, object]], traj: Trajectory,
                     b0: tuple[int, ...]) -> EvalReport:
     """Evaluate each deterministic policy on the identical x-path, starting
-    from the same occupancy vector."""
+    from the same occupancy vector.
+
+    A policy is called once per distinct state it visits, where env.reward
+    and env.apply_action give that state's reward and next occupancy id;
+    every later visit reuses them, so the totals equal the step-by-step
+    loop over those functions bit for bit.
+    """
+    model = bank_model(bank, chain)
+    num_b = model.num_b
     T = len(traj.x_path) - 1
     stats = {}
     for name, policy in policies:
+        seen: dict[int, tuple[float, int]] = {}   # state id -> (reward, next occupancy id)
         total = 0.0
         events = 0
-        b = tuple(b0)
-        for k in range(T):
-            s = State(x=traj.x_path[k], b=b)
-            a = policy(s)
-            r = reward(bank, s, a)
+        bid = model.occupancy_id(b0)
+        for x in itertools.islice(traj.x_path, T):
+            sid = x * num_b + bid
+            hit = seen.get(sid)
+            if hit is None:
+                s = model.state(sid)
+                a = policy(s)
+                hit = seen[sid] = (reward(bank, s, a),
+                                   model.occupancy_id(apply_action(bank, s.b, a)))
+            r, bid = hit
             total += r
             if r < 0:
                 events += 1
-            b = apply_action(bank, b, a)
         stats[name] = PolicyStats(
             total_reward=total,
             mean_reward=total / T if T else 0.0,
@@ -151,8 +165,10 @@ def compare_policies(bank: BankConfig, chain: BackgroundChain,
                     traj, b0)
                 for name, st in report.per_policy.items():
                     totals[name].append(st.total_reward)
-        except Exception as exc:  # keep remaining rows alive
-            table.failures.append(f"sizes {size}: {exc}")
+        except (ValueError, FloatingPointError) as exc:
+            # a size the bank cannot take, or diverged training: record the
+            # row and keep the rest; any other error is a bug and propagates
+            table.failures.append(f"sizes {size}: {type(exc).__name__}: {exc}")
             continue
         for name, vals in totals.items():
             table.rows.append(ComparisonRow(

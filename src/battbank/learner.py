@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .chain import cumulative_transition
 from .core import Action, BankConfig, BackgroundChain, State
-from .env import state_actions
-from .features import block_slice, feature_dim, kernel_matrix
+from .env import bank_model
+from .features import block_slice, feature_dim, q_values
 
 
 @dataclass(frozen=True)
@@ -75,19 +77,6 @@ def update_weights(w: np.ndarray, phi: np.ndarray, delta: float,
     return w + beta * delta * phi
 
 
-class _Entry:
-    """Per-state tables reused across visits during training."""
-
-    __slots__ = ("n", "rewards", "kmat", "next_b")
-
-    def __init__(self, bank, chain, s):
-        ent = state_actions(bank, chain, s)
-        self.n = len(ent.actions)
-        self.rewards = ent.rewards
-        self.kmat = kernel_matrix(bank, ent.posts)
-        self.next_b = ent.next_b
-
-
 def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
           x0: int = 0, b0: tuple[int, ...] | None = None,
           log_every: int = 1000) -> tuple[np.ndarray, TrainLog]:
@@ -103,46 +92,37 @@ def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
     rng = np.random.default_rng(schedule.seed)
     N = bank.n
     gamma = bank.gamma
-    width = 2 * N + 1
     d = feature_dim(N, chain.n_states)
     w = np.zeros(d)
     log = TrainLog()
 
-    cum_p = np.cumsum(chain.transition, axis=1)
-    cache: dict[tuple[int, tuple[int, ...]], _Entry] = {}
+    cum_rows = cumulative_transition(chain).tolist()
+    model = bank_model(bank, chain)
+    num_b = model.num_b
 
-    def entry(x, b):
-        key = (x, b)
-        e = cache.get(key)
-        if e is None:
-            e = cache[key] = _Entry(bank, chain, State(x=x, b=b))
-        return e
-
-    x, b = x0, tuple(b0)
+    x = x0
+    sid = x0 * num_b + model.occupancy_id(tuple(b0))
     cum_reward = 0.0
     abs_td_acc = 0.0
 
     for k in range(schedule.t_train):
         eps = schedule.eps(k)
         beta = schedule.beta(k)
-        e = entry(x, b)
-        blk_lo = 1 + x * width
-        blk = w[blk_lo:blk_lo + width]
-        q = w[0] * e.rewards + blk[0] + e.kmat @ blk[1:]
+        e = model.row(sid, kernels=True)
+        q = q_values(bank, x, e.rewards, e.kmat, w)
 
         if rng.random() < eps:
-            a_idx = int(rng.integers(e.n))
+            a_idx = int(rng.integers(len(e.actions)))
         else:
             a_idx = int(np.argmax(q))
 
         r = e.rewards[a_idx]
-        b_next = e.next_b[a_idx]
-        x_next = int(np.searchsorted(cum_p[x], rng.random(), side="right"))
+        # bisect_right is searchsorted(side="right") on a Python list
+        x_next = bisect.bisect_right(cum_rows[x], rng.random())
+        sid_next = x_next * num_b + e.next_bid[a_idx]
 
-        e2 = entry(x_next, b_next)
-        blk2_lo = 1 + x_next * width
-        blk2 = w[blk2_lo:blk2_lo + width]
-        q_next = w[0] * e2.rewards + blk2[0] + e2.kmat @ blk2[1:]
+        e2 = model.row(sid_next, kernels=True)
+        q_next = q_values(bank, x_next, e2.rewards, e2.kmat, w)
 
         delta = r + gamma * q_next.max() - q[a_idx]
         if not math.isfinite(delta):
@@ -150,6 +130,7 @@ def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
 
         # sparse form of w += beta * delta * phi(s, a)
         scale = beta * delta
+        blk = w[block_slice(x, N)]
         w[0] += scale * r
         blk[0] += scale
         blk[1:] += scale * e.kmat[a_idx]
@@ -160,6 +141,6 @@ def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
             log.rows.append((k + 1, eps, beta, abs_td_acc / log_every, cum_reward))
             abs_td_acc = 0.0
 
-        x, b = x_next, b_next
+        x, sid = x_next, sid_next
 
     return w, log

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BankConfig, BackgroundChain, State
-from .env import state_actions
+from .env import apply_action, bank_model, reward
 
 DEFAULT_STATE_CAP = 10**6
 DEFAULT_TOL = 1e-9
@@ -49,31 +49,27 @@ def enumerate_states(bank: BankConfig, chain: BackgroundChain,
 
 
 class ExactModel:
-    """Flattened (state, action) tables for vectorized Bellman sweeps."""
+    """Flattened (state, action) arrays over every row of the bank's
+    compiled model (env.bank_model), for vectorized Bellman sweeps."""
 
     def __init__(self, bank: BankConfig, chain: BackgroundChain,
                  cap: int = DEFAULT_STATE_CAP):
         self.bank = bank
         self.chain = chain
         self.states = enumerate_states(bank, chain, cap)
-        self.num_b = len(self.states) // chain.n_states
-        self._b_index = {s.b: i for i, s in enumerate(self.states[: self.num_b])}
+        self.compiled = bank_model(bank, chain)
+        self.num_b = self.compiled.num_b
 
-        offsets = [0]
-        rewards, xs, bnext, actions = [], [], [], []
-        for s in self.states:
-            ent = state_actions(bank, chain, s)
-            actions.append(ent.actions)
-            rewards.append(ent.rewards)
-            xs.append(np.full(len(ent.actions), s.x, dtype=np.int64))
-            bnext.append(np.array([self._b_index[nb] for nb in ent.next_b],
-                                  dtype=np.int64))
-            offsets.append(offsets[-1] + len(ent.actions))
-        self.offsets = np.array(offsets, dtype=np.int64)
-        self.sa_rewards = np.concatenate(rewards)
-        self.sa_x = np.concatenate(xs)
-        self.sa_bnext = np.concatenate(bnext)
-        self.actions = actions
+        rows = [self.compiled.row(i) for i in range(len(self.states))]
+        self.actions = [row.actions for row in rows]
+        counts = np.array([len(a) for a in self.actions], dtype=np.int64)
+        self.offsets = np.concatenate(([0], np.cumsum(counts)))
+        self.sa_rewards = np.concatenate([row.rewards for row in rows])
+        self.sa_x = np.repeat(np.arange(len(rows), dtype=np.int64) // self.num_b,
+                              counts)
+        self.sa_bnext = np.fromiter(
+            itertools.chain.from_iterable(row.next_bid for row in rows),
+            dtype=np.int64, count=len(self.sa_rewards))
 
     @property
     def n_states(self) -> int:
@@ -84,7 +80,7 @@ class ExactModel:
         return len(self.sa_rewards)
 
     def state_index(self, s: State) -> int:
-        return s.x * self.num_b + self._b_index[s.b]
+        return self.compiled.state_id(s)
 
     def state_values(self, q: np.ndarray) -> np.ndarray:
         return np.maximum.reduceat(q, self.offsets[:-1])
@@ -119,11 +115,6 @@ class ExactSolution:
         return 2 * g * self.residual / (1 - g)
 
 
-def bellman_backup(q: np.ndarray, bank: BankConfig,
-                   chain: BackgroundChain) -> tuple[np.ndarray, float]:
-    return ExactModel(bank, chain).backup(q)
-
-
 def solve_q_iteration(bank: BankConfig, chain: BackgroundChain,
                       tol: float = DEFAULT_TOL,
                       max_sweeps: int = DEFAULT_MAX_SWEEPS,
@@ -140,19 +131,21 @@ def solve_q_iteration(bank: BankConfig, chain: BackgroundChain,
 def evaluate_policy_exact(bank: BankConfig, chain: BackgroundChain, policy,
                           tol: float = DEFAULT_TOL,
                           max_sweeps: int = DEFAULT_MAX_SWEEPS,
-                          cap: int = DEFAULT_STATE_CAP) -> np.ndarray:
+                          cap: int = DEFAULT_STATE_CAP,
+                          model: ExactModel | None = None) -> np.ndarray:
     """Fixed point of the policy's evaluation operator, as a value vector in
-    enumeration order. `policy` maps State -> feasible Action."""
-    model = ExactModel(bank, chain, cap)
-    from .env import apply_action, reward as reward_fn
+    enumeration order. `policy` maps State -> feasible Action. Pass the
+    `model` of an earlier solve of this bank and chain to reuse it."""
+    if model is None:
+        model = ExactModel(bank, chain, cap)
 
     r_pi = np.empty(model.n_states)
     bnext = np.empty(model.n_states, dtype=np.int64)
     xs = np.empty(model.n_states, dtype=np.int64)
     for i, s in enumerate(model.states):
         a = policy(s)
-        r_pi[i] = reward_fn(bank, s, a)
-        bnext[i] = model._b_index[apply_action(bank, s.b, a)]
+        r_pi[i] = reward(bank, s, a)
+        bnext[i] = model.compiled.occupancy_id(apply_action(bank, s.b, a))
         xs[i] = s.x
 
     V = np.zeros(model.n_states)

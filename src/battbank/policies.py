@@ -3,6 +3,9 @@
 #
 # Tie-breaking everywhere: the lexicographically smallest action. Feasible
 # sets are enumerated in lexicographic order, so "first maximizer" does it.
+#
+# The *_action functions tabulate the state afresh and are the reference
+# that the model-backed policies of make_policy are tested against.
 
 from __future__ import annotations
 
@@ -11,8 +14,8 @@ import math
 import numpy as np
 
 from .core import Action, BankConfig, BackgroundChain, State
-from .env import action_bounds, state_actions
-from .features import block_slice, kernel_matrix
+from .env import action_bounds, bank_model, state_actions
+from .features import kernel_matrix, q_values
 
 POLICY_NAMES = ("greedy", "naive", "rl")
 
@@ -30,9 +33,10 @@ def _round_half_toward_zero(t: float) -> int:
     return -a if t < 0 else a
 
 
-def naive_action(bank: BankConfig, chain: BackgroundChain, s: State) -> Action:
-    """Apportion the clipped target proportionally to capacities; repair to
-    feasibility by minimal L1 local search when rounding breaks it."""
+def _naive(bank: BankConfig, chain: BackgroundChain, s: State,
+           feasible) -> Action:
+    """naive_action, with `feasible()` supplying the state's feasible set
+    when the rounded split needs repair."""
     target = action_bounds(bank, chain, s).target
     total_cap = sum(bank.capacities)
     t = [target * B / total_cap for B in bank.capacities]
@@ -44,18 +48,15 @@ def naive_action(bank: BankConfig, chain: BackgroundChain, s: State) -> Action:
     ):
         return rounded
 
-    ent = state_actions(bank, chain, s)
-    acts = np.array(ent.actions, dtype=float)
-    dist = np.abs(acts - np.array(t)).sum(axis=1)
-    return ent.actions[int(np.argmin(dist))]
+    actions = feasible()
+    dist = np.abs(np.array(actions, dtype=float) - np.array(t)).sum(axis=1)
+    return actions[int(np.argmin(dist))]
 
 
-def q_values(bank: BankConfig, s_x: int, rewards: np.ndarray, kmat: np.ndarray,
-             w: np.ndarray) -> np.ndarray:
-    """Linear Q estimates for one state's whole feasible set, exploiting the
-    block sparsity of the feature map."""
-    blk = w[block_slice(s_x, bank.n)]
-    return w[0] * rewards + blk[0] + kmat @ blk[1:]
+def naive_action(bank: BankConfig, chain: BackgroundChain, s: State) -> Action:
+    """Apportion the clipped target proportionally to capacities; repair to
+    feasibility by minimal L1 local search when rounding breaks it."""
+    return _naive(bank, chain, s, lambda: state_actions(bank, chain, s).actions)
 
 
 def rl_action(bank: BankConfig, chain: BackgroundChain, s: State,
@@ -79,29 +80,31 @@ def epsilon_greedy_action(bank: BankConfig, chain: BackgroundChain, s: State,
 
 def make_policy(name: str, bank: BankConfig, chain: BackgroundChain,
                 weights: np.ndarray | None = None):
-    """Deterministic stationary policy as a memoized State -> Action callable.
+    """Deterministic stationary policy as a State -> Action callable.
 
-    State spaces in play are small, so per-state memoization makes long
-    coupled rollouts cheap.
+    It reads the bank's shared compiled model (env.bank_model), so a state's
+    feasible set is tabulated once for every policy, learner and oracle
+    that visits it; each choice equals the matching *_action function's.
     """
     if name not in POLICY_NAMES:
         raise ValueError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
     if name == "rl" and weights is None:
         raise ValueError("rl policy needs a weight vector")
 
-    cache: dict[State, Action] = {}
+    model = bank_model(bank, chain)
 
     if name == "greedy":
-        fresh = lambda s: greedy_action(bank, chain, s)
+        def policy(s: State) -> Action:
+            row = model.row(model.state_id(s))
+            return row.actions[int(np.argmax(row.rewards))]
     elif name == "naive":
-        fresh = lambda s: naive_action(bank, chain, s)
+        def policy(s: State) -> Action:
+            return _naive(bank, chain, s,
+                          lambda: model.row(model.state_id(s)).actions)
     else:
-        fresh = lambda s: rl_action(bank, chain, s, weights)
-
-    def policy(s: State) -> Action:
-        a = cache.get(s)
-        if a is None:
-            a = cache[s] = fresh(s)
-        return a
+        def policy(s: State) -> Action:
+            row = model.row(model.state_id(s), kernels=True)
+            q = q_values(bank, s.x, row.rewards, row.kmat, weights)
+            return row.actions[int(np.argmax(q))]
 
     return policy

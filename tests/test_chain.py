@@ -1,8 +1,11 @@
 import numpy as np
 
-from battbank.chain import (Trajectory, generate_trajectory, load_trajectory,
-                            net_generation, sample_next, save_trajectory)
-from battbank.core import BackgroundChain
+from battbank.chain import (Trajectory, cumulative_transition,
+                            generate_trajectory, load_trajectory,
+                            net_generation, save_trajectory)
+from battbank.core import BackgroundChain, validate_config
+
+from conftest import make_bank
 
 
 def two_state_alternator():
@@ -11,27 +14,32 @@ def two_state_alternator():
                            net_gen=(-1, 1))
 
 
-class TestSampleNext:
-    def test_deterministic_row(self):
-        chain = two_state_alternator()
-        rng = np.random.default_rng(3)
-        assert all(sample_next(chain, 0, rng) == 1 for _ in range(20))
+class TestCumulativeTransition:
+    def test_short_row_never_samples_out_of_range(self):
+        # the first row sums to 1 - 5e-13, inside validation's tolerance;
+        # its plain cumsum ends below u = 1 - 1e-13, which then sampled
+        # index 2 == n_states
+        chain = BackgroundChain(labels=(0, 1),
+                                transition=np.array([[0.5, 0.5 - 5e-13],
+                                                     [0.5, 0.5]]),
+                                net_gen=(0, 0))
+        assert validate_config(make_bank(), chain).passed
+        cum = cumulative_transition(chain)
+        assert np.searchsorted(cum[0], 1 - 1e-13, side="right") == 1
 
-    def test_seed_determinism(self, toy_chain):
-        a = sample_next(toy_chain, 2, np.random.default_rng(11))
-        b = sample_next(toy_chain, 2, np.random.default_rng(11))
-        assert a == b
+    def test_trailing_zero_probabilities_never_sampled(self):
+        chain = BackgroundChain(labels=(0, 1, 2),
+                                transition=np.array([[0.3, 0.7 - 5e-13, 0.0],
+                                                     [0.0, 0.0, 1.0],
+                                                     [1.0, 0.0, 0.0]]),
+                                net_gen=(0, 0, 0))
+        cum = cumulative_transition(chain)
+        assert np.searchsorted(cum[0], 1 - 1e-13, side="right") == 1
 
-    def test_empirical_frequencies_match_row(self, toy_chain):
-        # one-step frequencies out of each state, 1e5 samples, +-0.01
-        for x in range(toy_chain.n_states):
-            rng = np.random.default_rng(100 + x)
-            counts = np.zeros(toy_chain.n_states)
-            n = 100_000
-            for _ in range(n):
-                counts[sample_next(toy_chain, x, rng)] += 1
-            np.testing.assert_allclose(counts / n, toy_chain.transition[x],
-                                       atol=0.01)
+    def test_exact_rows_unchanged(self, toy_chain):
+        np.testing.assert_array_equal(
+            cumulative_transition(toy_chain),
+            np.cumsum(toy_chain.transition, axis=1))
 
 
 class TestGenerateTrajectory:

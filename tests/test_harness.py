@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from battbank import harness
 from battbank.chain import generate_trajectory
 from battbank.core import State
 from battbank.env import apply_action, reward
@@ -41,13 +42,17 @@ class TestCoupledRollout:
         rep = coupled_rollout(toy_bank, toy_chain, [("naive", pol)], traj,
                               toy_bank.start_occupancy())
         total = 0.0
+        events = 0
         b = toy_bank.start_occupancy()
         for k in range(400):
             s = State(x=traj.x_path[k], b=b)
             a = pol(s)
-            total += reward(toy_bank, s, a)
+            r = reward(toy_bank, s, a)
+            total += r
+            events += r < 0
             b = apply_action(toy_bank, b, a)
-        assert rep.per_policy["naive"].total_reward == pytest.approx(total)
+        assert rep.per_policy["naive"].total_reward == total
+        assert rep.per_policy["naive"].penalty_events == events
 
     def test_deterministic_repeat(self, toy_bank, toy_chain):
         traj = generate_trajectory(toy_chain, 0, 1000, seed=4)
@@ -130,7 +135,18 @@ class TestComparePolicies:
                                  schedule=LearnSchedule(t_train=200))
         assert len(table.failures) == 1
         assert "(2, 3, 4)" in table.failures[0]
+        assert "ValueError" in table.failures[0]
         assert len(table.rows) == 3  # surviving size still reported
+
+    def test_programming_error_propagates(self, monkeypatch, toy_bank,
+                                          toy_chain):
+        def broken(*args, **kwargs):
+            raise TypeError("bug in the rollout path")
+
+        monkeypatch.setattr(harness, "coupled_rollout", broken)
+        with pytest.raises(TypeError, match="bug in the rollout path"):
+            compare_policies(toy_bank, toy_chain, [(2, 3)], seeds=[0], T=50,
+                             schedule=LearnSchedule(t_train=50))
 
     def test_csv_export(self, tmp_path, small_table):
         path = tmp_path / "table.csv"

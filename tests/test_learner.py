@@ -8,6 +8,32 @@ from battbank.learner import LearnSchedule, td_error, train, update_weights
 
 from conftest import make_bank
 
+# weights of train(make_bank(), toy chain, LearnSchedule(seed=0, t_train=5000)),
+# recorded before training moved onto the compiled bank model
+PINNED_WEIGHTS_SEED0_5000 = [
+    "0x1.24619cdbd61f0p+1",
+    "-0x1.6f4eb8a38b408p+2",
+    "0x1.b89275c9e7092p-1",
+    "0x1.4d0d3dc6b9ffap-2",
+    "0x1.d54aa04e055c6p-4",
+    "0x1.626fcee6b849bp-4",
+    "-0x1.40efb09835b2ep+2",
+    "0x1.32b244ceb4886p+0",
+    "0x1.3956bdd0eafa1p+1",
+    "0x1.5acaed2fd30cap-1",
+    "0x1.d5ef0d11f9715p+0",
+    "-0x1.7084fbb5f51e5p+2",
+    "0x1.d260e9d856f55p+0",
+    "-0x1.ec456f3c5515dp-4",
+    "0x1.20b166e524da9p+0",
+    "0x1.3a247e4eb61eap-1",
+    "-0x1.09a3d09f1bcf4p+1",
+    "0x0.0p+0",
+    "0x1.09a3d09f1bcf4p+1",
+    "0x0.0p+0",
+    "0x1.09a3d09f1bcf4p+1",
+]
+
 
 def two_state_chain():
     return BackgroundChain(labels=(1, -1),
@@ -106,6 +132,12 @@ class TestTrain:
         w3, _ = train(toy_bank, toy_chain,
                       LearnSchedule(t_train=5000, seed=14))
         assert (w1 != w3).any()
+
+    def test_weights_pinned_bit_for_bit(self, toy_bank, toy_chain):
+        # the training RNG stream and update arithmetic: per step the coin,
+        # then the action index when exploring, then the chain uniform
+        w, _ = train(toy_bank, toy_chain, LearnSchedule(seed=0, t_train=5000))
+        assert [float(v).hex() for v in w] == PINNED_WEIGHTS_SEED0_5000
 
     def test_td_errors_shrink(self, toy_bank, toy_chain):
         _, log = train(toy_bank, toy_chain, LearnSchedule(t_train=30_000))

@@ -1,0 +1,190 @@
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from battbank import cli, env, harness, learner, oracle, policies
+from battbank.chain import cumulative_transition, generate_trajectory
+from battbank.core import (BackgroundChain, BankConfig, BatteryConfig, State,
+                           validate_config)
+from battbank.env import apply_action, bank_model, reward
+from battbank.features import feature_dim
+from battbank.learner import LearnSchedule
+from battbank.oracle import enumerate_states
+from battbank.policies import (greedy_action, make_policy, naive_action,
+                               rl_action)
+
+from conftest import make_bank, make_chain
+
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "toy_bank.json"
+
+
+class TestBankModel:
+    def test_ids_follow_enumeration_order(self, toy_chain):
+        bank = make_bank(capacities=(2, 3, 1), ramps=(1, 2, 1),
+                         weights=(0.1, 1.0, 0.5))
+        model = bank_model(bank, toy_chain)
+        states = enumerate_states(bank, toy_chain)
+        assert toy_chain.n_states * model.num_b == len(states)
+        for i, s in enumerate(states):
+            assert model.state_id(s) == i
+            assert model.state(i) == s
+
+    def test_rows_match_state_actions(self, toy_chain):
+        bank = make_bank(capacities=(4, 3), ramps=(2, 1),
+                         dissipation=(0.75, 1.0))
+        model = bank_model(bank, toy_chain)
+        for sid in range(toy_chain.n_states * model.num_b):
+            s = model.state(sid)
+            ent = env.state_actions(bank, toy_chain, s)
+            row = model.row(sid)
+            assert row.actions == ent.actions
+            np.testing.assert_array_equal(row.rewards, ent.rewards)
+            assert row.next_bid == [model.occupancy_id(nb) for nb in ent.next_b]
+
+    def test_shared_per_batteries_and_chain(self, toy_chain):
+        bank = make_bank()
+        model = bank_model(bank, toy_chain)
+        # gamma and initial occupancy do not enter the tables
+        assert bank_model(make_bank(gamma=0.5, occupancy=(0, 0)),
+                          toy_chain) is model
+        assert bank_model(bank, make_chain()) is not model
+        assert bank_model(make_bank(capacities=(3, 3)), toy_chain) is not model
+
+
+def _count_tabulations(monkeypatch) -> Counter:
+    """Count state_actions calls per distinct (batteries, state), wherever
+    a module of the package looks the function up."""
+    counts = Counter()
+    real = env.state_actions
+
+    def counting(bank, chain, s):
+        counts[(bank.batteries, s.x, s.b)] += 1
+        return real(bank, chain, s)
+
+    for module in (env, learner, policies, oracle, harness):
+        if hasattr(module, "state_actions"):
+            monkeypatch.setattr(module, "state_actions", counting)
+    return counts
+
+
+class TestTabulatedOnce:
+    def test_compare_two_seeds(self, monkeypatch):
+        counts = _count_tabulations(monkeypatch)
+        bank = make_bank(capacities=(3, 4), ramps=(2, 2))
+        table = harness.compare_policies(bank, make_chain(), [(3, 4)],
+                                         seeds=[0, 1], T=2000,
+                                         schedule=LearnSchedule(t_train=3000))
+        assert table.failures == []
+        assert counts and max(counts.values()) == 1
+
+    def test_solve_exact(self, monkeypatch, tmp_path, capsys):
+        counts = _count_tabulations(monkeypatch)
+        builds = []
+        init = oracle.ExactModel.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(oracle.ExactModel, "__init__", counting_init)
+        rc = cli.main(["solve-exact", str(CONFIG), "--tol", "1e-9",
+                       "--out", str(tmp_path / "sol.csv")])
+        assert rc == 0, capsys.readouterr().err
+        assert len(counts) == 48 and max(counts.values()) == 1
+        assert len(builds) == 1
+
+
+# ---------------------------------------------------------------------------
+# The compiled fast paths against the scalar spec, over random small banks
+
+@st.composite
+def instances(draw):
+    n = draw(st.integers(1, 3))
+    batteries = tuple(
+        BatteryConfig(capacity=draw(st.integers(1, 6)),
+                      ramp=draw(st.integers(1, 4)),
+                      penalty_weight=draw(st.sampled_from([0.0, 0.1, 0.7, 2.5])),
+                      dissipation=draw(st.sampled_from([1.0, 1.0, 0.9, 0.75, 0.5])),
+                      lower_frac=draw(st.sampled_from([0.0, 0.2, 0.35])),
+                      upper_frac=draw(st.sampled_from([0.65, 0.8, 1.0])))
+        for _ in range(n))
+    n_bg = draw(st.integers(1, 4))
+    raw = np.array([[draw(st.integers(0, 5)) for _ in range(n_bg)]
+                    for _ in range(n_bg)], dtype=float)
+    for x in range(n_bg):              # a cycle through every state keeps
+        raw[x, (x + 1) % n_bg] += 1.0  # the chain irreducible
+    chain = BackgroundChain(
+        labels=tuple(range(n_bg)),
+        transition=raw / raw.sum(axis=1, keepdims=True),
+        net_gen=tuple(draw(st.integers(-8, 8)) for _ in range(n_bg)))
+    bank = BankConfig(batteries=batteries, gamma=0.9)
+    assert validate_config(bank, chain).passed
+    return bank, chain, draw(st.integers(0, 2**32 - 1))
+
+
+PROPERTY = settings(max_examples=40, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def _weights(bank, chain, seed):
+    d = feature_dim(bank.n, chain.n_states)
+    return np.random.default_rng(seed).normal(size=d)
+
+
+@PROPERTY
+@given(instances())
+def test_model_policies_match_scalar_actions_everywhere(inst):
+    bank, chain, seed = inst
+    w = _weights(bank, chain, seed)
+    fast = {name: make_policy(name, bank, chain, weights=w) for name in
+            ("greedy", "naive", "rl")}
+    for s in enumerate_states(bank, chain):
+        assert fast["greedy"](s) == greedy_action(bank, chain, s)
+        assert fast["naive"](s) == naive_action(bank, chain, s)
+        assert fast["rl"](s) == rl_action(bank, chain, s, w)
+
+
+@PROPERTY
+@given(instances())
+def test_coupled_rollout_matches_scalar_loop(inst):
+    bank, chain, seed = inst
+    w = _weights(bank, chain, seed)
+    traj = generate_trajectory(chain, seed % chain.n_states, 300, seed)
+    b0 = bank.start_occupancy()
+    spec = {
+        "greedy": lambda s: greedy_action(bank, chain, s),
+        "naive": lambda s: naive_action(bank, chain, s),
+        "rl": lambda s: rl_action(bank, chain, s, w),
+    }
+    rep = harness.coupled_rollout(
+        bank, chain, [(n, make_policy(n, bank, chain, weights=w)) for n in spec],
+        traj, b0)
+    for name, policy in spec.items():
+        total, events, b = 0.0, 0, b0
+        for k in range(300):
+            s = State(x=traj.x_path[k], b=b)
+            a = policy(s)
+            r = reward(bank, s, a)
+            total += r
+            events += r < 0
+            b = apply_action(bank, b, a)
+        assert rep.per_policy[name].total_reward == total
+        assert rep.per_policy[name].penalty_events == events
+
+
+@PROPERTY
+@given(instances(), st.sampled_from([0, 1, 2, 16383, 16384, 16385, 40000]))
+def test_trajectory_matches_per_step_sampling(inst, T):
+    _, chain, seed = inst
+    x0 = seed % chain.n_states
+    cum = cumulative_transition(chain)
+    rng = np.random.default_rng(seed)
+    x, expect = x0, [x0]
+    for _ in range(T):
+        x = int(np.searchsorted(cum[x], rng.random(), side="right"))
+        expect.append(x)
+    assert generate_trajectory(chain, x0, T, seed).x_path == tuple(expect)
+

@@ -7,7 +7,7 @@ import pytest
 from battbank.core import BackgroundChain, State
 from battbank.env import reward
 from battbank.oracle import (ExactModel, IterationLimitExceeded,
-                             StateSpaceTooLarge, bellman_backup,
+                             StateSpaceTooLarge,
                              enumerate_states, evaluate_policy_exact,
                              solve_q_iteration, write_solution_csv)
 from battbank.policies import make_policy
@@ -46,8 +46,6 @@ class TestBellmanBackup:
         model = ExactModel(toy_bank, toy_chain)
         q1, _ = model.backup(np.zeros(model.n_sa))
         np.testing.assert_allclose(q1, model.sa_rewards, atol=1e-15)
-        q1b, _ = bellman_backup(np.zeros(model.n_sa), toy_bank, toy_chain)
-        np.testing.assert_allclose(q1b, q1, atol=1e-15)
 
     def test_vanishing_discount_fixed_after_one_sweep(self, toy_chain):
         bank = make_bank(gamma=1e-9)

@@ -158,7 +158,7 @@ class TestMakePolicy:
                     s = State(x=x, b=(b1, b2))
                     for cached, fresh in pols.values():
                         assert cached(s) == fresh(s)
-                        assert cached(s) == fresh(s)  # cache hit path
+                        assert cached(s) == fresh(s)  # row already filled
 
     def test_unknown_name_rejected(self, toy_bank, toy_chain):
         with pytest.raises(ValueError, match="unknown policy"):
