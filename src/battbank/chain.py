@@ -17,9 +17,6 @@ class Trajectory:
     seed: int
     x_path: tuple[int, ...]
 
-    def __len__(self) -> int:
-        return len(self.x_path)
-
 
 def cumulative_transition(chain: BackgroundChain) -> np.ndarray:
     """Row-wise cumulative transition matrix for inverse-CDF sampling.
@@ -57,23 +54,3 @@ def generate_trajectory(chain: BackgroundChain, x0: int, T: int, seed: int) -> T
             x = succ[x][k]
             path.append(x)
     return Trajectory(seed=seed, x_path=tuple(path))
-
-
-def net_generation(chain: BackgroundChain, x: int) -> int:
-    return chain.net_gen[x]
-
-
-def save_trajectory(traj: Trajectory, path) -> None:
-    """Flat audit format: header with seed/T, then one state index per line."""
-    with open(path, "w") as fh:
-        fh.write(f"# seed={traj.seed} T={len(traj.x_path) - 1}\n")
-        for x in traj.x_path:
-            fh.write(f"{x}\n")
-
-
-def load_trajectory(path) -> Trajectory:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        fields = dict(tok.split("=") for tok in header.lstrip("# ").split())
-        xs = tuple(int(line) for line in fh if line.strip())
-    return Trajectory(seed=int(fields["seed"]), x_path=xs)

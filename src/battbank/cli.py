@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 import numpy as np
@@ -19,12 +18,16 @@ EXIT_RUNTIME = 2
 EXIT_IO = 3
 
 
-def _load(path):
+def _read(path):
     try:
-        bank, chain = core.load_config(path)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        return core.load_config(path)
+    except (OSError, ValueError) as exc:  # bad JSON and strict ingestion: ValueError
         print(f"error: cannot read config {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_IO)
+
+
+def _load(path):
+    bank, chain = _read(path)
     report = core.validate_config(bank, chain)
     if not report.passed:
         print(report, file=sys.stderr)
@@ -37,11 +40,7 @@ def _parse_int_tuple(text: str) -> tuple[int, ...]:
 
 
 def cmd_validate(args) -> int:
-    try:
-        bank, chain = core.load_config(args.config)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    bank, chain = _read(args.config)
     report = core.validate_config(bank, chain)
     print(report)
     return EXIT_OK if report.passed else EXIT_VALIDATION
@@ -109,10 +108,7 @@ def cmd_solve_exact(args) -> int:
     bank, chain = _load(args.config)
     try:
         sol = oracle.solve_q_iteration(bank, chain, tol=args.tol)
-    except oracle.StateSpaceTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except oracle.IterationLimitExceeded as exc:
+    except (oracle.StateSpaceTooLarge, oracle.IterationLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     print(f"solved in {sol.iterations} sweeps; residual {sol.residual:.3e}; "
@@ -151,25 +147,31 @@ def build_parser() -> argparse.ArgumentParser:
                     "policies, learner, and exact solver.")
     sub = p.add_subparsers(dest="command", required=True)
 
+    # learning-schedule flags shared by train and compare
+    sched = argparse.ArgumentParser(add_help=False)
+    sched.add_argument("--steps", type=int,
+                       help="training steps per run (default 100000)")
+    sched.add_argument("--beta0", type=float)
+    sched.add_argument("--beta-tau", dest="beta_tau", type=float)
+    sched.add_argument("--eps0", type=float)
+    sched.add_argument("--eps-min", dest="eps_min", type=float)
+    sched.add_argument("--eps-decay", dest="eps_decay", type=float)
+    sched.add_argument("--x0", type=int, default=0, help="initial background state")
+
     pv = sub.add_parser("validate", help="check a JSON config")
     pv.add_argument("config")
     pv.set_defaults(fn=cmd_validate)
 
-    pt = sub.add_parser("train", help="learn weights by Q-learning")
+    pt = sub.add_parser("train", parents=[sched], help="learn weights by Q-learning")
     pt.add_argument("config")
     pt.add_argument("--out", required=True, help="weights JSON output path")
     pt.add_argument("--log", help="training-log CSV output path")
-    pt.add_argument("--steps", type=int, help="training steps (default 100000)")
+    # train only: under compare, "--seed" stays an abbreviation of --seeds
     pt.add_argument("--seed", type=int, help="training seed (default 0)")
-    pt.add_argument("--beta0", type=float)
-    pt.add_argument("--beta-tau", dest="beta_tau", type=float)
-    pt.add_argument("--eps0", type=float)
-    pt.add_argument("--eps-min", dest="eps_min", type=float)
-    pt.add_argument("--eps-decay", dest="eps_decay", type=float)
-    pt.add_argument("--x0", type=int, default=0, help="initial background state")
     pt.set_defaults(fn=cmd_train)
 
-    pc = sub.add_parser("compare", help="greedy/naive/rl comparison table")
+    pc = sub.add_parser("compare", parents=[sched],
+                        help="greedy/naive/rl comparison table")
     pc.add_argument("config")
     pc.add_argument("--sizes", nargs="+", required=True,
                     help="capacity tuples, e.g. 2,3 10,10")
@@ -178,13 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--ramp", help="override ramps, e.g. 2,2")
     pc.add_argument("--eval-steps", type=int, default=100_000,
                     help="rollout length T (default 100000)")
-    pc.add_argument("--steps", type=int, help="training steps per row")
-    pc.add_argument("--beta0", type=float)
-    pc.add_argument("--beta-tau", dest="beta_tau", type=float)
-    pc.add_argument("--eps0", type=float)
-    pc.add_argument("--eps-min", dest="eps_min", type=float)
-    pc.add_argument("--eps-decay", dest="eps_decay", type=float)
-    pc.add_argument("--x0", type=int, default=0)
     pc.add_argument("--out", help="CSV output path")
     pc.set_defaults(fn=cmd_compare)
 

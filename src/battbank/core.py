@@ -119,8 +119,9 @@ def validate_config(bank: BankConfig, chain: BackgroundChain) -> ValidationRepor
             bad.append(f"{path}.ramp: must be >= 1, got {bat.ramp}")
         if not (0.0 < bat.dissipation <= 1.0):
             bad.append(f"{path}.dissipation: must be in (0, 1], got {bat.dissipation}")
-        if bat.penalty_weight < 0:
-            bad.append(f"{path}.penalty_weight: must be >= 0, got {bat.penalty_weight}")
+        if not (0.0 <= bat.penalty_weight < math.inf):
+            bad.append(f"{path}.penalty_weight: must be finite and >= 0, "
+                       f"got {bat.penalty_weight}")
         if not (0.0 <= bat.lower_frac < 1.0):
             bad.append(f"{path}.lower_frac: must be in [0, 1), got {bat.lower_frac}")
         if not (bat.lower_frac < bat.upper_frac <= 1.0):
@@ -146,9 +147,11 @@ def validate_config(bank: BankConfig, chain: BackgroundChain) -> ValidationRepor
     else:
         if (P < 0).any():
             bad.append("chain.transition: negative entries")
-        for j, rowsum in enumerate(P.sum(axis=1)):
-            if abs(rowsum - 1.0) > _ROW_SUM_TOL:
-                bad.append(f"chain.transition[{j}]: row sums to {rowsum!r}, not 1")
+        for j, row in enumerate(P):
+            if not np.isfinite(row).all():
+                bad.append(f"chain.transition[{j}]: entries must be finite")
+            elif abs(row.sum() - 1.0) > _ROW_SUM_TOL:
+                bad.append(f"chain.transition[{j}]: row sums to {row.sum()!r}, not 1")
         if not bad and not _is_irreducible(P):
             bad.append("chain.transition: chain is not irreducible")
     if len(chain.net_gen) != ns:
@@ -200,31 +203,71 @@ def config_to_dict(bank: BankConfig, chain: BackgroundChain) -> dict:
     }
 
 
+# Strict ingestion: every check raises ValueError naming the field's path.
+
+_BATTERY_KEYS = {"capacity": int, "ramp": int, "penalty_weight": float,
+                 "dissipation": float, "lower_frac": float, "upper_frac": float}
+
+
+def _number(v, path: str, kind: type):
+    """v as kind (int or float). JSON true/false is never a number, and an
+    integer field takes no float."""
+    if isinstance(v, bool) or not isinstance(v, int if kind is int else (int, float)):
+        expect = "an integer" if kind is int else "a number"
+        raise ValueError(f"{path}: expected {expect}, got {v!r}")
+    return kind(v)
+
+
+def _items(v, path: str) -> list:
+    if not isinstance(v, list):
+        raise ValueError(f"{path}: expected a list, got {v!r}")
+    return v
+
+
+def _numbers(v, path: str, kind: type) -> tuple:
+    return tuple(_number(item, f"{path}[{i}]", kind)
+                 for i, item in enumerate(_items(v, path)))
+
+
+def _fields(doc, path: str, allowed, required) -> dict:
+    """doc, checked to be an object with no unknown and no missing keys."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path or 'config'}: expected an object, got {doc!r}")
+    at = path + "." if path else ""
+    for problem, keys in (("unknown key", doc.keys() - set(allowed)),
+                          ("required key missing", set(required) - doc.keys())):
+        if keys:
+            raise ValueError(f"{at}{sorted(keys)[0]}: {problem}")
+    return doc
+
+
 def config_from_dict(doc: dict) -> tuple[BankConfig, BackgroundChain]:
-    batteries = tuple(
-        BatteryConfig(
-            capacity=int(b["capacity"]),
-            ramp=int(b["ramp"]),
-            dissipation=float(b.get("dissipation", 1.0)),
-            penalty_weight=float(b["penalty_weight"]),
-            lower_frac=float(b.get("lower_frac", 0.2)),
-            upper_frac=float(b.get("upper_frac", 0.8)),
-        )
-        for b in doc["batteries"]
-    )
-    occ = doc.get("initial_occupancy", "half")
-    if occ != "half":
-        occ = tuple(int(v) for v in occ)
-    bank = BankConfig(
-        batteries=batteries,
-        gamma=float(doc.get("gamma", 0.9)),
-        initial_occupancy=occ,
-    )
-    ch = doc["chain"]
+    """Build a config from its JSON form; omitted optional keys take the
+    dataclass defaults."""
+    _fields(doc, "", ("batteries", "chain", "gamma", "initial_occupancy"),
+            ("batteries", "chain"))
+    batteries = []
+    for i, b in enumerate(_items(doc["batteries"], "batteries")):
+        path = f"batteries[{i}]"
+        _fields(b, path, _BATTERY_KEYS, ("capacity", "ramp", "penalty_weight"))
+        batteries.append(BatteryConfig(**{
+            k: _number(v, f"{path}.{k}", _BATTERY_KEYS[k]) for k, v in b.items()}))
+    extra = {}
+    if "gamma" in doc:
+        extra["gamma"] = _number(doc["gamma"], "gamma", float)
+    if doc.get("initial_occupancy", "half") != "half":
+        extra["initial_occupancy"] = _numbers(doc["initial_occupancy"],
+                                              "initial_occupancy", int)
+    bank = BankConfig(batteries=tuple(batteries), **extra)
+
+    keys = ("labels", "transition", "net_gen")
+    ch = _fields(doc["chain"], "chain", keys, keys)
+    rows = _items(ch["transition"], "chain.transition")
     chain = BackgroundChain(
-        labels=tuple(ch["labels"]),
-        transition=np.array(ch["transition"], dtype=float),
-        net_gen=tuple(int(g) for g in ch["net_gen"]),
+        labels=tuple(_items(ch["labels"], "chain.labels")),
+        transition=np.array([_numbers(row, f"chain.transition[{j}]", float)
+                             for j, row in enumerate(rows)], dtype=float),
+        net_gen=_numbers(ch["net_gen"], "chain.net_gen", int),
     )
     return bank, chain
 
@@ -239,7 +282,3 @@ def config_fingerprint(bank: BankConfig, chain: BackgroundChain) -> str:
     reports so artifacts cannot silently cross configs."""
     canon = json.dumps(config_to_dict(bank, chain), sort_keys=True)
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
-
-
-def half_floor(capacity: int) -> int:
-    return math.floor(capacity / 2)

@@ -82,15 +82,6 @@ def apply_action(bank: BankConfig, b: tuple[int, ...], a: Action) -> tuple[int, 
     return tuple(out)
 
 
-def step(bank: BankConfig, chain: BackgroundChain, s: State, a: Action,
-         next_x: int) -> tuple[State, float]:
-    """One MDP transition. next_x is supplied by the caller so several
-    policies can be coupled to one stored background trajectory."""
-    r = reward(bank, s, a)
-    b_next = apply_action(bank, s.b, a)
-    return State(x=next_x, b=b_next), r
-
-
 @dataclass
 class StateActions:
     """Vectorized view of one state's feasible action set, for fast argmax
@@ -99,7 +90,7 @@ class StateActions:
     actions: list[Action]
     posts: np.ndarray     # (n_actions, N) int, b + a
     rewards: np.ndarray   # (n_actions,)
-    next_b: list[tuple[int, ...]]   # occupancies after dissipation
+    next_b: np.ndarray    # (n_actions, N) int, floor(eta * posts)
 
 
 def state_actions(bank: BankConfig, chain: BackgroundChain, s: State) -> StateActions:
@@ -111,14 +102,8 @@ def state_actions(bank: BankConfig, chain: BackgroundChain, s: State) -> StateAc
     wts = np.array([bat.penalty_weight for bat in bank.batteries])
     pen = np.maximum(lo - posts, 0.0) + np.maximum(posts - hi, 0.0)
     rewards = -(pen * wts).sum(axis=1)
-    etas = [bat.dissipation for bat in bank.batteries]
-    if all(eta == 1.0 for eta in etas):
-        next_b = [tuple(int(v) for v in row) for row in posts]
-    else:
-        next_b = [
-            tuple(math.floor(eta * int(v)) for eta, v in zip(etas, row))
-            for row in posts
-        ]
+    etas = np.array([bat.dissipation for bat in bank.batteries])
+    next_b = np.floor(etas * posts).astype(np.int64)
     return StateActions(actions=acts, posts=posts, rewards=rewards, next_b=next_b)
 
 
@@ -180,8 +165,8 @@ class BankModel:
         r = self._rows.get(sid)
         if r is None:
             ent = state_actions(self.bank, self.chain, self.state(sid))
-            next_bid = np.array(ent.next_b, dtype=np.int64) @ self._stride_vec
-            r = self._rows[sid] = ModelRow(ent, next_bid.tolist())
+            next_bid = (ent.next_b @ self._stride_vec).tolist()
+            r = self._rows[sid] = ModelRow(ent, next_bid)
         if kernels and r.kmat is None:
             from .features import kernel_matrix  # features imports this module
             r.kmat = kernel_matrix(self.bank, r.posts)

@@ -29,18 +29,9 @@ def block_slice(x: int, n_batteries: int) -> slice:
     return slice(1 + x * width, 1 + (x + 1) * width)
 
 
-def normalized_occupancy(bank: BankConfig, b: tuple[int, ...], a: Action) -> np.ndarray:
-    caps = np.array(bank.capacities, dtype=float)
-    return (np.array(b, dtype=float) + np.array(a, dtype=float)) / caps
-
-
-def kernel_pair(y: float) -> tuple[float, float]:
-    """Quartic empty-side / full-side kernels; both lie in [-1, 0]."""
-    return (-((1.0 - y) ** 4), -(y ** 4))
-
-
 def kernel_matrix(bank: BankConfig, posts: np.ndarray) -> np.ndarray:
-    """Kernel pairs for a batch of post-action occupancies.
+    """Quartic empty-side / full-side kernels, both in [-1, 0], for a batch
+    of post-action occupancies.
 
     posts: (n, N) integer occupancies; returns (n, 2N) interleaved as
     (empty-side, full-side) per battery.
@@ -59,12 +50,9 @@ def feature_vector(bank: BankConfig, chain: BackgroundChain, s: State,
     phi = np.zeros(d)
     phi[0] = reward(bank, s, a)
     blk = block_slice(s.x, bank.n)
-    y = normalized_occupancy(bank, s.b, a)
-    block = np.empty(2 * bank.n + 1)
-    block[0] = 1.0
-    block[1::2] = -((1.0 - y) ** 4)
-    block[2::2] = -(y ** 4)
-    phi[blk] = block
+    post = np.array(s.b, dtype=np.int64) + np.array(a, dtype=np.int64)
+    phi[blk.start] = 1.0
+    phi[blk.start + 1:blk.stop] = kernel_matrix(bank, post[None, :])[0]
     return phi
 
 
@@ -75,12 +63,6 @@ def q_values(bank: BankConfig, s_x: int, rewards: np.ndarray, kmat: np.ndarray,
     rewards and kernel_matrix rows."""
     blk = w[block_slice(s_x, bank.n)]
     return w[0] * rewards + blk[0] + kmat @ blk[1:]
-
-
-def q_hat(phi: np.ndarray, w: np.ndarray) -> float:
-    if phi.shape != w.shape:
-        raise ValueError(f"dimension mismatch: phi {phi.shape} vs w {w.shape}")
-    return float(phi @ w)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import cumulative_transition
-from .core import Action, BankConfig, BackgroundChain, State
+from .core import BankConfig, BackgroundChain
 from .env import bank_model
 from .features import block_slice, feature_dim, q_values
 
@@ -53,21 +53,6 @@ class TrainLog:
             wr = csv.writer(fh)
             wr.writerow(self.HEADER)
             wr.writerows(self.rows)
-
-
-def td_error(bank: BankConfig, chain: BackgroundChain, s: State, a: Action,
-             s_next: State, w: np.ndarray) -> float:
-    """One-step TD error: R + gamma * max_a' Q_hat(s', a') - Q_hat(s, a)."""
-    from .features import feature_vector, q_hat
-    from .env import reward, feasible_actions
-
-    r = reward(bank, s, a)
-    q_sa = q_hat(feature_vector(bank, chain, s, a), w)
-    q_next = max(
-        q_hat(feature_vector(bank, chain, s_next, a2), w)
-        for a2 in feasible_actions(bank, chain, s_next)
-    )
-    return r + bank.gamma * q_next - q_sa
 
 
 def update_weights(w: np.ndarray, phi: np.ndarray, delta: float,

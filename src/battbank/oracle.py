@@ -79,9 +79,6 @@ class ExactModel:
     def n_sa(self) -> int:
         return len(self.sa_rewards)
 
-    def state_index(self, s: State) -> int:
-        return self.compiled.state_id(s)
-
     def state_values(self, q: np.ndarray) -> np.ndarray:
         return np.maximum.reduceat(q, self.offsets[:-1])
 

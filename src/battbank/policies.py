@@ -1,5 +1,4 @@
-# Deployable controllers: greedy, naive-proportional, learned-weights RL,
-# plus the epsilon-greedy exploration wrapper.
+# Deployable controllers: greedy, naive-proportional, learned-weights RL.
 #
 # Tie-breaking everywhere: the lexicographically smallest action. Feasible
 # sets are enumerated in lexicographic order, so "first maximizer" does it.
@@ -62,17 +61,6 @@ def naive_action(bank: BankConfig, chain: BackgroundChain, s: State) -> Action:
 def rl_action(bank: BankConfig, chain: BackgroundChain, s: State,
               w: np.ndarray) -> Action:
     ent = state_actions(bank, chain, s)
-    kmat = kernel_matrix(bank, ent.posts)
-    q = q_values(bank, s.x, ent.rewards, kmat, w)
-    return ent.actions[int(np.argmax(q))]
-
-
-def epsilon_greedy_action(bank: BankConfig, chain: BackgroundChain, s: State,
-                          w: np.ndarray, eps: float,
-                          rng: np.random.Generator) -> Action:
-    ent = state_actions(bank, chain, s)
-    if rng.random() < eps:
-        return ent.actions[int(rng.integers(len(ent.actions)))]
     kmat = kernel_matrix(bank, ent.posts)
     q = q_values(bank, s.x, ent.rewards, kmat, w)
     return ent.actions[int(np.argmax(q))]

@@ -1,8 +1,6 @@
 import numpy as np
 
-from battbank.chain import (Trajectory, cumulative_transition,
-                            generate_trajectory, load_trajectory,
-                            net_generation, save_trajectory)
+from battbank.chain import cumulative_transition, generate_trajectory
 from battbank.core import BackgroundChain, validate_config
 
 from conftest import make_bank
@@ -76,14 +74,9 @@ class TestGenerateTrajectory:
 
 
 def test_net_generation_labels(toy_chain):
-    assert net_generation(toy_chain, 0) == -4
-    assert net_generation(toy_chain, 2) == 1
-    assert net_generation(toy_chain, 3) == 5
-
-
-def test_trajectory_save_load_round_trip(tmp_path, toy_chain):
-    traj = generate_trajectory(toy_chain, 1, 50, seed=21)
-    path = tmp_path / "traj.txt"
-    save_trajectory(traj, path)
-    loaded = load_trajectory(path)
-    assert loaded == Trajectory(seed=21, x_path=traj.x_path)
+    assert toy_chain.net_gen == (-4, -1, 1, 5)
+    # BackgroundChain stores plain ints whatever integer type it is given
+    chain = BackgroundChain(labels=("a", "b"), transition=np.eye(2)[::-1],
+                            net_gen=np.array([3, -2]))
+    assert chain.net_gen == (3, -2)
+    assert all(type(g) is int for g in chain.net_gen)

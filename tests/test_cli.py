@@ -5,7 +5,7 @@ import pytest
 
 from battbank import features
 from battbank.cli import (EXIT_IO, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION,
-                          main)
+                          _schedule_from_args, build_parser, main)
 from battbank.core import config_to_dict, load_config
 
 from conftest import make_bank, make_chain
@@ -51,6 +51,53 @@ class TestValidate:
     def test_infeasible_occupancy_validation_exit(self, tmp_path):
         path = write_config(tmp_path, occupancy=(1, 9))
         assert main(["validate", path]) == EXIT_VALIDATION
+
+    def test_nan_transition_validation_exit(self, tmp_path, capsys):
+        # a NaN row used to print "config OK"
+        def nan_row(doc):
+            doc["chain"]["transition"][0] = [0.0, 0.5, float("nan"), 0.5]
+        path = write_config(tmp_path, doc_edit=nan_row)
+        assert main(["validate", path]) == EXIT_VALIDATION
+        assert "chain.transition[0]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda doc: doc["batteries"][0].update(capacity=2.7),
+         "batteries[0].capacity"),
+        (lambda doc: doc["batteries"][1].update(dissipaton=0.5),
+         "batteries[1].dissipaton"),
+        (lambda doc: doc.update(gamma=True), "gamma"),
+    ])
+    def test_strict_ingestion_io_exit(self, tmp_path, capsys, edit, field):
+        path = write_config(tmp_path, doc_edit=edit)
+        assert main(["validate", path]) == EXIT_IO
+        assert field in capsys.readouterr().err
+
+
+SCHEDULE_FLAGS = ["--steps", "7", "--beta0", "0.1", "--beta-tau", "5",
+                  "--eps0", "0.5", "--eps-min", "0.1", "--eps-decay", "9",
+                  "--x0", "2"]
+
+
+class TestParser:
+    def test_train_and_compare_share_schedule_flags(self):
+        p = build_parser()
+        tr = p.parse_args(["train", "c.json", "--out", "w.json"] + SCHEDULE_FLAGS)
+        cp = p.parse_args(["compare", "c.json", "--sizes", "2,3"] + SCHEDULE_FLAGS)
+        assert _schedule_from_args(tr) == _schedule_from_args(cp)
+        assert _schedule_from_args(tr).t_train == 7
+        assert _schedule_from_args(tr).eps_decay == 9.0
+        assert tr.x0 == cp.x0 == 2
+
+    def test_compare_seed_abbreviates_seeds(self):
+        args = build_parser().parse_args(
+            ["compare", "c.json", "--sizes", "2,3", "--seed", "3"])
+        assert args.seeds == [3]
+        assert _schedule_from_args(args).seed == 0
+
+    def test_train_seed_sets_schedule_seed(self):
+        args = build_parser().parse_args(
+            ["train", "c.json", "--out", "w.json", "--seed", "5"])
+        assert _schedule_from_args(args).seed == 5
 
 
 class TestTrain:
@@ -139,18 +186,24 @@ class TestSolveExact:
 
 
 def test_weights_round_trip_preserves_policy(tmp_path):
-    # train briefly, persist, reload: identical q_hat on every (s, a)
-    from battbank.features import feature_vector, q_hat, load_weights
+    # train briefly, persist, reload: identical Q-hat on every state and
+    # the same rl choice
+    from battbank.env import bank_model
     from battbank.learner import LearnSchedule, train
-    from battbank.env import feasible_actions
     from battbank.oracle import enumerate_states
+    from battbank.policies import make_policy
 
     bank, chain = load_config(TOY_CONFIG)
     w, _ = train(bank, chain, LearnSchedule(t_train=2000, seed=3))
     path = tmp_path / "w.json"
     features.save_weights(path, w, bank, chain)
-    w2 = load_weights(path, bank, chain)
+    w2 = features.load_weights(path, bank, chain)
+    np.testing.assert_array_equal(w, w2)
+    model = bank_model(bank, chain)
+    rl, rl2 = (make_policy("rl", bank, chain, weights=v) for v in (w, w2))
     for s in enumerate_states(bank, chain):
-        for a in feasible_actions(bank, chain, s):
-            phi = feature_vector(bank, chain, s, a)
-            assert q_hat(phi, w) == q_hat(phi, w2)
+        row = model.row(model.state_id(s), kernels=True)
+        np.testing.assert_array_equal(
+            features.q_values(bank, s.x, row.rewards, row.kmat, w),
+            features.q_values(bank, s.x, row.rewards, row.kmat, w2))
+        assert rl(s) == rl2(s)

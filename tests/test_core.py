@@ -91,6 +91,22 @@ class TestValidateConfig:
         report = validate_config(make_bank(occupancy=(1, 2)), toy_chain)
         assert report.passed
 
+    def test_nan_transition_row_named(self, toy_bank):
+        # the row sum of a NaN row compares False against the tolerance
+        P = np.array(make_chain().transition)
+        P[0] = [0.0, 0.5, np.nan, 0.5]
+        chain = BackgroundChain(labels=(-4, -1, 1, 5), transition=P,
+                                net_gen=(-4, -1, 1, 5))
+        report = validate_config(toy_bank, chain)
+        assert report.violations == ["chain.transition[0]: entries must be finite"]
+
+    @pytest.mark.parametrize("weight", [np.inf, np.nan])
+    def test_non_finite_penalty_weight_named(self, toy_chain, weight):
+        bank = make_bank(weights=(weight, 1.0))
+        report = validate_config(bank, toy_chain)
+        assert len(report.violations) == 1
+        assert report.violations[0].startswith("batteries[0].penalty_weight:")
+
     def test_bad_battery_fields(self, toy_chain):
         bank = make_bank(capacities=(0, 3))
         assert any("capacity" in v
@@ -133,6 +149,72 @@ class TestConfigSerialization:
         assert len(fp1) == 16
         other = dataclasses.replace(toy_bank, gamma=0.5)
         assert config_fingerprint(other, toy_chain) != fp1
+
+
+def _edited(edit):
+    doc = json.loads(json.dumps(config_to_dict(make_bank(), make_chain())))
+    edit(doc)
+    return doc
+
+
+class TestStrictIngestion:
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["batteries"][0].update(capacity=2.7),
+         "batteries[0].capacity: expected an integer, got 2.7"),
+        (lambda d: d["batteries"][1].update(ramp=True),
+         "batteries[1].ramp: expected an integer, got True"),
+        (lambda d: d["chain"]["net_gen"].__setitem__(0, -4.6),
+         "chain.net_gen[0]: expected an integer, got -4.6"),
+        (lambda d: d.update(initial_occupancy=[1.9, 2]),
+         "initial_occupancy[0]: expected an integer, got 1.9"),
+        (lambda d: d.update(initial_occupancy="full"),
+         "initial_occupancy: expected a list, got 'full'"),
+        (lambda d: d.update(gamma=True), "gamma: expected a number, got True"),
+        (lambda d: d["batteries"][0].update(penalty_weight="1"),
+         "batteries[0].penalty_weight: expected a number, got '1'"),
+        (lambda d: d["chain"]["transition"][2].__setitem__(1, None),
+         "chain.transition[2][1]: expected a number, got None"),
+    ])
+    def test_wrong_type_named(self, edit, message):
+        with pytest.raises(ValueError) as exc:
+            config_from_dict(_edited(edit))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["batteries"][0].update(dissipaton=0.5),
+         "batteries[0].dissipaton: unknown key"),
+        (lambda d: d["chain"].update(weights=[1, 1, 1, 1]),
+         "chain.weights: unknown key"),
+        (lambda d: d.update(gama=0.5), "gama: unknown key"),
+        (lambda d: d["batteries"][1].pop("penalty_weight"),
+         "batteries[1].penalty_weight: required key missing"),
+        (lambda d: d["chain"].pop("net_gen"), "chain.net_gen: required key missing"),
+        (lambda d: d.pop("batteries"), "batteries: required key missing"),
+    ])
+    def test_unknown_and_missing_keys_named(self, edit, message):
+        with pytest.raises(ValueError) as exc:
+            config_from_dict(_edited(edit))
+        assert str(exc.value) == message
+
+    def test_optional_keys_take_dataclass_defaults(self):
+        def strip(d):
+            for bat in d["batteries"]:
+                for key in ("dissipation", "lower_frac", "upper_frac"):
+                    del bat[key]
+            del d["gamma"], d["initial_occupancy"]
+        bank, _ = config_from_dict(_edited(strip))
+        assert bank == BankConfig(batteries=tuple(
+            BatteryConfig(capacity=bat.capacity, ramp=bat.ramp,
+                          penalty_weight=bat.penalty_weight)
+            for bat in make_bank().batteries))
+
+    def test_integral_reals_accepted(self):
+        # a real field takes a JSON integer; an integer field keeps int type
+        bank, _ = config_from_dict(_edited(
+            lambda d: d["batteries"][0].update(penalty_weight=2, dissipation=1)))
+        assert bank.batteries[0].penalty_weight == 2.0
+        assert type(bank.batteries[0].penalty_weight) is float
+        assert type(bank.batteries[0].capacity) is int
 
 
 def test_chain_transition_is_frozen(toy_chain):

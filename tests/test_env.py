@@ -5,7 +5,7 @@ import pytest
 
 from battbank.core import BackgroundChain, State, clip
 from battbank.env import (action_bounds, apply_action, feasible_actions,
-                          reward, state_actions, step)
+                          reward, state_actions)
 
 from conftest import make_bank, make_chain
 
@@ -132,23 +132,25 @@ class TestApplyAction:
 
 
 class TestStep:
+    # one MDP step: reward(s, a), then the next occupancy apply_action(b, a)
     def test_zero_penalty_composition(self, toy_chain):
         bank = make_bank(capacities=(10, 10))
-        s2, r = step(bank, toy_chain, State(x=0, b=(5, 5)), (2, 3), next_x=1)
-        assert r == 0.0
-        assert s2 == State(x=1, b=(7, 8))
+        s, a = State(x=3, b=(5, 5)), (2, 3)   # net generation 5
+        assert a in feasible_actions(bank, toy_chain, s)
+        assert reward(bank, s, a) == 0.0
+        assert apply_action(bank, s.b, a) == (7, 8)
 
     def test_forced_noop_at_empty(self, toy_chain):
         bank = make_bank(capacities=(2, 3), ramps=(2, 2), weights=(0.1, 1.0))
-        s2, r = step(bank, toy_chain, State(x=0, b=(0, 0)), (0, 0), next_x=0)
-        assert s2.b == (0, 0)
-        assert r == pytest.approx(-0.64, abs=1e-12)
+        s = State(x=0, b=(0, 0))
+        assert feasible_actions(bank, toy_chain, s) == [(0, 0)]
+        assert apply_action(bank, s.b, (0, 0)) == (0, 0)
+        assert reward(bank, s, (0, 0)) == pytest.approx(-0.64, abs=1e-12)
 
     def test_mixed_dissipation(self, toy_chain):
         bank = make_bank(capacities=(10, 10), ramps=(10, 10),
                          dissipation=(0.9, 1.0))
-        s2, _ = step(bank, toy_chain, State(x=0, b=(7, 5)), (2, 0), next_x=2)
-        assert s2 == State(x=2, b=(8, 5))
+        assert apply_action(bank, (7, 5), (2, 0)) == (8, 5)
 
 
 def test_energy_conservation_lossless_unconstrained(toy_chain):
@@ -176,4 +178,4 @@ def test_state_actions_tables_consistent(toy_chain):
     for i, a in enumerate(ent.actions):
         assert tuple(ent.posts[i]) == tuple(bi + ai for bi, ai in zip(s.b, a))
         assert ent.rewards[i] == pytest.approx(reward(bank, s, a), abs=1e-12)
-        assert ent.next_b[i] == apply_action(bank, s.b, a)
+        assert tuple(ent.next_b[i]) == apply_action(bank, s.b, a)

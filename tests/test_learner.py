@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from battbank.core import BackgroundChain, State
-from battbank.env import reward
-from battbank.features import feature_dim, feature_vector, q_hat
-from battbank.learner import LearnSchedule, td_error, train, update_weights
+from battbank.chain import cumulative_transition
+from battbank.core import State
+from battbank.env import apply_action, feasible_actions, reward
+from battbank.features import feature_dim, feature_vector
+from battbank.learner import LearnSchedule, train, update_weights
 
 from conftest import make_bank
 
@@ -35,12 +36,6 @@ PINNED_WEIGHTS_SEED0_5000 = [
 ]
 
 
-def two_state_chain():
-    return BackgroundChain(labels=(1, -1),
-                           transition=np.array([[0.5, 0.5], [0.5, 0.5]]),
-                           net_gen=(1, -1))
-
-
 class TestSchedule:
     def test_initial_values(self):
         sched = LearnSchedule(beta0=0.1, beta_tau=1e4, eps0=0.3,
@@ -64,38 +59,75 @@ class TestSchedule:
         assert tail < 0.05 * sq[999_999]     # square sum has flattened
 
 
+def replay_train(bank, chain, schedule, log_every):
+    """train() restated on the dense spec: feasible_actions, feature_vector,
+    reward, apply_action and update_weights, drawing from PCG64(seed) in the
+    documented order (per step the exploration coin, then the action index
+    only when exploring, then the chain uniform)."""
+    rng = np.random.default_rng(schedule.seed)
+    cum = cumulative_transition(chain)
+    w = np.zeros(feature_dim(bank.n, chain.n_states))
+    s = State(x=0, b=bank.start_occupancy())
+    rows, cum_reward, abs_td = [], 0.0, 0.0
+    for k in range(schedule.t_train):
+        acts = feasible_actions(bank, chain, s)
+        phis = [feature_vector(bank, chain, s, a) for a in acts]
+        q = [phi @ w for phi in phis]
+        if rng.random() < schedule.eps(k):
+            i = int(rng.integers(len(acts)))
+        else:
+            i = int(np.argmax(q))
+        r = reward(bank, s, acts[i])
+        x_next = int(np.searchsorted(cum[s.x], rng.random(), side="right"))
+        s_next = State(x=x_next, b=apply_action(bank, s.b, acts[i]))
+        q_next = max(feature_vector(bank, chain, s_next, a) @ w
+                     for a in feasible_actions(bank, chain, s_next))
+        delta = r + bank.gamma * q_next - q[i]
+        w = update_weights(w, phis[i], delta, schedule.beta(k))
+        cum_reward += r
+        abs_td += abs(delta)
+        if (k + 1) % log_every == 0:
+            rows.append((k + 1, abs_td / log_every, cum_reward))
+            abs_td = 0.0
+        s = s_next
+    return w, rows
+
+
+REPLAY_CASES = {
+    "toy-default": (make_bank(), LearnSchedule(t_train=3000, seed=2)),
+    "annealed-eps": (make_bank(capacities=(4, 6)),
+                     LearnSchedule(t_train=3000, seed=5, eps0=0.5,
+                                   eps_min=0.05, eps_decay=500)),
+    "lossy-ramp-bound": (make_bank(capacities=(6, 9), ramps=(2, 3),
+                                   weights=(0.5, 1.0), dissipation=(0.9, 0.95)),
+                         LearnSchedule(t_train=3000, seed=7, eps0=0.8,
+                                       eps_min=0.2, eps_decay=1000)),
+}
+
+
+class TestTrainReplay:
+    # train()'s compiled, block-sparse loop against the dense reference
+    @pytest.mark.parametrize("case", sorted(REPLAY_CASES))
+    def test_matches_dense_reference(self, case, toy_chain):
+        bank, sched = REPLAY_CASES[case]
+        w, log = train(bank, toy_chain, sched, log_every=100)
+        w_ref, rows_ref = replay_train(bank, toy_chain, sched, log_every=100)
+        np.testing.assert_allclose(w, w_ref, rtol=1e-9, atol=1e-12)
+        assert [row[0] for row in log.rows] == [row[0] for row in rows_ref]
+        # mean |TD error| and cumulative reward of every logged block
+        np.testing.assert_allclose([row[3:] for row in log.rows],
+                                   [row[1:] for row in rows_ref],
+                                   rtol=1e-9, atol=1e-12)
+
+
 class TestTdError:
     def test_zero_weights_give_reward(self, toy_bank, toy_chain):
-        s = State(x=0, b=(0, 0))
-        d = feature_dim(toy_bank.n, toy_chain.n_states)
-        delta = td_error(toy_bank, toy_chain, s, (0, 0),
-                         State(x=1, b=(0, 0)), np.zeros(d))
-        assert delta == pytest.approx(reward(toy_bank, s, (0, 0)), abs=1e-12)
-
-    def test_hand_arithmetic(self):
-        # single battery, forced actions; weights chosen so that
-        # Q_hat(s,a) = 0.5 and max_a' Q_hat(s',a') = 2 while R(s,a) = -1
-        bank = make_bank(capacities=(10,), ramps=(1,), weights=(1.0,),
-                         gamma=0.9)
-        chain = two_state_chain()
-        s = State(x=0, b=(8,))          # forced action (1,), post 9, R = -1
-        s_next = State(x=1, b=(9,))     # forced action (-1,)
-        w = np.zeros(feature_dim(1, 2))
-        w[1] = 0.5   # constant entry of block x=0
-        w[4] = 2.0   # constant entry of block x=1
-        delta = td_error(bank, chain, s, (1,), s_next, w)
-        assert delta == pytest.approx(-1 + 0.9 * 2 - 0.5, abs=1e-12)
-
-    def test_vanishing_discount_degeneracy(self, toy_bank, toy_chain):
-        import dataclasses
-        myopic = dataclasses.replace(toy_bank, gamma=1e-12)
-        d = feature_dim(myopic.n, toy_chain.n_states)
-        w = np.random.default_rng(0).normal(size=d)
-        s, a = State(x=0, b=(1, 1)), (-1, -1)
-        delta = td_error(myopic, toy_chain, s, a, State(x=2, b=(0, 0)), w)
-        expect = reward(myopic, s, a) - q_hat(
-            feature_vector(myopic, toy_chain, s, a), w)
-        assert delta == pytest.approx(expect, abs=1e-9)
+        # train starts from w = 0, where both Q-hat terms of its first TD
+        # error vanish: delta_0 = R(s_0, a_0)
+        _, log = train(toy_bank, toy_chain, LearnSchedule(t_train=1), log_every=1)
+        (_, _, _, mean_abs_td, cum_reward), = log.rows
+        assert cum_reward < 0
+        assert mean_abs_td == abs(cum_reward)
 
 
 class TestUpdateWeights:

@@ -34,7 +34,7 @@ class TestEnumerateStates:
         assert len(set(states)) == len(states)
         model = ExactModel(toy_bank, toy_chain)
         for i, s in enumerate(states):
-            assert model.state_index(s) == i
+            assert model.compiled.state_id(s) == i
 
     def test_cap_refusal_names_size(self, toy_bank, toy_chain):
         with pytest.raises(StateSpaceTooLarge, match="48"):

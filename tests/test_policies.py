@@ -4,8 +4,8 @@ import pytest
 from battbank.core import BackgroundChain, State
 from battbank.env import action_bounds, feasible_actions, reward
 from battbank.features import feature_dim
-from battbank.policies import (epsilon_greedy_action, greedy_action,
-                               make_policy, naive_action, rl_action)
+from battbank.policies import (greedy_action, make_policy, naive_action,
+                               rl_action)
 
 from conftest import make_bank, make_chain
 
@@ -103,41 +103,6 @@ class TestRlAction:
                     s = State(x=x, b=(b1, b2))
                     assert rl_action(bank, toy_chain, s, w) == \
                         greedy_action(bank, toy_chain, s)
-
-
-class TestEpsilonGreedy:
-    def test_eps_zero_is_rl_action(self, toy_bank, toy_chain):
-        rng = np.random.default_rng(0)
-        d = feature_dim(toy_bank.n, toy_chain.n_states)
-        w = np.random.default_rng(1).normal(size=d)
-        for x in range(4):
-            s = State(x=x, b=(1, 2))
-            assert epsilon_greedy_action(toy_bank, toy_chain, s, w, 0.0, rng) \
-                == rl_action(toy_bank, toy_chain, s, w)
-
-    def test_eps_one_uniform(self, toy_chain):
-        bank = make_bank(capacities=(10, 10))
-        s = State(x=3, b=(5, 5))   # 6 feasible actions
-        acts = feasible_actions(bank, toy_chain, s)
-        assert len(acts) == 6
-        d = feature_dim(bank.n, toy_chain.n_states)
-        w = np.zeros(d)
-        rng = np.random.default_rng(9)
-        counts = {a: 0 for a in acts}
-        n = 10_000
-        for _ in range(n):
-            counts[epsilon_greedy_action(bank, toy_chain, s, w, 1.0, rng)] += 1
-        for a in acts:
-            assert abs(counts[a] / n - 1 / 6) < 0.02
-
-    def test_singleton_forced(self):
-        bank = make_bank(capacities=(3,), ramps=(2,), weights=(1.0,))
-        chain = const_chain(1)
-        s = State(x=0, b=(1,))
-        w = np.zeros(feature_dim(1, 1))
-        rng = np.random.default_rng(0)
-        for eps in (0.0, 0.5, 1.0):
-            assert epsilon_greedy_action(bank, chain, s, w, eps, rng) == (1,)
 
 
 class TestMakePolicy:
