@@ -3,7 +3,8 @@ import pytest
 
 from battbank.core import BackgroundChain, State
 from battbank.env import action_bounds, feasible_actions, reward
-from battbank.features import feature_dim
+from battbank.features import feature_dim, feature_vector
+from battbank.learner import LearnSchedule, train, update_weights
 from battbank.policies import (greedy_action, make_policy, naive_action,
                                rl_action)
 
@@ -103,6 +104,49 @@ class TestRlAction:
                     s = State(x=x, b=(b1, b2))
                     assert rl_action(bank, toy_chain, s, w) == \
                         greedy_action(bank, toy_chain, s)
+
+
+class TestEpsilonGreedy:
+    """Exploration of train's behavior policy, seen through one-step runs.
+
+    With w = 0 the first TD error is the reward, so a one-step log's
+    cumulative reward names the action train took.
+    """
+
+    def test_eps_one_uniform(self, toy_chain):
+        # both batteries end above the band: rewards are distinct per action
+        bank = make_bank(capacities=(30, 30))
+        s = State(x=3, b=(25, 25))   # 6 feasible actions
+        acts = feasible_actions(bank, toy_chain, s)
+        assert len(acts) == 6
+        rewards = np.array([reward(bank, s, a) for a in acts])
+        assert len(set(rewards.tolist())) == 6
+        counts = np.zeros(len(acts), dtype=int)
+        n = 10_000
+        for seed in range(n):
+            sched = LearnSchedule(t_train=1, eps0=1.0, eps_min=1.0, seed=seed)
+            _, log = train(bank, toy_chain, sched, x0=s.x, b0=s.b, log_every=1)
+            gaps = np.abs(rewards - log.rows[0][4])
+            assert gaps.min() < 1e-12
+            counts[int(np.argmin(gaps))] += 1
+        for c in counts:
+            assert abs(c / n - 1 / 6) < 0.02
+
+    def test_singleton_forced(self):
+        bank = make_bank(capacities=(3,), ramps=(2,), weights=(1.0,))
+        chain = const_chain(1)
+        s = State(x=0, b=(2,))
+        assert feasible_actions(bank, chain, s) == [(1,)]
+        r = reward(bank, s, (1,))
+        assert r < 0
+        phi = feature_vector(bank, chain, s, (1,))
+        for eps in (0.0, 0.5, 1.0):
+            sched = LearnSchedule(t_train=1, eps0=eps, eps_min=eps)
+            w, log = train(bank, chain, sched, x0=s.x, b0=s.b, log_every=1)
+            assert log.rows[0][4] == pytest.approx(r, abs=1e-12)
+            np.testing.assert_allclose(
+                w, update_weights(np.zeros_like(w), phi, r, sched.beta0),
+                rtol=1e-9, atol=1e-12)
 
 
 class TestMakePolicy:
