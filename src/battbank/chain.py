@@ -14,7 +14,6 @@ from .core import BackgroundChain
 
 @dataclass(frozen=True)
 class Trajectory:
-    seed: int
     x_path: tuple[int, ...]
 
 
@@ -34,6 +33,13 @@ def cumulative_transition(chain: BackgroundChain) -> np.ndarray:
     return cum
 
 
+def check_x0(chain: BackgroundChain, x0: int) -> None:
+    """Reject a start state that is not one of the chain's state indices."""
+    if not 0 <= x0 < chain.n_states:
+        raise ValueError(f"x0: must be in [0, {chain.n_states}) for a "
+                         f"{chain.n_states}-state chain, got {x0}")
+
+
 # uniforms drawn and resolved per block: n_states * _BLOCK indices at a time
 _BLOCK = 1 << 14
 
@@ -43,6 +49,9 @@ def generate_trajectory(chain: BackgroundChain, x0: int, T: int, seed: int) -> T
     the k-th choosing the successor of step k. Uniforms are drawn a block
     at a time, and each block's successors from every state are found in
     bulk, so only the index chase runs step by step."""
+    check_x0(chain, x0)
+    if T < 0:
+        raise ValueError(f"T: must be >= 0, got {T}")
     rng = np.random.default_rng(seed)
     cum = cumulative_transition(chain)
     x = int(x0)
@@ -53,4 +62,4 @@ def generate_trajectory(chain: BackgroundChain, x0: int, T: int, seed: int) -> T
         for k in range(len(u)):
             x = succ[x][k]
             path.append(x)
-    return Trajectory(seed=seed, x_path=tuple(path))
+    return Trajectory(x_path=tuple(path))

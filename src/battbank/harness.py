@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import Trajectory, generate_trajectory
-from .core import BankConfig, BackgroundChain, config_fingerprint
+from .core import BankConfig, BackgroundChain, validate_config
 from .env import apply_action, bank_model, reward
 from .learner import LearnSchedule, train
 from .policies import make_policy
@@ -25,25 +25,14 @@ TRAIN_SEED_OFFSET = 0x5EED
 @dataclass
 class PolicyStats:
     total_reward: float
-    mean_reward: float
     penalty_events: int
-
-
-@dataclass
-class EvalReport:
-    """Per-policy totals over one shared background trajectory."""
-
-    per_policy: dict[str, PolicyStats]
-    traj_seed: int
-    T: int
-    fingerprint: str
 
 
 def coupled_rollout(bank: BankConfig, chain: BackgroundChain,
                     policies: list[tuple[str, object]], traj: Trajectory,
-                    b0: tuple[int, ...]) -> EvalReport:
+                    b0: tuple[int, ...]) -> dict[str, PolicyStats]:
     """Evaluate each deterministic policy on the identical x-path, starting
-    from the same occupancy vector.
+    from the same occupancy vector; returns each policy's stats by name.
 
     A policy is called once per distinct state it visits, where env.reward
     and env.apply_action give that state's reward and next occupancy id;
@@ -71,13 +60,8 @@ def coupled_rollout(bank: BankConfig, chain: BackgroundChain,
             total += r
             if r < 0:
                 events += 1
-        stats[name] = PolicyStats(
-            total_reward=total,
-            mean_reward=total / T if T else 0.0,
-            penalty_events=events,
-        )
-    return EvalReport(per_policy=stats, traj_seed=traj.seed, T=T,
-                      fingerprint=config_fingerprint(bank, chain))
+        stats[name] = PolicyStats(total_reward=total, penalty_events=events)
+    return stats
 
 
 @dataclass
@@ -126,6 +110,8 @@ def resize_bank(bank: BankConfig, sizes: tuple[int, ...],
     initial occupancy reverts to the half-full default."""
     if len(sizes) != bank.n:
         raise ValueError(f"{len(sizes)} sizes for {bank.n} batteries")
+    if ramps is not None and len(ramps) != bank.n:
+        raise ValueError(f"{len(ramps)} ramps for {bank.n} batteries")
     batteries = tuple(
         dataclasses.replace(
             bat, capacity=int(B),
@@ -152,22 +138,26 @@ def compare_policies(bank: BankConfig, chain: BackgroundChain,
         totals: dict[str, list[float]] = {"greedy": [], "naive": [], "rl": []}
         try:
             sized = resize_bank(bank, size, ramps)
+            report = validate_config(sized, chain)
+            if not report.passed:
+                raise ValueError("; ".join(report.violations))
             b0 = sized.start_occupancy()
             for seed in seeds:
                 sched = dataclasses.replace(schedule, seed=seed + TRAIN_SEED_OFFSET)
                 w, _ = train(sized, chain, sched, x0=x0)
                 traj = generate_trajectory(chain, x0, T, seed)
-                report = coupled_rollout(
+                stats = coupled_rollout(
                     sized, chain,
                     [(name, make_policy(name, sized, chain,
                                         weights=w if name == "rl" else None))
                      for name in ("greedy", "naive", "rl")],
                     traj, b0)
-                for name, st in report.per_policy.items():
+                for name, st in stats.items():
                     totals[name].append(st.total_reward)
         except (ValueError, FloatingPointError) as exc:
-            # a size the bank cannot take, or diverged training: record the
-            # row and keep the rest; any other error is a bug and propagates
+            # a size or ramp the bank cannot take, an x0 or T out of range,
+            # or diverged training: record the row and keep the rest; any
+            # other error is a bug and propagates
             table.failures.append(f"sizes {size}: {type(exc).__name__}: {exc}")
             continue
         for name, vals in totals.items():

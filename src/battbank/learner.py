@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import cumulative_transition
+from .chain import check_x0, cumulative_transition
 from .core import BankConfig, BackgroundChain
 from .env import bank_model
 from .features import block_slice, feature_dim, q_values
@@ -34,6 +34,21 @@ class LearnSchedule:
     eps_min: float = 1.0
     eps_decay: float = 20_000.0
     seed: int = 0
+
+    def __post_init__(self):
+        bad = []
+        if self.t_train < 0:
+            bad.append(f"t_train: must be >= 0, got {self.t_train}")
+        for name in ("beta0", "beta_tau", "eps_decay"):
+            val = getattr(self, name)
+            if not (0.0 < val < math.inf):
+                bad.append(f"{name}: must be finite and > 0, got {val}")
+        for name in ("eps0", "eps_min"):
+            val = getattr(self, name)
+            if not (0.0 <= val <= 1.0):
+                bad.append(f"{name}: must be in [0, 1], got {val}")
+        if bad:
+            raise ValueError("; ".join(bad))
 
     def beta(self, k: int) -> float:
         return self.beta0 * self.beta_tau / (self.beta_tau + k)
@@ -72,6 +87,7 @@ def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
     rng yields the exploration coin, then (only when exploring) the uniform
     action index, then the chain-transition uniform.
     """
+    check_x0(chain, x0)
     if b0 is None:
         b0 = bank.start_occupancy()
     rng = np.random.default_rng(schedule.seed)

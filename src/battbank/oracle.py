@@ -15,7 +15,7 @@ import numpy as np
 from .core import BankConfig, BackgroundChain, State
 from .env import apply_action, bank_model, reward
 
-DEFAULT_STATE_CAP = 10**6
+STATE_CAP = 10**6
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_SWEEPS = 10**5
 
@@ -31,17 +31,16 @@ class IterationLimitExceeded(RuntimeError):
         self.sweeps = sweeps
 
 
-def enumerate_states(bank: BankConfig, chain: BackgroundChain,
-                     cap: int = DEFAULT_STATE_CAP) -> list[State]:
+def enumerate_states(bank: BankConfig, chain: BackgroundChain) -> list[State]:
     """Deterministic bijective enumeration: background index major, then
     occupancy vectors in mixed-radix (first battery slowest) order."""
     num_b = 1
     for B in bank.capacities:
         num_b *= B + 1
     total = num_b * chain.n_states
-    if total > cap:
+    if total > STATE_CAP:
         raise StateSpaceTooLarge(
-            f"state space has {total} states, exceeding the cap of {cap}")
+            f"state space has {total} states, exceeding the cap of {STATE_CAP}")
     occupancies = list(itertools.product(*(range(B + 1) for B in bank.capacities)))
     return [State(x=x, b=b)
             for x in range(chain.n_states)
@@ -52,11 +51,10 @@ class ExactModel:
     """Flattened (state, action) arrays over every row of the bank's
     compiled model (env.bank_model), for vectorized Bellman sweeps."""
 
-    def __init__(self, bank: BankConfig, chain: BackgroundChain,
-                 cap: int = DEFAULT_STATE_CAP):
+    def __init__(self, bank: BankConfig, chain: BackgroundChain):
         self.bank = bank
         self.chain = chain
-        self.states = enumerate_states(bank, chain, cap)
+        self.states = enumerate_states(bank, chain)
         self.compiled = bank_model(bank, chain)
         self.num_b = self.compiled.num_b
 
@@ -114,9 +112,8 @@ class ExactSolution:
 
 def solve_q_iteration(bank: BankConfig, chain: BackgroundChain,
                       tol: float = DEFAULT_TOL,
-                      max_sweeps: int = DEFAULT_MAX_SWEEPS,
-                      cap: int = DEFAULT_STATE_CAP) -> ExactSolution:
-    model = ExactModel(bank, chain, cap)
+                      max_sweeps: int = DEFAULT_MAX_SWEEPS) -> ExactSolution:
+    model = ExactModel(bank, chain)
     q = np.zeros(model.n_sa)
     for sweep in range(1, max_sweeps + 1):
         q, delta = model.backup(q)
@@ -127,14 +124,12 @@ def solve_q_iteration(bank: BankConfig, chain: BackgroundChain,
 
 def evaluate_policy_exact(bank: BankConfig, chain: BackgroundChain, policy,
                           tol: float = DEFAULT_TOL,
-                          max_sweeps: int = DEFAULT_MAX_SWEEPS,
-                          cap: int = DEFAULT_STATE_CAP,
                           model: ExactModel | None = None) -> np.ndarray:
     """Fixed point of the policy's evaluation operator, as a value vector in
     enumeration order. `policy` maps State -> feasible Action. Pass the
     `model` of an earlier solve of this bank and chain to reuse it."""
     if model is None:
-        model = ExactModel(bank, chain, cap)
+        model = ExactModel(bank, chain)
 
     r_pi = np.empty(model.n_states)
     bnext = np.empty(model.n_states, dtype=np.int64)
@@ -146,14 +141,14 @@ def evaluate_policy_exact(bank: BankConfig, chain: BackgroundChain, policy,
         xs[i] = s.x
 
     V = np.zeros(model.n_states)
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, DEFAULT_MAX_SWEEPS + 1):
         PV = chain.transition @ V.reshape(chain.n_states, model.num_b)
         V_new = r_pi + bank.gamma * PV[xs, bnext]
         delta = float(np.abs(V_new - V).max())
         V = V_new
         if delta <= tol:
             return V
-    raise IterationLimitExceeded(delta, max_sweeps)
+    raise IterationLimitExceeded(delta, DEFAULT_MAX_SWEEPS)
 
 
 def write_solution_csv(sol: ExactSolution, path) -> None:

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from battbank.chain import cumulative_transition, generate_trajectory
 from battbank.core import BackgroundChain, validate_config
@@ -44,6 +45,15 @@ class TestGenerateTrajectory:
     def test_zero_length(self, toy_chain):
         traj = generate_trajectory(toy_chain, x0=2, T=0, seed=5)
         assert traj.x_path == (2,)
+
+    def test_negative_length_rejected(self, toy_chain):
+        with pytest.raises(ValueError, match="T: must be >= 0"):
+            generate_trajectory(toy_chain, 0, -5, seed=0)
+
+    @pytest.mark.parametrize("x0", [-1, 4, 9])
+    def test_start_state_outside_chain_rejected(self, toy_chain, x0):
+        with pytest.raises(ValueError, match=r"x0: must be in \[0, 4\)"):
+            generate_trajectory(toy_chain, x0, 10, seed=0)
 
     def test_determinism(self, toy_chain):
         t1 = generate_trajectory(toy_chain, 0, 500, seed=9)

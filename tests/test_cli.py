@@ -126,6 +126,23 @@ class TestTrain:
         assert lines[0].startswith("step,")
         assert len(lines) == 3  # header + one row per 1000 steps
 
+    @pytest.mark.parametrize("flags, field", [
+        (["--x0", "-1"], "x0"),
+        (["--x0", "4"], "x0"),
+        (["--eps-decay", "0"], "eps_decay"),
+        (["--steps", "-3"], "t_train"),
+        (["--beta0", "nan"], "beta0"),
+    ])
+    def test_out_of_range_flag_rejected(self, tmp_path, capsys, flags, field):
+        out = tmp_path / "w.json"
+        assert main(["train", TOY_CONFIG, "--out", str(out)]
+                    + flags) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert f"error: {field}: must be" in err
+        assert "out of bounds" not in err
+        assert "diverged" not in err
+        assert not out.exists()
+
     def test_invalid_config_blocks_training(self, tmp_path):
         path = write_config(tmp_path, gamma=1.5)
         assert main(["train", path, "--out",
@@ -155,6 +172,31 @@ class TestCompare:
                    "--steps", "200", "--eval-steps", "100"])
         assert rc == EXIT_RUNTIME
         assert "FAILED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--sizes", "2,3", "--ramp", "2"], "1 ramps for 2 batteries"),
+        (["--sizes", "2,3", "--ramp", "0,0"], "batteries[0].ramp"),
+        (["--sizes", "0,3"], "batteries[0].capacity"),
+        (["--sizes", "2,3", "--x0", "9"], "x0: must be in [0, 4)"),
+        (["--sizes", "2,3", "--x0", "-1"], "x0: must be in [0, 4)"),
+        (["--sizes", "2,3", "--eval-steps", "-5"], "T: must be >= 0"),
+    ])
+    def test_invalid_row_fails_naming_field(self, capsys, flags, message):
+        rc = main(["compare", TOY_CONFIG, "--seeds", "0", "--steps", "100",
+                   "--eval-steps", "50"] + flags)
+        assert rc == EXIT_RUNTIME
+        out, err = capsys.readouterr()
+        assert "FAILED: sizes" in out and message in out
+        assert "greedy" not in out   # no row of totals was printed
+        assert "index" not in out + err
+
+    def test_invalid_schedule_exits_before_any_row(self, capsys):
+        rc = main(["compare", TOY_CONFIG, "--sizes", "2,3", "--seeds", "0",
+                   "--eps-decay", "0"])
+        assert rc == EXIT_RUNTIME
+        out, err = capsys.readouterr()
+        assert "error: eps_decay: must be" in err
+        assert "FAILED" not in out
 
 
 class TestSolveExact:

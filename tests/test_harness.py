@@ -22,8 +22,7 @@ class TestCoupledRollout:
             toy_bank, toy_chain,
             [("greedy", make_policy("greedy", toy_bank, toy_chain))],
             traj, toy_bank.start_occupancy())
-        assert rep.per_policy["greedy"].total_reward == 0.0
-        assert rep.T == 0
+        assert rep["greedy"].total_reward == 0.0
 
     def test_zero_penalty_config(self, toy_chain):
         bank = make_bank(weights=(0.0, 0.0))
@@ -32,7 +31,7 @@ class TestCoupledRollout:
             bank, toy_chain,
             [(n, make_policy(n, bank, toy_chain)) for n in ("greedy", "naive")],
             traj, bank.start_occupancy())
-        for st in rep.per_policy.values():
+        for st in rep.values():
             assert st.total_reward == 0.0
             assert st.penalty_events == 0
 
@@ -51,8 +50,8 @@ class TestCoupledRollout:
             total += r
             events += r < 0
             b = apply_action(toy_bank, b, a)
-        assert rep.per_policy["naive"].total_reward == total
-        assert rep.per_policy["naive"].penalty_events == events
+        assert rep["naive"].total_reward == total
+        assert rep["naive"].penalty_events == events
 
     def test_deterministic_repeat(self, toy_bank, toy_chain):
         traj = generate_trajectory(toy_chain, 0, 1000, seed=4)
@@ -63,7 +62,7 @@ class TestCoupledRollout:
         r2 = coupled_rollout(toy_bank, toy_chain, pols, traj,
                              toy_bank.start_occupancy())
         for n in ("greedy", "naive"):
-            assert r1.per_policy[n] == r2.per_policy[n]
+            assert r1[n] == r2[n]
 
     def test_trained_rl_matches_greedy_when_greedy_optimal(self, toy_bank,
                                                            toy_chain):
@@ -76,8 +75,8 @@ class TestCoupledRollout:
             [("greedy", make_policy("greedy", toy_bank, toy_chain)),
              ("rl", make_policy("rl", toy_bank, toy_chain, weights=w))],
             traj, toy_bank.start_occupancy())
-        g = rep.per_policy["greedy"].total_reward
-        r = rep.per_policy["rl"].total_reward
+        g = rep["greedy"].total_reward
+        r = rep["rl"].total_reward
         assert r == pytest.approx(g, rel=1e-9, abs=1e-9)
 
 
@@ -95,8 +94,10 @@ class TestResizeBank:
         assert sized.ramps == toy_bank.ramps
 
     def test_length_mismatch(self, toy_bank):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="3 sizes for 2 batteries"):
             resize_bank(toy_bank, (2, 3, 4))
+        with pytest.raises(ValueError, match="1 ramps for 2 batteries"):
+            resize_bank(toy_bank, (2, 3), ramps=(2,))
 
 
 @pytest.fixture(scope="module")

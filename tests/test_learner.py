@@ -47,6 +47,23 @@ class TestSchedule:
         sched = LearnSchedule(eps0=0.3, eps_min=0.02, eps_decay=2e4)
         assert sched.eps(10**7) == pytest.approx(0.02)
 
+    @pytest.mark.parametrize("field, value", [
+        ("t_train", -3),
+        ("beta0", 0.0), ("beta0", -0.1), ("beta0", float("nan")),
+        ("beta0", float("inf")),
+        ("beta_tau", 0.0), ("beta_tau", float("nan")),
+        ("eps_decay", 0.0), ("eps_decay", -5.0), ("eps_decay", float("inf")),
+        ("eps0", -0.1), ("eps0", 1.5), ("eps0", float("nan")),
+        ("eps_min", -0.1), ("eps_min", 1.5),
+    ])
+    def test_out_of_range_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            LearnSchedule(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        LearnSchedule(t_train=0, eps0=0.0, eps_min=0.0)
+        LearnSchedule(eps0=1.0, eps_min=1.0)
+
     def test_robbins_monro_partial_sums(self):
         # sum beta_k diverges (logarithmic growth), sum beta_k^2 converges
         sched = LearnSchedule()

@@ -171,8 +171,8 @@ def test_coupled_rollout_matches_scalar_loop(inst):
             total += r
             events += r < 0
             b = apply_action(bank, b, a)
-        assert rep.per_policy[name].total_reward == total
-        assert rep.per_policy[name].penalty_events == events
+        assert rep[name].total_reward == total
+        assert rep[name].penalty_events == events
 
 
 @PROPERTY

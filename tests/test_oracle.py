@@ -4,6 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from battbank import oracle
 from battbank.core import BackgroundChain, State
 from battbank.env import reward
 from battbank.oracle import (ExactModel, IterationLimitExceeded,
@@ -36,9 +37,16 @@ class TestEnumerateStates:
         for i, s in enumerate(states):
             assert model.compiled.state_id(s) == i
 
-    def test_cap_refusal_names_size(self, toy_bank, toy_chain):
-        with pytest.raises(StateSpaceTooLarge, match="48"):
-            enumerate_states(toy_bank, toy_chain, cap=47)
+    def test_cap_refusal_names_size(self, monkeypatch, toy_chain):
+        # 1000 * 1000 occupancies * 4 background states = 4,000,000 > cap
+        def no_rows(*args):
+            raise AssertionError("a row was built before the cap check")
+
+        monkeypatch.setattr(oracle, "bank_model", no_rows)
+        bank = make_bank(capacities=(999, 999))
+        for build in (enumerate_states, ExactModel, solve_q_iteration):
+            with pytest.raises(StateSpaceTooLarge, match="4000000"):
+                build(bank, toy_chain)
 
 
 class TestBellmanBackup:
