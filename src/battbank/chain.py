@@ -40,6 +40,12 @@ def check_x0(chain: BackgroundChain, x0: int) -> None:
                          f"{chain.n_states}-state chain, got {x0}")
 
 
+def check_length(T: int) -> None:
+    """Reject a negative trajectory length."""
+    if T < 0:
+        raise ValueError(f"T: must be >= 0, got {T}")
+
+
 # uniforms drawn and resolved per block: n_states * _BLOCK indices at a time
 _BLOCK = 1 << 14
 
@@ -50,8 +56,7 @@ def generate_trajectory(chain: BackgroundChain, x0: int, T: int, seed: int) -> T
     at a time, and each block's successors from every state are found in
     bulk, so only the index chase runs step by step."""
     check_x0(chain, x0)
-    if T < 0:
-        raise ValueError(f"T: must be >= 0, got {T}")
+    check_length(T)
     rng = np.random.default_rng(seed)
     cum = cumulative_transition(chain)
     x = int(x0)

@@ -62,7 +62,22 @@ def q_values(bank: BankConfig, s_x: int, rewards: np.ndarray, kmat: np.ndarray,
     block sparsity of the feature map: rewards and kmat are the set's
     rewards and kernel_matrix rows."""
     blk = w[block_slice(s_x, bank.n)]
-    return w[0] * rewards + blk[0] + kmat @ blk[1:]
+    return q_from_kernels(w[0], rewards, blk[0], kernel_product(kmat, blk[1:]))
+
+
+def kernel_product(kmat: np.ndarray, kernel_w: np.ndarray) -> np.ndarray:
+    """Kernel part of every action's Q estimate; kernel_w is the state's
+    weight block without its leading bias entry. ndarray.dot gives the
+    values of `kmat @ kernel_w` (both run BLAS gemv) with less dispatch
+    per call."""
+    return kmat.dot(kernel_w)
+
+
+def q_from_kernels(w0, rewards, bias, kv):
+    """The Q estimate from the reward weight w0, the block's bias weight and
+    the kernel product kv: arrays give the whole feasible set, one action's
+    scalars give its value alone, equal bit for bit to its array entry."""
+    return w0 * rewards + bias + kv
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import Trajectory, generate_trajectory
+from .chain import Trajectory, check_length, generate_trajectory
 from .core import BankConfig, BackgroundChain, validate_config
 from .env import apply_action, bank_model, reward
 from .learner import LearnSchedule, train
@@ -137,6 +137,8 @@ def compare_policies(bank: BankConfig, chain: BackgroundChain,
         size = tuple(int(v) for v in size)
         totals: dict[str, list[float]] = {"greedy": [], "naive": [], "rl": []}
         try:
+            # before any training, so a bad T fails the row at once
+            check_length(T)
             sized = resize_bank(bank, size, ramps)
             report = validate_config(sized, chain)
             if not report.passed:

@@ -12,7 +12,7 @@ import numpy as np
 from .chain import check_x0, cumulative_transition
 from .core import BankConfig, BackgroundChain
 from .env import bank_model
-from .features import block_slice, feature_dim, q_values
+from .features import block_slice, feature_dim, kernel_product, q_from_kernels
 
 
 @dataclass(frozen=True)
@@ -88,53 +88,67 @@ def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
     action index, then the chain-transition uniform.
     """
     check_x0(chain, x0)
+    if log_every < 1:
+        raise ValueError(f"log_every: must be >= 1, got {log_every}")
     if b0 is None:
         b0 = bank.start_occupancy()
     rng = np.random.default_rng(schedule.seed)
-    N = bank.n
     gamma = bank.gamma
-    d = feature_dim(N, chain.n_states)
-    w = np.zeros(d)
+    w = np.zeros(feature_dim(bank.n, chain.n_states))
     log = TrainLog()
 
     cum_rows = cumulative_transition(chain).tolist()
     model = bank_model(bank, chain)
+    row = model.row
     num_b = model.num_b
+    # views into w: each background state's block, and its kernel weights
+    blocks = [w[block_slice(x, bank.n)] for x in range(chain.n_states)]
+    kernel_ws = [blk[1:] for blk in blocks]
+
+    # schedule.eps and schedule.beta, hoisted: eps stays at eps_min when
+    # eps0 <= eps_min, and beta is LearnSchedule.beta's expression
+    annealed = schedule.eps0 > schedule.eps_min
+    eps = schedule.eps_min
+    beta_num = schedule.beta0 * schedule.beta_tau
+    beta_tau = schedule.beta_tau
 
     x = x0
-    sid = x0 * num_b + model.occupancy_id(tuple(b0))
+    e = row(x0 * num_b + model.occupancy_id(tuple(b0)), True)
+    kv = kernel_product(e.kmat, kernel_ws[x])
     cum_reward = 0.0
     abs_td_acc = 0.0
 
     for k in range(schedule.t_train):
-        eps = schedule.eps(k)
-        beta = schedule.beta(k)
-        e = model.row(sid, kernels=True)
-        q = q_values(bank, x, e.rewards, e.kmat, w)
+        if annealed:
+            eps = schedule.eps(k)
+        beta = beta_num / (beta_tau + k)
+        blk = blocks[x]
+        w0 = w[0]
 
         if rng.random() < eps:
             a_idx = int(rng.integers(len(e.actions)))
+            q_a = q_from_kernels(w0, e.rewards[a_idx], blk[0], kv[a_idx])
         else:
-            a_idx = int(np.argmax(q))
+            q = q_from_kernels(w0, e.rewards, blk[0], kv)
+            a_idx = int(q.argmax())
+            q_a = q[a_idx]
 
         r = e.rewards[a_idx]
         # bisect_right is searchsorted(side="right") on a Python list
         x_next = bisect.bisect_right(cum_rows[x], rng.random())
-        sid_next = x_next * num_b + e.next_bid[a_idx]
+        e_next = row(x_next * num_b + e.next_bid[a_idx], True)
+        kv_next = kernel_product(e_next.kmat, kernel_ws[x_next])
+        q_next = q_from_kernels(w0, e_next.rewards, blocks[x_next][0], kv_next)
 
-        e2 = model.row(sid_next, kernels=True)
-        q_next = q_values(bank, x_next, e2.rewards, e2.kmat, w)
-
-        delta = r + gamma * q_next.max() - q[a_idx]
+        delta = r + gamma * np.maximum.reduce(q_next) - q_a
         if not math.isfinite(delta):
             raise FloatingPointError(f"non-finite TD error at step {k}")
 
         # sparse form of w += beta * delta * phi(s, a)
         scale = beta * delta
-        blk = w[block_slice(x, N)]
         w[0] += scale * r
         blk[0] += scale
-        blk[1:] += scale * e.kmat[a_idx]
+        kernel_ws[x] += scale * e.kmat[a_idx]
 
         cum_reward += r
         abs_td_acc += abs(delta)
@@ -142,6 +156,9 @@ def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
             log.rows.append((k + 1, eps, beta, abs_td_acc / log_every, cum_reward))
             abs_td_acc = 0.0
 
-        x, sid = x_next, sid_next
+        if x_next == x:
+            # the update just changed this block: the carried product is stale
+            kv_next = kernel_product(e_next.kmat, kernel_ws[x])
+        x, e, kv = x_next, e_next, kv_next
 
     return w, log

@@ -4,8 +4,8 @@ import pytest
 from battbank.core import BackgroundChain, State
 from battbank.env import feasible_actions, reward, state_actions
 from battbank.features import (block_slice, feature_dim, feature_vector,
-                               kernel_matrix, load_weights, q_values,
-                               save_weights)
+                               kernel_matrix, kernel_product, load_weights,
+                               q_from_kernels, q_values, save_weights)
 
 from conftest import make_bank, make_chain
 
@@ -148,6 +148,26 @@ class TestQHat:
                 np.testing.assert_allclose(q_block(bank, chain, s, w),
                                            q_dense(bank, chain, s, w),
                                            rtol=1e-12, atol=1e-12)
+
+    def test_single_action_equals_set_entry(self):
+        # the learner's one-action value and q_values share q_from_kernels
+        # and kernel_product; each entry must agree bit for bit
+        bank = make_bank(capacities=(6, 9), ramps=(2, 3),
+                         dissipation=(0.9, 0.95))
+        chain = make_chain()
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            w = rng.normal(size=feature_dim(2, 4)) * 10.0 ** rng.integers(-3, 4)
+            s = State(x=int(rng.integers(4)),
+                      b=(int(rng.integers(7)), int(rng.integers(10))))
+            ent = state_actions(bank, chain, s)
+            kmat = kernel_matrix(bank, ent.posts)
+            q = q_values(bank, s.x, ent.rewards, kmat, w)
+            blk = w[block_slice(s.x, bank.n)]
+            kv = kernel_product(kmat, blk[1:])
+            for a in range(len(q)):
+                assert q_from_kernels(w[0], ent.rewards[a], blk[0],
+                                      kv[a]) == q[a]
 
 
 class TestWeightPersistence:

@@ -149,6 +149,19 @@ class TestComparePolicies:
             compare_policies(toy_bank, toy_chain, [(2, 3)], seeds=[0], T=50,
                              schedule=LearnSchedule(t_train=50))
 
+    def test_negative_T_fails_rows_before_training(self, monkeypatch,
+                                                   toy_bank, toy_chain):
+        def no_training(*args, **kwargs):
+            raise AssertionError("train called for a row with T < 0")
+
+        monkeypatch.setattr(harness, "train", no_training)
+        table = compare_policies(toy_bank, toy_chain, [(2, 3), (3, 3)],
+                                 seeds=[0, 1], T=-5)
+        assert table.rows == []
+        assert table.failures == [
+            f"sizes {size}: ValueError: T: must be >= 0, got -5"
+            for size in [(2, 3), (3, 3)]]
+
     def test_csv_export(self, tmp_path, small_table):
         path = tmp_path / "table.csv"
         small_table.write_csv(path)

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from battbank.chain import cumulative_transition
-from battbank.core import State
+from battbank.core import BackgroundChain, State
 from battbank.env import apply_action, feasible_actions, reward
 from battbank.features import feature_dim, feature_vector
 from battbank.learner import LearnSchedule, train, update_weights
 
-from conftest import make_bank
+from conftest import TOY_LABELS, make_bank, make_chain
 
 # weights of train(make_bank(), toy chain, LearnSchedule(seed=0, t_train=5000)),
 # recorded before training moved onto the compiled bank model
@@ -33,6 +33,67 @@ PINNED_WEIGHTS_SEED0_5000 = [
     "0x1.09a3d09f1bcf4p+1",
     "0x0.0p+0",
     "0x1.09a3d09f1bcf4p+1",
+]
+
+# a chain with self-transitions, so training meets x' == x, where the block
+# just updated is the next state's block too
+SELF_P = [[0.4, 0.3, 0.2, 0.1],
+          [0.25, 0.25, 0.25, 0.25],
+          [0.1, 0.2, 0.3, 0.4],
+          [0.5, 0.0, 0.0, 0.5]]
+
+
+def make_self_chain():
+    return BackgroundChain(labels=TOY_LABELS, transition=np.array(SELF_P),
+                           net_gen=TOY_LABELS)
+
+
+def make_lossy_bank():
+    return make_bank(capacities=(6, 9), ramps=(2, 3), weights=(0.5, 1.0),
+                     dissipation=(0.9, 0.95))
+
+
+SELF_SCHEDULE = LearnSchedule(t_train=20_000, seed=0, eps0=0.8, eps_min=0.2,
+                              eps_decay=1000)
+
+# weights and log of train(make_lossy_bank(), make_self_chain(),
+# SELF_SCHEDULE, log_every=4000), recorded before the step loop carried the
+# next state's kernel product; log rows are (step, eps, beta, mean_abs_td,
+# cum_reward)
+PINNED_SELF_WEIGHTS = [
+    "-0x1.152fda16b2dbdp+0",
+    "-0x1.5f4c5b9c67f34p+4",
+    "0x1.12c7646c8aecfp+1",
+    "-0x1.cad11819eaf53p+0",
+    "0x1.4965347509045p+2",
+    "-0x1.0e7b2dfce9c37p+0",
+    "-0x1.557a4d9553dcfp+4",
+    "0x1.1aa03efd0881dp+1",
+    "0x1.451b40ac617fbp-1",
+    "0x1.437b8f43e2ad5p+2",
+    "0x1.fd48d8189eb66p-3",
+    "-0x1.3c596ca0c96a7p+4",
+    "0x1.34c4e5baf2b18p+1",
+    "0x1.10d2e8d597d50p-1",
+    "0x1.998df5f1ffda2p+2",
+    "0x1.304dfc00acbe8p-1",
+    "-0x1.56e6f6aba17fap+4",
+    "0x1.4e37f738982a1p+2",
+    "0x1.da6b890ea0b13p+0",
+    "0x1.37c262371715dp+2",
+    "0x1.492c928b4d00bp+1",
+]
+PINNED_SELF_LOG = [
+    (4000, "0x1.999999999999ap-3", "0x1.696c221066485p-5",
+     "0x1.0a16710fe3518p+1", "-0x1.5d066666665d8p+12"),
+    (8000, "0x1.999999999999ap-3", "0x1.43607e8c55057p-5",
+     "0x1.a8021719bd011p+0", "-0x1.5a2999999974dp+13"),
+    (12000, "0x1.999999999999ap-3", "0x1.249411ad3666cp-5",
+     "0x1.702382737a6e7p+0", "-0x1.04a8ccccccae0p+14"),
+    (16000, "0x1.999999999999ap-3", "0x1.0b22e0c3026bcp-5",
+     "0x1.5d76fc994f81bp+0", "-0x1.5c75999999bb6p+14"),
+    (20000, "0x1.999999999999ap-3", "0x1.eb87a2fa5cde5p-6",
+     "0x1.4ab140e806cfbp+0", "-0x1.b0053333338fdp+14"),
 ]
 
 
@@ -111,13 +172,16 @@ def replay_train(bank, chain, schedule, log_every):
 
 
 REPLAY_CASES = {
-    "toy-default": (make_bank(), LearnSchedule(t_train=3000, seed=2)),
-    "annealed-eps": (make_bank(capacities=(4, 6)),
+    "toy-default": (make_bank(), make_chain(),
+                    LearnSchedule(t_train=3000, seed=2)),
+    "annealed-eps": (make_bank(capacities=(4, 6)), make_chain(),
                      LearnSchedule(t_train=3000, seed=5, eps0=0.5,
                                    eps_min=0.05, eps_decay=500)),
-    "lossy-ramp-bound": (make_bank(capacities=(6, 9), ramps=(2, 3),
-                                   weights=(0.5, 1.0), dissipation=(0.9, 0.95)),
+    "lossy-ramp-bound": (make_lossy_bank(), make_chain(),
                          LearnSchedule(t_train=3000, seed=7, eps0=0.8,
+                                       eps_min=0.2, eps_decay=1000)),
+    "self-transitions": (make_lossy_bank(), make_self_chain(),
+                         LearnSchedule(t_train=3000, seed=0, eps0=0.8,
                                        eps_min=0.2, eps_decay=1000)),
 }
 
@@ -125,10 +189,10 @@ REPLAY_CASES = {
 class TestTrainReplay:
     # train()'s compiled, block-sparse loop against the dense reference
     @pytest.mark.parametrize("case", sorted(REPLAY_CASES))
-    def test_matches_dense_reference(self, case, toy_chain):
-        bank, sched = REPLAY_CASES[case]
-        w, log = train(bank, toy_chain, sched, log_every=100)
-        w_ref, rows_ref = replay_train(bank, toy_chain, sched, log_every=100)
+    def test_matches_dense_reference(self, case):
+        bank, chain, sched = REPLAY_CASES[case]
+        w, log = train(bank, chain, sched, log_every=100)
+        w_ref, rows_ref = replay_train(bank, chain, sched, log_every=100)
         np.testing.assert_allclose(w, w_ref, rtol=1e-9, atol=1e-12)
         assert [row[0] for row in log.rows] == [row[0] for row in rows_ref]
         # mean |TD error| and cumulative reward of every logged block
@@ -187,6 +251,37 @@ class TestTrain:
         # then the action index when exploring, then the chain uniform
         w, _ = train(toy_bank, toy_chain, LearnSchedule(seed=0, t_train=5000))
         assert [float(v).hex() for v in w] == PINNED_WEIGHTS_SEED0_5000
+
+    def test_self_transitions_pinned_bit_for_bit(self):
+        # x' == x recomputes the next state's kernel product after the
+        # update, and eps < 1 takes the exploiting branch
+        w, log = train(make_lossy_bank(), make_self_chain(), SELF_SCHEDULE,
+                       log_every=4000)
+        assert [float(v).hex() for v in w] == PINNED_SELF_WEIGHTS
+        assert [(row[0], *(float(v).hex() for v in row[1:]))
+                for row in log.rows] == PINNED_SELF_LOG
+
+    @pytest.mark.parametrize("sched", [
+        LearnSchedule(t_train=3000, seed=1),
+        LearnSchedule(t_train=3000, seed=1, eps0=0.9, eps_min=0.05,
+                      eps_decay=700, beta0=0.2, beta_tau=500.0),
+    ], ids=["default", "annealed"])
+    def test_logged_schedule_is_learn_schedule(self, sched, toy_bank,
+                                               toy_chain):
+        # the loop's hoisted eps and beta against LearnSchedule, the spec;
+        # a row logged at step k + 1 carries the values used at step k
+        _, log = train(toy_bank, toy_chain, sched, log_every=97)
+        assert len(log.rows) == 3000 // 97
+        for step, eps, beta, *_ in log.rows:
+            assert eps == sched.eps(step - 1)
+            assert beta == sched.beta(step - 1)
+
+    @pytest.mark.parametrize("log_every", [0, -1])
+    def test_log_every_below_one_rejected(self, log_every, toy_bank,
+                                          toy_chain):
+        with pytest.raises(ValueError, match="log_every"):
+            train(toy_bank, toy_chain, LearnSchedule(t_train=10),
+                  log_every=log_every)
 
     def test_td_errors_shrink(self, toy_bank, toy_chain):
         _, log = train(toy_bank, toy_chain, LearnSchedule(t_train=30_000))

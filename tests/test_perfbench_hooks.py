@@ -44,7 +44,9 @@ def test_tracer_hooks_bind(tmp_path):
         capture_output=True, text=True, timeout=300, check=True)
     doc = json.loads(proc.stdout.splitlines()[-1])
     assert doc["rcs"] == [0, 0]
-    for metric in ("harness.rollout_s", "oracle.sweeps", "oracle.eval_s"):
+    # learner.* come from the tracer's wrap of harness.train
+    for metric in ("harness.rollout_s", "oracle.sweeps", "oracle.eval_s",
+                   "learner.train_s", "learner.steps_per_s"):
         assert doc["layers"][metric] > 0, metric
     missing = {m.removeprefix("battbank.") for m in doc["missing"]}
     assert missing <= KNOWN_UNTRACED
