@@ -35,8 +35,11 @@ def _load(path):
     return bank, chain
 
 
-def _parse_int_tuple(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.replace("x", ",").split(",") if tok)
+def _parse_int_tuple(text: str, flag: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(tok) for tok in text.replace("x", ",").split(",") if tok)
+    except ValueError:
+        raise ValueError(f"{flag}: expected integers, got {text!r}") from None
 
 
 def cmd_validate(args) -> int:
@@ -87,8 +90,8 @@ def cmd_train(args) -> int:
 
 def cmd_compare(args) -> int:
     bank, chain = _load(args.config)
-    sizes = [_parse_int_tuple(s) for s in args.sizes]
-    ramps = _parse_int_tuple(args.ramp) if args.ramp else None
+    sizes = [_parse_int_tuple(s, "--sizes") for s in args.sizes]
+    ramps = _parse_int_tuple(args.ramp, "--ramp") if args.ramp else None
     sched = _schedule_from_args(args)
     table = harness.compare_policies(
         bank, chain, sizes, seeds=list(args.seeds), T=args.eval_steps,

@@ -82,15 +82,37 @@ def apply_action(bank: BankConfig, b: tuple[int, ...], a: Action) -> tuple[int, 
     return tuple(out)
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class StateActions:
-    """Vectorized view of one state's feasible action set, for fast argmax
-    scans. Row order matches feasible_actions (lexicographic)."""
+    """One state's feasible set, in feasible_actions (lexicographic) order.
+    `next_bid[i]` is the occupancy id action i leads to; `kmat`, the kernel
+    features, stays None until a caller of BankModel.row asks for it."""
 
     actions: list[Action]
     posts: np.ndarray     # (n_actions, N) int, b + a
     rewards: np.ndarray   # (n_actions,)
-    next_b: np.ndarray    # (n_actions, N) int, floor(eta * posts)
+    next_bid: list[int]
+    kmat: np.ndarray | None = None
+
+
+@functools.lru_cache(maxsize=16)   # state_actions asks once per row
+def occupancy_strides(capacities: tuple[int, ...]) -> tuple[int, ...]:
+    """Place values of the mixed-radix occupancy id, first battery slowest:
+    the id of b is sum(b_i * stride_i)."""
+    return tuple(math.prod(B + 1 for B in capacities[i + 1:])
+                 for i in range(len(capacities)))
+
+
+def state_count(bank: BankConfig, chain: BackgroundChain) -> int:
+    """Number of states (x, b): background states times occupancy vectors."""
+    return chain.n_states * math.prod(B + 1 for B in bank.capacities)
+
+
+def check_b0(bank: BankConfig, b0: tuple[int, ...]) -> None:
+    """Reject a start occupancy that is not one of the bank's."""
+    if len(b0) != bank.n or not all(0 <= v <= B for v, B in zip(b0, bank.capacities)):
+        raise ValueError(f"b0: must be {bank.n} occupancies in [0, B_i] for "
+                         f"capacities {bank.capacities}, got {tuple(b0)}")
 
 
 def state_actions(bank: BankConfig, chain: BackgroundChain, s: State) -> StateActions:
@@ -104,47 +126,26 @@ def state_actions(bank: BankConfig, chain: BackgroundChain, s: State) -> StateAc
     rewards = -(pen * wts).sum(axis=1)
     etas = np.array([bat.dissipation for bat in bank.batteries])
     next_b = np.floor(etas * posts).astype(np.int64)
-    return StateActions(actions=acts, posts=posts, rewards=rewards, next_b=next_b)
-
-
-class ModelRow:
-    """One state's compiled feasible set, in feasible_actions order.
-
-    `next_bid[i]` is the occupancy id reached by action i; `kmat` holds the
-    action's kernel features and stays None until a caller asks for it.
-    """
-
-    __slots__ = ("actions", "rewards", "next_bid", "posts", "kmat")
-
-    def __init__(self, ent: StateActions, next_bid: list[int]):
-        self.actions = ent.actions
-        self.rewards = ent.rewards
-        self.next_bid = next_bid
-        self.posts = ent.posts
-        self.kmat = None
+    next_bid = next_b.dot(occupancy_strides(bank.capacities)).tolist()
+    return StateActions(acts, posts, rewards, next_bid)
 
 
 class BankModel:
     """The MDP of one bank and chain, tabulated once per state on demand.
 
-    A state's id is `x * num_b + occupancy_id(b)`, where the occupancy id is
-    mixed-radix with the first battery slowest, so ids follow the order of
-    `oracle.enumerate_states`. Each row is filled from `state_actions` the
-    first time it is requested, and then shared by every caller.
+    This is the one definition of the state space: state id
+    `x * num_b + occupancy_id(b)`, for ids in `range(n_states)`. Each row is
+    filled from `state_actions` the first time it is requested, and then
+    shared by every caller.
     """
 
     def __init__(self, batteries, chain: BackgroundChain):
         self.bank = BankConfig(batteries=batteries)
         self.chain = chain
-        strides = []
-        num_b = 1
-        for B in reversed(self.bank.capacities):
-            strides.append(num_b)
-            num_b *= B + 1
-        self.strides = tuple(reversed(strides))
-        self._stride_vec = np.array(self.strides, dtype=np.int64)
-        self.num_b = num_b
-        self._rows: dict[int, ModelRow] = {}
+        self.strides = occupancy_strides(self.bank.capacities)
+        self.n_states = state_count(self.bank, chain)
+        self.num_b = self.n_states // chain.n_states
+        self._rows: dict[int, StateActions] = {}
 
     def occupancy_id(self, b: tuple[int, ...]) -> int:
         return sum(v * m for v, m in zip(b, self.strides))
@@ -160,17 +161,23 @@ class BankModel:
             b.append(v)
         return State(x=x, b=tuple(b))
 
-    def row(self, sid: int, kernels: bool = False) -> ModelRow:
+    def row(self, sid: int, kernels: bool = False) -> StateActions:
         """State sid's row; with kernels=True its `kmat` is filled too."""
         r = self._rows.get(sid)
         if r is None:
-            ent = state_actions(self.bank, self.chain, self.state(sid))
-            next_bid = (ent.next_b @ self._stride_vec).tolist()
-            r = self._rows[sid] = ModelRow(ent, next_bid)
+            r = self._rows[sid] = state_actions(self.bank, self.chain, self.state(sid))
         if kernels and r.kmat is None:
             from .features import kernel_matrix  # features imports this module
             r.kmat = kernel_matrix(self.bank, r.posts)
         return r
+
+    def policy_step(self, policy, sid: int) -> tuple[float, int]:
+        """Reward and next occupancy id, by env.reward and env.apply_action,
+        of the action `policy` (State -> Action) takes in state sid."""
+        s = self.state(sid)
+        a = policy(s)
+        return (reward(self.bank, s, a),
+                self.occupancy_id(apply_action(self.bank, s.b, a)))
 
 
 # One entry: callers work through one bank at a time, and a larger cache

@@ -9,11 +9,9 @@ import itertools
 import statistics
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .chain import Trajectory, check_length, generate_trajectory
 from .core import BankConfig, BackgroundChain, validate_config
-from .env import apply_action, bank_model, reward
+from .env import bank_model
 from .learner import LearnSchedule, train
 from .policies import make_policy
 
@@ -34,10 +32,10 @@ def coupled_rollout(bank: BankConfig, chain: BackgroundChain,
     """Evaluate each deterministic policy on the identical x-path, starting
     from the same occupancy vector; returns each policy's stats by name.
 
-    A policy is called once per distinct state it visits, where env.reward
-    and env.apply_action give that state's reward and next occupancy id;
-    every later visit reuses them, so the totals equal the step-by-step
-    loop over those functions bit for bit.
+    A policy is called once per distinct state it visits, where
+    BankModel.policy_step gives that state's reward and next occupancy id
+    from env.reward and env.apply_action; every later visit reuses them, so
+    the totals equal the step-by-step loop over those functions bit for bit.
     """
     model = bank_model(bank, chain)
     num_b = model.num_b
@@ -52,10 +50,7 @@ def coupled_rollout(bank: BankConfig, chain: BackgroundChain,
             sid = x * num_b + bid
             hit = seen.get(sid)
             if hit is None:
-                s = model.state(sid)
-                a = policy(s)
-                hit = seen[sid] = (reward(bank, s, a),
-                                   model.occupancy_id(apply_action(bank, s.b, a)))
+                hit = seen[sid] = model.policy_step(policy, sid)
             r, bid = hit
             total += r
             if r < 0:

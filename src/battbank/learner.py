@@ -11,7 +11,7 @@ import numpy as np
 
 from .chain import check_x0, cumulative_transition
 from .core import BankConfig, BackgroundChain
-from .env import bank_model
+from .env import bank_model, check_b0
 from .features import block_slice, feature_dim, kernel_product, q_from_kernels
 
 
@@ -92,6 +92,7 @@ def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
         raise ValueError(f"log_every: must be >= 1, got {log_every}")
     if b0 is None:
         b0 = bank.start_occupancy()
+    check_b0(bank, b0)
     rng = np.random.default_rng(schedule.seed)
     gamma = bank.gamma
     w = np.zeros(feature_dim(bank.n, chain.n_states))

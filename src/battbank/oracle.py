@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BankConfig, BackgroundChain, State
-from .env import apply_action, bank_model, reward
+from .core import BankConfig, BackgroundChain
+from .env import bank_model, state_count
 
 STATE_CAP = 10**6
 DEFAULT_TOL = 1e-9
@@ -31,47 +32,49 @@ class IterationLimitExceeded(RuntimeError):
         self.sweeps = sweeps
 
 
-def enumerate_states(bank: BankConfig, chain: BackgroundChain) -> list[State]:
-    """Deterministic bijective enumeration: background index major, then
-    occupancy vectors in mixed-radix (first battery slowest) order."""
-    num_b = 1
-    for B in bank.capacities:
-        num_b *= B + 1
-    total = num_b * chain.n_states
-    if total > STATE_CAP:
-        raise StateSpaceTooLarge(
-            f"state space has {total} states, exceeding the cap of {STATE_CAP}")
-    occupancies = list(itertools.product(*(range(B + 1) for B in bank.capacities)))
-    return [State(x=x, b=b)
-            for x in range(chain.n_states)
-            for b in occupancies]
+def check_tol(tol: float) -> None:
+    """Reject a NaN or negative tol, which no sweep meets, and an infinite
+    one, which any first sweep meets."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol: must be finite and >= 0, got {tol}")
+
+
+def _fixed_point(sweep, v: np.ndarray, tol: float, max_sweeps: int):
+    """Iterate v, change = sweep(v) until change <= tol; returns (v, change, sweeps)."""
+    for n in range(1, max_sweeps + 1):
+        v, delta = sweep(v)
+        if delta <= tol:
+            return v, delta, n
+    raise IterationLimitExceeded(delta, max_sweeps)
 
 
 class ExactModel:
     """Flattened (state, action) arrays over every row of the bank's
-    compiled model (env.bank_model), for vectorized Bellman sweeps."""
+    compiled model (env.bank_model), for vectorized Bellman sweeps. State i
+    is `compiled.state(i)` and its actions are `compiled.row(i)`'s."""
 
     def __init__(self, bank: BankConfig, chain: BackgroundChain):
+        n = state_count(bank, chain)
+        if n > STATE_CAP:
+            raise StateSpaceTooLarge(
+                f"state space has {n} states, exceeding the cap of {STATE_CAP}")
         self.bank = bank
         self.chain = chain
-        self.states = enumerate_states(bank, chain)
         self.compiled = bank_model(bank, chain)
         self.num_b = self.compiled.num_b
 
-        rows = [self.compiled.row(i) for i in range(len(self.states))]
-        self.actions = [row.actions for row in rows]
-        counts = np.array([len(a) for a in self.actions], dtype=np.int64)
+        rows = [self.compiled.row(i) for i in range(n)]
+        counts = np.array([len(row.actions) for row in rows], dtype=np.int64)
         self.offsets = np.concatenate(([0], np.cumsum(counts)))
         self.sa_rewards = np.concatenate([row.rewards for row in rows])
-        self.sa_x = np.repeat(np.arange(len(rows), dtype=np.int64) // self.num_b,
-                              counts)
+        self.sa_x = np.repeat(np.arange(n, dtype=np.int64) // self.num_b, counts)
         self.sa_bnext = np.fromiter(
             itertools.chain.from_iterable(row.next_bid for row in rows),
             dtype=np.int64, count=len(self.sa_rewards))
 
     @property
     def n_states(self) -> int:
-        return len(self.states)
+        return self.compiled.n_states
 
     @property
     def n_sa(self) -> int:
@@ -86,13 +89,6 @@ class ExactModel:
         PV = self.chain.transition @ V
         q_new = self.sa_rewards + self.bank.gamma * PV[self.sa_x, self.sa_bnext]
         return q_new, float(np.abs(q_new - q).max())
-
-    def greedy_actions(self, q: np.ndarray) -> list:
-        out = []
-        for i in range(self.n_states):
-            seg = q[self.offsets[i]:self.offsets[i + 1]]
-            out.append(self.actions[i][int(np.argmax(seg))])
-        return out
 
 
 @dataclass
@@ -113,53 +109,48 @@ class ExactSolution:
 def solve_q_iteration(bank: BankConfig, chain: BackgroundChain,
                       tol: float = DEFAULT_TOL,
                       max_sweeps: int = DEFAULT_MAX_SWEEPS) -> ExactSolution:
+    check_tol(tol)
     model = ExactModel(bank, chain)
-    q = np.zeros(model.n_sa)
-    for sweep in range(1, max_sweeps + 1):
-        q, delta = model.backup(q)
-        if delta <= tol:
-            return ExactSolution(q=q, residual=delta, iterations=sweep, model=model)
-    raise IterationLimitExceeded(delta, max_sweeps)
+    q, delta, sweeps = _fixed_point(model.backup, np.zeros(model.n_sa), tol, max_sweeps)
+    return ExactSolution(q=q, residual=delta, iterations=sweeps, model=model)
 
 
 def evaluate_policy_exact(bank: BankConfig, chain: BackgroundChain, policy,
                           tol: float = DEFAULT_TOL,
                           model: ExactModel | None = None) -> np.ndarray:
-    """Fixed point of the policy's evaluation operator, as a value vector in
-    enumeration order. `policy` maps State -> feasible Action. Pass the
+    """Fixed point of the policy's evaluation operator, as a value vector
+    indexed by state id. `policy` maps State -> feasible Action. Pass the
     `model` of an earlier solve of this bank and chain to reuse it."""
+    check_tol(tol)
     if model is None:
         model = ExactModel(bank, chain)
 
-    r_pi = np.empty(model.n_states)
-    bnext = np.empty(model.n_states, dtype=np.int64)
-    xs = np.empty(model.n_states, dtype=np.int64)
-    for i, s in enumerate(model.states):
-        a = policy(s)
-        r_pi[i] = reward(bank, s, a)
-        bnext[i] = model.compiled.occupancy_id(apply_action(bank, s.b, a))
-        xs[i] = s.x
+    n = model.n_states
+    r_pi = np.empty(n)
+    bnext = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        r_pi[i], bnext[i] = model.compiled.policy_step(policy, i)
+    xs = np.arange(n, dtype=np.int64) // model.num_b
 
-    V = np.zeros(model.n_states)
-    for sweep in range(1, DEFAULT_MAX_SWEEPS + 1):
+    def sweep(V):
         PV = chain.transition @ V.reshape(chain.n_states, model.num_b)
         V_new = r_pi + bank.gamma * PV[xs, bnext]
-        delta = float(np.abs(V_new - V).max())
-        V = V_new
-        if delta <= tol:
-            return V
-    raise IterationLimitExceeded(delta, DEFAULT_MAX_SWEEPS)
+        return V_new, float(np.abs(V_new - V).max())
+
+    return _fixed_point(sweep, np.zeros(n), tol, DEFAULT_MAX_SWEEPS)[0]
 
 
 def write_solution_csv(sol: ExactSolution, path) -> None:
     model = sol.model
+    compiled = model.compiled
     V = sol.values()
-    best = model.greedy_actions(sol.q)
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["state_index", "x", "b", "best_action", "optimal_value"])
-        for i, s in enumerate(model.states):
+        for i in range(model.n_states):
+            s = compiled.state(i)
+            best = np.argmax(sol.q[model.offsets[i]:model.offsets[i + 1]])
             wr.writerow([i, s.x,
                          " ".join(map(str, s.b)),
-                         " ".join(map(str, best[i])),
+                         " ".join(map(str, compiled.row(i).actions[best])),
                          f"{V[i]:.12g}"])

@@ -167,6 +167,18 @@ class TestCompare:
                    "--steps", "500", "--eval-steps", "200"])
         assert rc == EXIT_OK
 
+    @pytest.mark.parametrize("flags, flag", [
+        (["--sizes", "2,a"], "--sizes"),
+        (["--sizes", "2,3", "--ramp", "2,b"], "--ramp"),
+    ])
+    def test_non_integer_token_names_flag(self, flags, flag, capsys):
+        rc = main(["compare", TOY_CONFIG, *flags, "--seeds", "0",
+                   "--steps", "200", "--eval-steps", "100"])
+        assert rc == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert f"error: {flag}: expected integers" in err
+        assert "invalid literal" not in err
+
     def test_bad_size_reports_failure(self, capsys):
         rc = main(["compare", TOY_CONFIG, "--sizes", "2,3,4", "--seeds", "0",
                    "--steps", "200", "--eval-steps", "100"])
@@ -221,6 +233,18 @@ class TestSolveExact:
         err = capsys.readouterr().err
         assert "exceeding the cap" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_bad_tolerance_rejected(self, tol, capsys):
+        # nan and -1 ran 100,000 sweeps; inf stopped after one and printed PASS
+        assert main(["solve-exact", TOY_CONFIG, "--tol", tol]) == EXIT_RUNTIME
+        out, err = capsys.readouterr()
+        assert "tol: must be finite and >= 0" in err
+        assert "PASS" not in out
+
+    def test_zero_tolerance_converges_exactly(self, capsys):
+        assert main(["solve-exact", TOY_CONFIG, "--tol", "0"]) == EXIT_OK
+        assert "solved in 331 sweeps; residual 0.000e+00" in capsys.readouterr().out
+
     def test_solution_csv(self, tmp_path):
         out = tmp_path / "sol.csv"
         assert main(["solve-exact", TOY_CONFIG, "--out", str(out)]) == EXIT_OK
@@ -232,7 +256,6 @@ def test_weights_round_trip_preserves_policy(tmp_path):
     # the same rl choice
     from battbank.env import bank_model
     from battbank.learner import LearnSchedule, train
-    from battbank.oracle import enumerate_states
     from battbank.policies import make_policy
 
     bank, chain = load_config(TOY_CONFIG)
@@ -243,8 +266,9 @@ def test_weights_round_trip_preserves_policy(tmp_path):
     np.testing.assert_array_equal(w, w2)
     model = bank_model(bank, chain)
     rl, rl2 = (make_policy("rl", bank, chain, weights=v) for v in (w, w2))
-    for s in enumerate_states(bank, chain):
-        row = model.row(model.state_id(s), kernels=True)
+    for sid in range(model.n_states):
+        s = model.state(sid)
+        row = model.row(sid, kernels=True)
         np.testing.assert_array_equal(
             features.q_values(bank, s.x, row.rewards, row.kmat, w),
             features.q_values(bank, s.x, row.rewards, row.kmat, w2))

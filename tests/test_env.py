@@ -178,4 +178,5 @@ def test_state_actions_tables_consistent(toy_chain):
     for i, a in enumerate(ent.actions):
         assert tuple(ent.posts[i]) == tuple(bi + ai for bi, ai in zip(s.b, a))
         assert ent.rewards[i] == pytest.approx(reward(bank, s, a), abs=1e-12)
-        assert tuple(ent.next_b[i]) == apply_action(bank, s.b, a)
+        nb = apply_action(bank, s.b, a)
+        assert ent.next_bid[i] == nb[0] * 6 + nb[1]   # mixed radix (4, 6)

@@ -283,6 +283,12 @@ class TestTrain:
             train(toy_bank, toy_chain, LearnSchedule(t_train=10),
                   log_every=log_every)
 
+    @pytest.mark.parametrize("b0", [(9, 9), (-1, 0), (1,)])
+    def test_occupancy_outside_bank_rejected(self, b0, toy_bank, toy_chain):
+        # each used to decode as some other state and train silently
+        with pytest.raises(ValueError, match="b0"):
+            train(toy_bank, toy_chain, LearnSchedule(t_train=100), b0=b0)
+
     def test_td_errors_shrink(self, toy_bank, toy_chain):
         _, log = train(toy_bank, toy_chain, LearnSchedule(t_train=30_000))
         td = [row[3] for row in log.rows]

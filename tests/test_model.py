@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 from pathlib import Path
 
@@ -12,7 +13,6 @@ from battbank.core import (BackgroundChain, BankConfig, BatteryConfig, State,
 from battbank.env import apply_action, bank_model, reward
 from battbank.features import feature_dim
 from battbank.learner import LearnSchedule
-from battbank.oracle import enumerate_states
 from battbank.policies import (greedy_action, make_policy, naive_action,
                                rl_action)
 
@@ -21,13 +21,21 @@ from conftest import make_bank, make_chain
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "toy_bank.json"
 
 
+def _states(bank, chain) -> list[State]:
+    """The state space in id order, built independently of BankModel:
+    background state major, then occupancies with the first battery slowest."""
+    occupancies = itertools.product(*(range(B + 1) for B in bank.capacities))
+    return [State(x=x, b=b)
+            for x, b in itertools.product(range(chain.n_states), occupancies)]
+
+
 class TestBankModel:
     def test_ids_follow_enumeration_order(self, toy_chain):
         bank = make_bank(capacities=(2, 3, 1), ramps=(1, 2, 1),
                          weights=(0.1, 1.0, 0.5))
         model = bank_model(bank, toy_chain)
-        states = enumerate_states(bank, toy_chain)
-        assert toy_chain.n_states * model.num_b == len(states)
+        states = _states(bank, toy_chain)
+        assert model.n_states == toy_chain.n_states * model.num_b == len(states)
         for i, s in enumerate(states):
             assert model.state_id(s) == i
             assert model.state(i) == s
@@ -42,7 +50,9 @@ class TestBankModel:
             row = model.row(sid)
             assert row.actions == ent.actions
             np.testing.assert_array_equal(row.rewards, ent.rewards)
-            assert row.next_bid == [model.occupancy_id(nb) for nb in ent.next_b]
+            assert row.next_bid == ent.next_bid == [
+                model.occupancy_id(apply_action(bank, s.b, a))
+                for a in ent.actions]
 
     def test_shared_per_batteries_and_chain(self, toy_chain):
         bank = make_bank()
@@ -141,10 +151,29 @@ def test_model_policies_match_scalar_actions_everywhere(inst):
     w = _weights(bank, chain, seed)
     fast = {name: make_policy(name, bank, chain, weights=w) for name in
             ("greedy", "naive", "rl")}
-    for s in enumerate_states(bank, chain):
+    for s in _states(bank, chain):
         assert fast["greedy"](s) == greedy_action(bank, chain, s)
         assert fast["naive"](s) == naive_action(bank, chain, s)
         assert fast["rl"](s) == rl_action(bank, chain, s, w)
+
+
+@PROPERTY
+@given(instances())
+def test_exact_model_flattens_state_actions(inst):
+    bank, chain, _ = inst
+    model = oracle.ExactModel(bank, chain)
+    states = _states(bank, chain)
+    occ_id = {b: i for i, b in enumerate(dict.fromkeys(s.b for s in states))}
+    rows = [env.state_actions(bank, chain, s) for s in states]
+    np.testing.assert_array_equal(
+        model.offsets, np.cumsum([0] + [len(r.actions) for r in rows]))
+    np.testing.assert_array_equal(
+        model.sa_rewards, np.concatenate([r.rewards for r in rows]))
+    np.testing.assert_array_equal(
+        model.sa_x, [s.x for s, r in zip(states, rows) for _ in r.actions])
+    np.testing.assert_array_equal(
+        model.sa_bnext, [occ_id[apply_action(bank, s.b, a)]
+                         for s, r in zip(states, rows) for a in r.actions])
 
 
 @PROPERTY

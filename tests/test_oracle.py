@@ -3,13 +3,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from battbank import oracle
-from battbank.core import BackgroundChain, State
-from battbank.env import reward
+from battbank.core import (BackgroundChain, BankConfig, BatteryConfig,
+                           validate_config)
+from battbank.env import bank_model, reward
 from battbank.oracle import (ExactModel, IterationLimitExceeded,
-                             StateSpaceTooLarge,
-                             enumerate_states, evaluate_policy_exact,
+                             StateSpaceTooLarge, evaluate_policy_exact,
                              solve_q_iteration, write_solution_csv)
 from battbank.policies import make_policy
 
@@ -18,24 +20,26 @@ from conftest import make_bank, make_chain
 
 class TestEnumerateStates:
     def test_case_study_count(self, toy_bank, toy_chain):
-        assert len(enumerate_states(toy_bank, toy_chain)) == 48
+        assert ExactModel(toy_bank, toy_chain).n_states == 48
 
     def test_symmetric_count(self, toy_chain):
         bank = make_bank(capacities=(10, 10))
-        assert len(enumerate_states(bank, toy_chain)) == 484
+        assert ExactModel(bank, toy_chain).n_states == 484
 
     def test_minimal_count(self):
         chain = BackgroundChain(labels=(0,), transition=np.array([[1.0]]),
                                 net_gen=(0,))
         bank = make_bank(capacities=(1,), ramps=(1,), weights=(1.0,))
-        assert len(enumerate_states(bank, chain)) == 2
+        assert ExactModel(bank, chain).n_states == 2
 
     def test_bijective_and_x_major(self, toy_bank, toy_chain):
-        states = enumerate_states(toy_bank, toy_chain)
-        assert len(set(states)) == len(states)
-        model = ExactModel(toy_bank, toy_chain)
+        model = ExactModel(toy_bank, toy_chain).compiled
+        states = [model.state(i) for i in range(model.n_states)]
+        assert len(set(states)) == len(states) == 48
         for i, s in enumerate(states):
-            assert model.compiled.state_id(s) == i
+            assert s.x == i // model.num_b
+            assert all(0 <= v <= B for v, B in zip(s.b, toy_bank.capacities))
+            assert model.state_id(s) == i
 
     def test_cap_refusal_names_size(self, monkeypatch, toy_chain):
         # 1000 * 1000 occupancies * 4 background states = 4,000,000 > cap
@@ -44,7 +48,7 @@ class TestEnumerateStates:
 
         monkeypatch.setattr(oracle, "bank_model", no_rows)
         bank = make_bank(capacities=(999, 999))
-        for build in (enumerate_states, ExactModel, solve_q_iteration):
+        for build in (ExactModel, solve_q_iteration):
             with pytest.raises(StateSpaceTooLarge, match="4000000"):
                 build(bank, toy_chain)
 
@@ -96,6 +100,20 @@ class TestSolveQIteration:
         with pytest.raises(IterationLimitExceeded):
             solve_q_iteration(toy_bank, toy_chain, tol=1e-12, max_sweeps=3)
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+    def test_bad_tolerance_rejected_before_build(self, tol, monkeypatch,
+                                                 toy_bank, toy_chain):
+        # nan and -1 used to run 100,000 sweeps; inf stopped after one
+        def no_model(*args):
+            raise AssertionError("a model was built before the tol check")
+
+        monkeypatch.setattr(oracle, "bank_model", no_model)
+        pol = make_policy("greedy", toy_bank, toy_chain)
+        with pytest.raises(ValueError, match="tol"):
+            solve_q_iteration(toy_bank, toy_chain, tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            evaluate_policy_exact(toy_bank, toy_chain, pol, tol=tol)
+
     def test_fixed_point_residual(self, toy_bank, toy_chain):
         sol = solve_q_iteration(toy_bank, toy_chain, tol=1e-10)
         _, delta = sol.model.backup(sol.q)
@@ -115,8 +133,9 @@ class TestEvaluatePolicyExact:
         bank = make_bank(gamma=1e-9)
         pol = make_policy("greedy", bank, toy_chain)
         V = evaluate_policy_exact(bank, toy_chain, pol, tol=1e-15)
-        model = ExactModel(bank, toy_chain)
-        for i, s in enumerate(model.states):
+        model = bank_model(bank, toy_chain)
+        for i in range(model.n_states):
+            s = model.state(i)
             assert V[i] == pytest.approx(reward(bank, s, pol(s)), abs=1e-6)
 
     def test_policy_value_below_optimal(self, toy_bank, toy_chain):
@@ -138,3 +157,45 @@ def test_solution_csv_export(tmp_path, toy_bank, toy_chain):
     V = sol.values()
     for i in (0, 17, 47):
         assert float(rows[1 + i][4]) == pytest.approx(V[i], rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The paper's structural claim: on a lossless bank whose ramps never bind,
+# greedy is optimal. Checked over random banks, not only the toy.
+
+@st.composite
+def free_lossless_banks(draw):
+    n = draw(st.integers(1, 3))
+    batteries = []
+    for _ in range(n):
+        B = draw(st.integers(1, 5))
+        batteries.append(BatteryConfig(
+            capacity=B, ramp=draw(st.integers(B, B + 3)),
+            penalty_weight=draw(st.sampled_from([0.05, 0.1, 0.5, 1.0, 2.5])),
+            lower_frac=draw(st.sampled_from([0.0, 0.1, 0.2, 0.35])),
+            upper_frac=draw(st.sampled_from([0.65, 0.8, 0.9, 1.0]))))
+    n_bg = draw(st.integers(1, 4))
+    raw = np.array([[draw(st.integers(0, 5)) for _ in range(n_bg)]
+                    for _ in range(n_bg)], dtype=float)
+    for x in range(n_bg):              # a cycle through every state keeps
+        raw[x, (x + 1) % n_bg] += 1.0  # the chain irreducible
+    chain = BackgroundChain(
+        labels=tuple(range(n_bg)),
+        transition=raw / raw.sum(axis=1, keepdims=True),
+        net_gen=tuple(draw(st.integers(-8, 8)) for _ in range(n_bg)))
+    gamma = draw(st.floats(0.5, 0.97, exclude_min=True, exclude_max=True))
+    bank = BankConfig(batteries=tuple(batteries), gamma=gamma)
+    assert validate_config(bank, chain).passed
+    return bank, chain
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(free_lossless_banks())
+def test_greedy_optimal_on_free_lossless_banks(inst):
+    bank, chain = inst
+    sol = solve_q_iteration(bank, chain, tol=1e-12)
+    V_greedy = evaluate_policy_exact(bank, chain,
+                                     make_policy("greedy", bank, chain),
+                                     tol=1e-12, model=sol.model)
+    assert np.abs(V_greedy - sol.values()).max() <= 1e-8
