@@ -46,6 +46,12 @@ def check_length(T: int) -> None:
         raise ValueError(f"T: must be >= 0, got {T}")
 
 
+def check_seed(seed: int) -> None:
+    """Reject a negative trajectory seed, which PCG64 cannot take."""
+    if seed < 0:
+        raise ValueError(f"seed: must be >= 0, got {seed}")
+
+
 # uniforms drawn and resolved per block: n_states * _BLOCK indices at a time
 _BLOCK = 1 << 14
 
@@ -57,6 +63,7 @@ def generate_trajectory(chain: BackgroundChain, x0: int, T: int, seed: int) -> T
     bulk, so only the index chase runs step by step."""
     check_x0(chain, x0)
     check_length(T)
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     cum = cumulative_transition(chain)
     x = int(x0)

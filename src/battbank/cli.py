@@ -37,7 +37,7 @@ def _load(path):
 
 def _parse_int_tuple(text: str, flag: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in text.replace("x", ",").split(",") if tok)
+        return tuple(int(tok) for tok in text.replace("x", ",").split(","))
     except ValueError:
         raise ValueError(f"{flag}: expected integers, got {text!r}") from None
 

@@ -150,9 +150,6 @@ class BankModel:
     def occupancy_id(self, b: tuple[int, ...]) -> int:
         return sum(v * m for v, m in zip(b, self.strides))
 
-    def state_id(self, s: State) -> int:
-        return s.x * self.num_b + self.occupancy_id(s.b)
-
     def state(self, sid: int) -> State:
         x, rest = divmod(sid, self.num_b)
         b = []
@@ -170,14 +167,6 @@ class BankModel:
             from .features import kernel_matrix  # features imports this module
             r.kmat = kernel_matrix(self.bank, r.posts)
         return r
-
-    def policy_step(self, policy, sid: int) -> tuple[float, int]:
-        """Reward and next occupancy id, by env.reward and env.apply_action,
-        of the action `policy` (State -> Action) takes in state sid."""
-        s = self.state(sid)
-        a = policy(s)
-        return (reward(self.bank, s, a),
-                self.occupancy_id(apply_action(self.bank, s.b, a)))
 
 
 # One entry: callers work through one bank at a time, and a larger cache

@@ -9,7 +9,7 @@ import itertools
 import statistics
 from dataclasses import dataclass, field
 
-from .chain import Trajectory, check_length, generate_trajectory
+from .chain import Trajectory, check_length, check_seed, generate_trajectory
 from .core import BankConfig, BackgroundChain, validate_config
 from .env import bank_model
 from .learner import LearnSchedule, train
@@ -32,10 +32,10 @@ def coupled_rollout(bank: BankConfig, chain: BackgroundChain,
     """Evaluate each deterministic policy on the identical x-path, starting
     from the same occupancy vector; returns each policy's stats by name.
 
-    A policy is called once per distinct state it visits, where
-    BankModel.policy_step gives that state's reward and next occupancy id
-    from env.reward and env.apply_action; every later visit reuses them, so
-    the totals equal the step-by-step loop over those functions bit for bit.
+    A policy is called once per distinct state it visits, and the reward
+    and next occupancy id of its choice are read from the state's compiled
+    row; every later visit reuses them, so the totals equal the step-by-step
+    loop over env.reward and env.apply_action bit for bit.
     """
     model = bank_model(bank, chain)
     num_b = model.num_b
@@ -50,7 +50,8 @@ def coupled_rollout(bank: BankConfig, chain: BackgroundChain,
             sid = x * num_b + bid
             hit = seen.get(sid)
             if hit is None:
-                hit = seen[sid] = model.policy_step(policy, sid)
+                e, i = model.row(sid), policy(sid)
+                hit = seen[sid] = (float(e.rewards[i]), e.next_bid[i])
             r, bid = hit
             total += r
             if r < 0:
@@ -132,8 +133,10 @@ def compare_policies(bank: BankConfig, chain: BackgroundChain,
         size = tuple(int(v) for v in size)
         totals: dict[str, list[float]] = {"greedy": [], "naive": [], "rl": []}
         try:
-            # before any training, so a bad T fails the row at once
+            # before any training, so a bad T or seed fails the row at once
             check_length(T)
+            for seed in seeds:
+                check_seed(seed)
             sized = resize_bank(bank, size, ramps)
             report = validate_config(sized, chain)
             if not report.passed:
@@ -152,9 +155,9 @@ def compare_policies(bank: BankConfig, chain: BackgroundChain,
                 for name, st in stats.items():
                     totals[name].append(st.total_reward)
         except (ValueError, FloatingPointError) as exc:
-            # a size or ramp the bank cannot take, an x0 or T out of range,
-            # or diverged training: record the row and keep the rest; any
-            # other error is a bug and propagates
+            # a size or ramp the bank cannot take, an x0, T or seed out of
+            # range, or diverged training: record the row and keep the rest;
+            # any other error is a bug and propagates
             table.failures.append(f"sizes {size}: {type(exc).__name__}: {exc}")
             continue
         for name, vals in totals.items():

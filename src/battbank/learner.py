@@ -39,6 +39,8 @@ class LearnSchedule:
         bad = []
         if self.t_train < 0:
             bad.append(f"t_train: must be >= 0, got {self.t_train}")
+        if self.seed < 0:
+            bad.append(f"seed: must be >= 0, got {self.seed}")
         for name in ("beta0", "beta_tau", "eps_decay"):
             val = getattr(self, name)
             if not (0.0 < val < math.inf):

@@ -110,6 +110,8 @@ def solve_q_iteration(bank: BankConfig, chain: BackgroundChain,
                       tol: float = DEFAULT_TOL,
                       max_sweeps: int = DEFAULT_MAX_SWEEPS) -> ExactSolution:
     check_tol(tol)
+    if max_sweeps < 1:
+        raise ValueError(f"max_sweeps: must be >= 1, got {max_sweeps}")
     model = ExactModel(bank, chain)
     q, delta, sweeps = _fixed_point(model.backup, np.zeros(model.n_sa), tol, max_sweeps)
     return ExactSolution(q=q, residual=delta, iterations=sweeps, model=model)
@@ -119,18 +121,19 @@ def evaluate_policy_exact(bank: BankConfig, chain: BackgroundChain, policy,
                           tol: float = DEFAULT_TOL,
                           model: ExactModel | None = None) -> np.ndarray:
     """Fixed point of the policy's evaluation operator, as a value vector
-    indexed by state id. `policy` maps State -> feasible Action. Pass the
+    indexed by state id. `policy` maps a state id to the index of its action
+    in that state's compiled row (see policies.make_policy). Pass the
     `model` of an earlier solve of this bank and chain to reuse it."""
     check_tol(tol)
     if model is None:
         model = ExactModel(bank, chain)
 
     n = model.n_states
-    r_pi = np.empty(n)
-    bnext = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        r_pi[i], bnext[i] = model.compiled.policy_step(policy, i)
-    xs = np.arange(n, dtype=np.int64) // model.num_b
+    sa = model.offsets[:-1] + np.fromiter(map(policy, range(n)),
+                                          dtype=np.int64, count=n)
+    r_pi = model.sa_rewards[sa]
+    bnext = model.sa_bnext[sa]
+    xs = model.sa_x[sa]
 
     def sweep(V):
         PV = chain.transition @ V.reshape(chain.n_states, model.num_b)

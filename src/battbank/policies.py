@@ -3,8 +3,9 @@
 # Tie-breaking everywhere: the lexicographically smallest action. Feasible
 # sets are enumerated in lexicographic order, so "first maximizer" does it.
 #
-# The *_action functions tabulate the state afresh and are the reference
-# that the model-backed policies of make_policy are tested against.
+# Each rule maps a state's row (env.StateActions) to the index of its choice.
+# The *_action functions apply it to a freshly tabulated row and are the
+# reference that the model-backed policies of make_policy are tested against.
 
 from __future__ import annotations
 
@@ -13,16 +14,15 @@ import math
 import numpy as np
 
 from .core import Action, BankConfig, BackgroundChain, State
-from .env import action_bounds, bank_model, state_actions
+from .env import StateActions, bank_model, state_actions
 from .features import kernel_matrix, q_values
 
 POLICY_NAMES = ("greedy", "naive", "rl")
 
 
-def greedy_action(bank: BankConfig, chain: BackgroundChain, s: State) -> Action:
+def _greedy(row: StateActions) -> int:
     """Maximize the instantaneous reward over the feasible set."""
-    ent = state_actions(bank, chain, s)
-    return ent.actions[int(np.argmax(ent.rewards))]
+    return int(np.argmax(row.rewards))
 
 
 def _round_half_toward_zero(t: float) -> int:
@@ -32,43 +32,47 @@ def _round_half_toward_zero(t: float) -> int:
     return -a if t < 0 else a
 
 
-def _naive(bank: BankConfig, chain: BackgroundChain, s: State,
-           feasible) -> Action:
-    """naive_action, with `feasible()` supplying the state's feasible set
-    when the rounded split needs repair."""
-    target = action_bounds(bank, chain, s).target
+def _naive(bank: BankConfig, row: StateActions) -> int:
+    """Apportion the clipped target proportionally to capacities; repair to
+    feasibility by minimal L1 local search when rounding breaks it."""
+    target = sum(row.actions[0])   # every feasible action sums to it
     total_cap = sum(bank.capacities)
     t = [target * B / total_cap for B in bank.capacities]
     rounded = tuple(_round_half_toward_zero(v) for v in t)
 
-    if sum(rounded) == target and all(
-        abs(a) <= c and 0 <= a + b <= B
-        for a, c, b, B in zip(rounded, bank.ramps, s.b, bank.capacities)
-    ):
-        return rounded
+    if rounded in row.actions:
+        return row.actions.index(rounded)
 
-    actions = feasible()
-    dist = np.abs(np.array(actions, dtype=float) - np.array(t)).sum(axis=1)
-    return actions[int(np.argmin(dist))]
+    dist = np.abs(np.array(row.actions, dtype=float) - np.array(t)).sum(axis=1)
+    return int(np.argmin(dist))
+
+
+def _rl(bank: BankConfig, x: int, row: StateActions, w: np.ndarray) -> int:
+    """Maximize the linear Q estimate; the row's `kmat` must be filled."""
+    return int(np.argmax(q_values(bank, x, row.rewards, row.kmat, w)))
+
+
+def greedy_action(bank: BankConfig, chain: BackgroundChain, s: State) -> Action:
+    row = state_actions(bank, chain, s)
+    return row.actions[_greedy(row)]
 
 
 def naive_action(bank: BankConfig, chain: BackgroundChain, s: State) -> Action:
-    """Apportion the clipped target proportionally to capacities; repair to
-    feasibility by minimal L1 local search when rounding breaks it."""
-    return _naive(bank, chain, s, lambda: state_actions(bank, chain, s).actions)
+    row = state_actions(bank, chain, s)
+    return row.actions[_naive(bank, row)]
 
 
 def rl_action(bank: BankConfig, chain: BackgroundChain, s: State,
               w: np.ndarray) -> Action:
-    ent = state_actions(bank, chain, s)
-    kmat = kernel_matrix(bank, ent.posts)
-    q = q_values(bank, s.x, ent.rewards, kmat, w)
-    return ent.actions[int(np.argmax(q))]
+    row = state_actions(bank, chain, s)
+    row.kmat = kernel_matrix(bank, row.posts)
+    return row.actions[_rl(bank, s.x, row, w)]
 
 
 def make_policy(name: str, bank: BankConfig, chain: BackgroundChain,
                 weights: np.ndarray | None = None):
-    """Deterministic stationary policy as a State -> Action callable.
+    """Deterministic stationary policy as a callable from a state id to the
+    index of its action in `bank_model(bank, chain).row(sid)`.
 
     It reads the bank's shared compiled model (env.bank_model), so a state's
     feasible set is tabulated once for every policy, learner and oracle
@@ -80,19 +84,9 @@ def make_policy(name: str, bank: BankConfig, chain: BackgroundChain,
         raise ValueError("rl policy needs a weight vector")
 
     model = bank_model(bank, chain)
-
+    row, num_b = model.row, model.num_b
     if name == "greedy":
-        def policy(s: State) -> Action:
-            row = model.row(model.state_id(s))
-            return row.actions[int(np.argmax(row.rewards))]
-    elif name == "naive":
-        def policy(s: State) -> Action:
-            return _naive(bank, chain, s,
-                          lambda: model.row(model.state_id(s)).actions)
-    else:
-        def policy(s: State) -> Action:
-            row = model.row(model.state_id(s), kernels=True)
-            q = q_values(bank, s.x, row.rewards, row.kmat, weights)
-            return row.actions[int(np.argmax(q))]
-
-    return policy
+        return lambda sid: _greedy(row(sid))
+    if name == "naive":
+        return lambda sid: _naive(bank, row(sid))
+    return lambda sid: _rl(bank, sid // num_b, row(sid, True), weights)

@@ -50,6 +50,10 @@ class TestGenerateTrajectory:
         with pytest.raises(ValueError, match="T: must be >= 0"):
             generate_trajectory(toy_chain, 0, -5, seed=0)
 
+    def test_negative_seed_rejected(self, toy_chain):
+        with pytest.raises(ValueError, match="seed: must be >= 0, got -1"):
+            generate_trajectory(toy_chain, 0, 10, seed=-1)
+
     @pytest.mark.parametrize("x0", [-1, 4, 9])
     def test_start_state_outside_chain_rejected(self, toy_chain, x0):
         with pytest.raises(ValueError, match=r"x0: must be in \[0, 4\)"):

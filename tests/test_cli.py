@@ -132,6 +132,7 @@ class TestTrain:
         (["--eps-decay", "0"], "eps_decay"),
         (["--steps", "-3"], "t_train"),
         (["--beta0", "nan"], "beta0"),
+        (["--seed", "-1"], "seed"),
     ])
     def test_out_of_range_flag_rejected(self, tmp_path, capsys, flags, field):
         out = tmp_path / "w.json"
@@ -170,6 +171,11 @@ class TestCompare:
     @pytest.mark.parametrize("flags, flag", [
         (["--sizes", "2,a"], "--sizes"),
         (["--sizes", "2,3", "--ramp", "2,b"], "--ramp"),
+        # empty tokens used to be dropped: "2,,3" ran as (2, 3)
+        (["--sizes", "2,,3"], "--sizes"),
+        (["--sizes", "2,3,"], "--sizes"),
+        (["--sizes", "x"], "--sizes"),
+        (["--sizes", "2,3", "--ramp", "2,"], "--ramp"),
     ])
     def test_non_integer_token_names_flag(self, flags, flag, capsys):
         rc = main(["compare", TOY_CONFIG, *flags, "--seeds", "0",
@@ -192,6 +198,7 @@ class TestCompare:
         (["--sizes", "2,3", "--x0", "9"], "x0: must be in [0, 4)"),
         (["--sizes", "2,3", "--x0", "-1"], "x0: must be in [0, 4)"),
         (["--sizes", "2,3", "--eval-steps", "-5"], "T: must be >= 0"),
+        (["--sizes", "2,3", "--seeds", "0", "-1"], "seed: must be >= 0"),
     ])
     def test_invalid_row_fails_naming_field(self, capsys, flags, message):
         rc = main(["compare", TOY_CONFIG, "--seeds", "0", "--steps", "100",
@@ -272,4 +279,4 @@ def test_weights_round_trip_preserves_policy(tmp_path):
         np.testing.assert_array_equal(
             features.q_values(bank, s.x, row.rewards, row.kmat, w),
             features.q_values(bank, s.x, row.rewards, row.kmat, w2))
-        assert rl(s) == rl2(s)
+        assert rl(sid) == rl2(sid)

@@ -10,7 +10,7 @@ from battbank.env import apply_action, reward
 from battbank.harness import (TRAIN_SEED_OFFSET, compare_policies,
                               coupled_rollout, resize_bank)
 from battbank.learner import LearnSchedule, train
-from battbank.policies import make_policy
+from battbank.policies import make_policy, naive_action
 
 from conftest import make_bank, make_chain
 
@@ -45,7 +45,7 @@ class TestCoupledRollout:
         b = toy_bank.start_occupancy()
         for k in range(400):
             s = State(x=traj.x_path[k], b=b)
-            a = pol(s)
+            a = naive_action(toy_bank, toy_chain, s)
             r = reward(toy_bank, s, a)
             total += r
             events += r < 0
@@ -160,6 +160,21 @@ class TestComparePolicies:
         assert table.rows == []
         assert table.failures == [
             f"sizes {size}: ValueError: T: must be >= 0, got -5"
+            for size in [(2, 3), (3, 3)]]
+
+    def test_negative_seed_fails_rows_before_training(self, monkeypatch,
+                                                      toy_bank, toy_chain):
+        # seed -1 trains with the valid schedule seed -1 + TRAIN_SEED_OFFSET,
+        # so the row used to fail only at its trajectory, after training
+        def no_training(*args, **kwargs):
+            raise AssertionError("train called for a row with a seed < 0")
+
+        monkeypatch.setattr(harness, "train", no_training)
+        table = compare_policies(toy_bank, toy_chain, [(2, 3), (3, 3)],
+                                 seeds=[0, -1], T=50)
+        assert table.rows == []
+        assert table.failures == [
+            f"sizes {size}: ValueError: seed: must be >= 0, got -1"
             for size in [(2, 3), (3, 3)]]
 
     def test_csv_export(self, tmp_path, small_table):

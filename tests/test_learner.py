@@ -109,7 +109,7 @@ class TestSchedule:
         assert sched.eps(10**7) == pytest.approx(0.02)
 
     @pytest.mark.parametrize("field, value", [
-        ("t_train", -3),
+        ("t_train", -3), ("seed", -1),
         ("beta0", 0.0), ("beta0", -0.1), ("beta0", float("nan")),
         ("beta0", float("inf")),
         ("beta_tau", 0.0), ("beta_tau", float("nan")),

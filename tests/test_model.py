@@ -37,7 +37,7 @@ class TestBankModel:
         states = _states(bank, toy_chain)
         assert model.n_states == toy_chain.n_states * model.num_b == len(states)
         for i, s in enumerate(states):
-            assert model.state_id(s) == i
+            assert s.x * model.num_b + model.occupancy_id(s.b) == i
             assert model.state(i) == s
 
     def test_rows_match_state_actions(self, toy_chain):
@@ -144,6 +144,15 @@ def _weights(bank, chain, seed):
     return np.random.default_rng(seed).normal(size=d)
 
 
+def _spec_policies(bank, chain, w):
+    """The State -> Action reference rules, by policy name."""
+    return {
+        "greedy": lambda s: greedy_action(bank, chain, s),
+        "naive": lambda s: naive_action(bank, chain, s),
+        "rl": lambda s: rl_action(bank, chain, s, w),
+    }
+
+
 @PROPERTY
 @given(instances())
 def test_model_policies_match_scalar_actions_everywhere(inst):
@@ -151,10 +160,12 @@ def test_model_policies_match_scalar_actions_everywhere(inst):
     w = _weights(bank, chain, seed)
     fast = {name: make_policy(name, bank, chain, weights=w) for name in
             ("greedy", "naive", "rl")}
-    for s in _states(bank, chain):
-        assert fast["greedy"](s) == greedy_action(bank, chain, s)
-        assert fast["naive"](s) == naive_action(bank, chain, s)
-        assert fast["rl"](s) == rl_action(bank, chain, s, w)
+    model = bank_model(bank, chain)
+    for sid, s in enumerate(_states(bank, chain)):
+        actions = model.row(sid).actions
+        assert actions[fast["greedy"](sid)] == greedy_action(bank, chain, s)
+        assert actions[fast["naive"](sid)] == naive_action(bank, chain, s)
+        assert actions[fast["rl"](sid)] == rl_action(bank, chain, s, w)
 
 
 @PROPERTY
@@ -183,11 +194,7 @@ def test_coupled_rollout_matches_scalar_loop(inst):
     w = _weights(bank, chain, seed)
     traj = generate_trajectory(chain, seed % chain.n_states, 300, seed)
     b0 = bank.start_occupancy()
-    spec = {
-        "greedy": lambda s: greedy_action(bank, chain, s),
-        "naive": lambda s: naive_action(bank, chain, s),
-        "rl": lambda s: rl_action(bank, chain, s, w),
-    }
+    spec = _spec_policies(bank, chain, w)
     rep = harness.coupled_rollout(
         bank, chain, [(n, make_policy(n, bank, chain, weights=w)) for n in spec],
         traj, b0)
@@ -202,6 +209,30 @@ def test_coupled_rollout_matches_scalar_loop(inst):
             b = apply_action(bank, b, a)
         assert rep[name].total_reward == total
         assert rep[name].penalty_events == events
+
+
+@PROPERTY
+@given(instances())
+def test_exact_evaluation_matches_dense_solve(inst):
+    # P_pi and r_pi from the scalar spec, solved directly: (I - gamma P) V = r
+    bank, chain, seed = inst
+    w = _weights(bank, chain, seed)
+    states = _states(bank, chain)
+    sid = {s: i for i, s in enumerate(states)}
+    n = len(states)
+    for name, policy in _spec_policies(bank, chain, w).items():
+        P = np.zeros((n, n))
+        r = np.empty(n)
+        for i, s in enumerate(states):
+            a = policy(s)
+            r[i] = reward(bank, s, a)
+            b_next = apply_action(bank, s.b, a)
+            for x_next, p in enumerate(chain.transition[s.x]):
+                P[i, sid[State(x=x_next, b=b_next)]] += p
+        V = np.linalg.solve(np.eye(n) - bank.gamma * P, r)
+        got = oracle.evaluate_policy_exact(
+            bank, chain, make_policy(name, bank, chain, weights=w), tol=1e-12)
+        np.testing.assert_allclose(got, V, rtol=0, atol=1e-8, err_msg=name)
 
 
 @PROPERTY

@@ -13,7 +13,7 @@ from battbank.env import bank_model, reward
 from battbank.oracle import (ExactModel, IterationLimitExceeded,
                              StateSpaceTooLarge, evaluate_policy_exact,
                              solve_q_iteration, write_solution_csv)
-from battbank.policies import make_policy
+from battbank.policies import greedy_action, make_policy
 
 from conftest import make_bank, make_chain
 
@@ -39,7 +39,7 @@ class TestEnumerateStates:
         for i, s in enumerate(states):
             assert s.x == i // model.num_b
             assert all(0 <= v <= B for v, B in zip(s.b, toy_bank.capacities))
-            assert model.state_id(s) == i
+            assert s.x * model.num_b + model.occupancy_id(s.b) == i
 
     def test_cap_refusal_names_size(self, monkeypatch, toy_chain):
         # 1000 * 1000 occupancies * 4 background states = 4,000,000 > cap
@@ -99,6 +99,20 @@ class TestSolveQIteration:
     def test_iteration_cap_raises(self, toy_bank, toy_chain):
         with pytest.raises(IterationLimitExceeded):
             solve_q_iteration(toy_bank, toy_chain, tol=1e-12, max_sweeps=3)
+        with pytest.raises(IterationLimitExceeded):
+            solve_q_iteration(toy_bank, toy_chain, tol=1e-12, max_sweeps=1)
+
+    @pytest.mark.parametrize("max_sweeps", [0, -1])
+    def test_sweep_cap_below_one_rejected_before_build(self, max_sweeps,
+                                                       monkeypatch, toy_bank,
+                                                       toy_chain):
+        # 0 used to raise UnboundLocalError from the sweep loop
+        def no_model(*args):
+            raise AssertionError("a model was built before the cap check")
+
+        monkeypatch.setattr(oracle, "bank_model", no_model)
+        with pytest.raises(ValueError, match="max_sweeps: must be >= 1"):
+            solve_q_iteration(toy_bank, toy_chain, max_sweeps=max_sweeps)
 
     @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
     def test_bad_tolerance_rejected_before_build(self, tol, monkeypatch,
@@ -136,7 +150,8 @@ class TestEvaluatePolicyExact:
         model = bank_model(bank, toy_chain)
         for i in range(model.n_states):
             s = model.state(i)
-            assert V[i] == pytest.approx(reward(bank, s, pol(s)), abs=1e-6)
+            a = greedy_action(bank, toy_chain, s)
+            assert V[i] == pytest.approx(reward(bank, s, a), abs=1e-6)
 
     def test_policy_value_below_optimal(self, toy_bank, toy_chain):
         sol = solve_q_iteration(toy_bank, toy_chain, tol=1e-12)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from battbank.core import BackgroundChain, State
-from battbank.env import action_bounds, feasible_actions, reward
+from battbank.env import (action_bounds, bank_model, feasible_actions,
+                          reward)
 from battbank.features import feature_dim, feature_vector
 from battbank.learner import LearnSchedule, train, update_weights
 from battbank.policies import (greedy_action, make_policy, naive_action,
@@ -153,6 +154,7 @@ class TestMakePolicy:
     def test_memoized_policies_match_fresh_calls(self, toy_bank, toy_chain):
         d = feature_dim(toy_bank.n, toy_chain.n_states)
         w = np.random.default_rng(3).normal(size=d)
+        model = bank_model(toy_bank, toy_chain)
         pols = {
             "greedy": (make_policy("greedy", toy_bank, toy_chain),
                        lambda s: greedy_action(toy_bank, toy_chain, s)),
@@ -165,9 +167,12 @@ class TestMakePolicy:
             for b1 in range(3):
                 for b2 in range(4):
                     s = State(x=x, b=(b1, b2))
+                    sid = x * model.num_b + model.occupancy_id(s.b)
+                    actions = model.row(sid).actions
                     for cached, fresh in pols.values():
-                        assert cached(s) == fresh(s)
-                        assert cached(s) == fresh(s)  # row already filled
+                        assert actions[cached(sid)] == fresh(s)
+                        # the row is filled now
+                        assert actions[cached(sid)] == fresh(s)
 
     def test_unknown_name_rejected(self, toy_bank, toy_chain):
         with pytest.raises(ValueError, match="unknown policy"):
