@@ -110,11 +110,12 @@ def cmd_compare(args) -> int:
 def cmd_solve_exact(args) -> int:
     bank, chain = _load(args.config)
     try:
-        sol = oracle.solve_q_iteration(bank, chain, tol=args.tol)
+        sol = oracle.solve_policy_iteration(bank, chain, tol=args.tol)
     except (oracle.StateSpaceTooLarge, oracle.IterationLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    print(f"solved in {sol.iterations} sweeps; residual {sol.residual:.3e}; "
+    print(f"solved in {sol.iterations} policy-iteration steps; "
+          f"residual {sol.residual:.3e}; "
           f"greedy-in-q suboptimality bound {sol.suboptimality_bound():.3e}")
     if args.out:
         try:
@@ -186,9 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--out", help="CSV output path")
     pc.set_defaults(fn=cmd_compare)
 
-    ps = sub.add_parser("solve-exact", help="exact Q-value iteration")
+    ps = sub.add_parser("solve-exact", help="exact solve by policy iteration")
     ps.add_argument("config")
-    ps.add_argument("--tol", type=float, default=oracle.DEFAULT_TOL)
+    ps.add_argument("--tol", type=float, default=oracle.DEFAULT_TOL,
+                    help="stop each policy evaluation at a sweep change "
+                         "<= tol (default 1e-9)")
     ps.add_argument("--out", help="solution CSV output path")
     ps.set_defaults(fn=cmd_solve_exact)
 

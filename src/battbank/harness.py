@@ -135,6 +135,8 @@ def compare_policies(bank: BankConfig, chain: BackgroundChain,
         try:
             # before any training, so a bad T or seed fails the row at once
             check_length(T)
+            if not seeds:
+                raise ValueError("seeds: must name at least one seed, got []")
             for seed in seeds:
                 check_seed(seed)
             sized = resize_bank(bank, size, ramps)

@@ -1,5 +1,12 @@
-# Exact finite-MDP solver for small instances: Q-value iteration and exact
-# policy evaluation. Ground truth for optimality checks.
+# Exact finite-MDP solver for small instances: Howard policy iteration
+# (Puterman 1994, sec. 6.4), Q-value iteration and exact policy evaluation.
+# Ground truth for optimality checks.
+#
+# Policy iteration starts from V = 0, whose first improvement is the greedy
+# rule (the first argmax of each state's rewards), so on a bank where greedy
+# is optimal it stops after one step. Each policy is evaluated on its own
+# n-state chain by sweeps that stop at a change of at most `tol`; one final
+# Q backup gives the reported residual.
 #
 # The only stochasticity is the background transition x -> x', so a backup
 # sums over |S_e| successors rather than the whole state space.
@@ -19,6 +26,7 @@ from .env import bank_model, state_count
 STATE_CAP = 10**6
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_SWEEPS = 10**5
+MAX_PI_STEPS = 1000
 
 
 class StateSpaceTooLarge(ValueError):
@@ -26,10 +34,11 @@ class StateSpaceTooLarge(ValueError):
 
 
 class IterationLimitExceeded(RuntimeError):
-    def __init__(self, residual: float, sweeps: int):
-        super().__init__(f"no convergence after {sweeps} sweeps; residual {residual:.3e}")
+    def __init__(self, residual: float, iterations: int, unit: str = "sweeps"):
+        super().__init__(
+            f"no convergence after {iterations} {unit}; residual {residual:.3e}")
         self.residual = residual
-        self.sweeps = sweeps
+        self.iterations = iterations
 
 
 def check_tol(tol: float) -> None:
@@ -83,11 +92,20 @@ class ExactModel:
     def state_values(self, q: np.ndarray) -> np.ndarray:
         return np.maximum.reduceat(q, self.offsets[:-1])
 
+    def first_argmax(self, q: np.ndarray) -> np.ndarray:
+        """Flat index of each state's first best (state, action) pair under q."""
+        counts = np.diff(self.offsets)
+        best = np.flatnonzero(q == np.repeat(self.state_values(q), counts))
+        return best[np.searchsorted(best, self.offsets[:-1])]
+
+    def lookahead(self, V: np.ndarray) -> np.ndarray:
+        """r(s, a) + gamma * E[V(x', b')] for every (state, action) pair."""
+        PV = self.chain.transition @ V.reshape(self.chain.n_states, self.num_b)
+        return self.sa_rewards + self.bank.gamma * PV[self.sa_x, self.sa_bnext]
+
     def backup(self, q: np.ndarray) -> tuple[np.ndarray, float]:
         """One synchronous sweep; returns (q', sup-norm change)."""
-        V = self.state_values(q).reshape(self.chain.n_states, self.num_b)
-        PV = self.chain.transition @ V
-        q_new = self.sa_rewards + self.bank.gamma * PV[self.sa_x, self.sa_bnext]
+        q_new = self.lookahead(self.state_values(q))
         return q_new, float(np.abs(q_new - q).max())
 
 
@@ -100,6 +118,11 @@ class ExactSolution:
 
     def values(self) -> np.ndarray:
         return self.model.state_values(self.q)
+
+    def policy(self):
+        """State id -> index, in that state's compiled row, of its first best
+        action under q: the policy the solution CSV writes out."""
+        return (self.model.first_argmax(self.q) - self.model.offsets[:-1]).__getitem__
 
     def suboptimality_bound(self) -> float:
         g = self.model.bank.gamma
@@ -117,6 +140,56 @@ def solve_q_iteration(bank: BankConfig, chain: BackgroundChain,
     return ExactSolution(q=q, residual=delta, iterations=sweeps, model=model)
 
 
+def _evaluate(model: ExactModel, sa: np.ndarray, V: np.ndarray,
+              tol: float) -> np.ndarray:
+    """Sweep from V the evaluation operator of the policy that takes flat
+    pair sa[i] in state i, until a sweep changes V by at most tol."""
+    r_pi = model.sa_rewards[sa]
+    bnext = model.sa_bnext[sa]
+    xs = model.sa_x[sa]
+    P, gamma = model.chain.transition, model.bank.gamma
+
+    def sweep(V):
+        PV = P @ V.reshape(model.chain.n_states, model.num_b)
+        V_new = r_pi + gamma * PV[xs, bnext]
+        return V_new, float(np.abs(V_new - V).max())
+
+    return _fixed_point(sweep, V, tol, DEFAULT_MAX_SWEEPS)[0]
+
+
+def solve_policy_iteration(bank: BankConfig, chain: BackgroundChain,
+                           tol: float = DEFAULT_TOL) -> ExactSolution:
+    """Howard policy iteration from the greedy rule. `iterations` counts
+    evaluate-and-improve steps, the last of which switches no state; each
+    evaluation is warm-started from the previous one and stops at a sweep
+    change of at most `tol`. A state switches action only when its first
+    argmax beats the current action by more than the evaluation error and
+    rounding could account for, so every switch is a true improvement and
+    near-ties cannot cycle. Raises IterationLimitExceeded after
+    MAX_PI_STEPS steps."""
+    check_tol(tol)
+    model = ExactModel(bank, chain)
+    g = bank.gamma
+    sa = model.first_argmax(model.sa_rewards)    # the improvement of V = 0
+    V = np.zeros(model.n_states)
+    for step in range(1, MAX_PI_STEPS + 1):
+        V = _evaluate(model, sa, V, tol)
+        q = model.lookahead(V)
+        best = model.first_argmax(q)
+        gain = q[best] - q[sa]
+        # V is within g * tol / (1 - g) of the policy's value, so q within g
+        # times that; rounding is bounded relative to the largest |q|
+        margin = (2 * g * g * tol
+                  + 64 * np.finfo(float).eps * float(np.abs(q).max())) / (1 - g)
+        switch = gain > margin
+        if not switch.any():
+            q, residual = model.backup(q)
+            return ExactSolution(q=q, residual=residual, iterations=step, model=model)
+        sa = np.where(switch, best, sa)
+    raise IterationLimitExceeded(float(gain.max()), MAX_PI_STEPS,
+                                 "policy-iteration steps")
+
+
 def evaluate_policy_exact(bank: BankConfig, chain: BackgroundChain, policy,
                           tol: float = DEFAULT_TOL,
                           model: ExactModel | None = None) -> np.ndarray:
@@ -127,33 +200,23 @@ def evaluate_policy_exact(bank: BankConfig, chain: BackgroundChain, policy,
     check_tol(tol)
     if model is None:
         model = ExactModel(bank, chain)
-
     n = model.n_states
     sa = model.offsets[:-1] + np.fromiter(map(policy, range(n)),
                                           dtype=np.int64, count=n)
-    r_pi = model.sa_rewards[sa]
-    bnext = model.sa_bnext[sa]
-    xs = model.sa_x[sa]
-
-    def sweep(V):
-        PV = chain.transition @ V.reshape(chain.n_states, model.num_b)
-        V_new = r_pi + bank.gamma * PV[xs, bnext]
-        return V_new, float(np.abs(V_new - V).max())
-
-    return _fixed_point(sweep, np.zeros(n), tol, DEFAULT_MAX_SWEEPS)[0]
+    return _evaluate(model, sa, np.zeros(n), tol)
 
 
 def write_solution_csv(sol: ExactSolution, path) -> None:
     model = sol.model
     compiled = model.compiled
     V = sol.values()
+    best = sol.policy()
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["state_index", "x", "b", "best_action", "optimal_value"])
         for i in range(model.n_states):
             s = compiled.state(i)
-            best = np.argmax(sol.q[model.offsets[i]:model.offsets[i + 1]])
             wr.writerow([i, s.x,
                          " ".join(map(str, s.b)),
-                         " ".join(map(str, compiled.row(i).actions[best])),
+                         " ".join(map(str, compiled.row(i).actions[best(i)])),
                          f"{V[i]:.12g}"])

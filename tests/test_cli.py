@@ -250,7 +250,11 @@ class TestSolveExact:
 
     def test_zero_tolerance_converges_exactly(self, capsys):
         assert main(["solve-exact", TOY_CONFIG, "--tol", "0"]) == EXIT_OK
-        assert "solved in 331 sweeps; residual 0.000e+00" in capsys.readouterr().out
+        # policy iteration: greedy is optimal on the toy, so one step; value
+        # iteration's 331-sweep pin is in test_oracle.py
+        assert ("solved in 1 policy-iteration steps; residual 0.000e+00; "
+                "greedy-in-q suboptimality bound 0.000e+00"
+                in capsys.readouterr().out)
 
     def test_solution_csv(self, tmp_path):
         out = tmp_path / "sol.csv"

@@ -177,6 +177,15 @@ class TestComparePolicies:
             f"sizes {size}: ValueError: seed: must be >= 0, got -1"
             for size in [(2, 3), (3, 3)]]
 
+    def test_empty_seed_list_fails_each_row(self, toy_bank, toy_chain):
+        # used to raise statistics.StatisticsError from fmean, out of the table
+        table = compare_policies(toy_bank, toy_chain, [(2, 3), (3, 3)],
+                                 seeds=[], T=50)
+        assert table.rows == []
+        assert table.failures == [
+            f"sizes {size}: ValueError: seeds: must name at least one seed, got []"
+            for size in [(2, 3), (3, 3)]]
+
     def test_csv_export(self, tmp_path, small_table):
         path = tmp_path / "table.csv"
         small_table.write_csv(path)

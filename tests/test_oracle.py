@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,14 +9,18 @@ from hypothesis import strategies as st
 
 from battbank import oracle
 from battbank.core import (BackgroundChain, BankConfig, BatteryConfig,
-                           validate_config)
+                           load_config, validate_config)
 from battbank.env import bank_model, reward
 from battbank.oracle import (ExactModel, IterationLimitExceeded,
                              StateSpaceTooLarge, evaluate_policy_exact,
-                             solve_q_iteration, write_solution_csv)
+                             solve_policy_iteration, solve_q_iteration,
+                             write_solution_csv)
 from battbank.policies import greedy_action, make_policy
 
 from conftest import make_bank, make_chain
+from test_model import instances
+
+TOY_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "toy_bank.json"
 
 
 class TestEnumerateStates:
@@ -48,7 +53,7 @@ class TestEnumerateStates:
 
         monkeypatch.setattr(oracle, "bank_model", no_rows)
         bank = make_bank(capacities=(999, 999))
-        for build in (ExactModel, solve_q_iteration):
+        for build in (ExactModel, solve_q_iteration, solve_policy_iteration):
             with pytest.raises(StateSpaceTooLarge, match="4000000"):
                 build(bank, toy_chain)
 
@@ -86,6 +91,11 @@ class TestSolveQIteration:
         assert sol.iterations < 10**5
         assert len(sol.values()) == 48
         assert (sol.values() <= 1e-12).all()   # rewards are nonpositive
+
+    def test_zero_tolerance_converges_exactly(self):
+        sol = solve_q_iteration(*load_config(TOY_CONFIG), tol=0)
+        assert sol.iterations == 331
+        assert sol.residual == 0.0
 
     def test_huge_tolerance_one_sweep(self, toy_bank, toy_chain):
         sol = solve_q_iteration(toy_bank, toy_chain, tol=1e9)
@@ -127,11 +137,49 @@ class TestSolveQIteration:
             solve_q_iteration(toy_bank, toy_chain, tol=tol)
         with pytest.raises(ValueError, match="tol"):
             evaluate_policy_exact(toy_bank, toy_chain, pol, tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            solve_policy_iteration(toy_bank, toy_chain, tol=tol)
 
     def test_fixed_point_residual(self, toy_bank, toy_chain):
         sol = solve_q_iteration(toy_bank, toy_chain, tol=1e-10)
         _, delta = sol.model.backup(sol.q)
         assert delta <= toy_bank.gamma * 1e-10 + 1e-15
+
+
+class TestPolicyIteration:
+    def test_first_argmax_takes_first_of_ties(self, toy_bank, toy_chain):
+        model = ExactModel(toy_bank, toy_chain)
+        q = np.random.default_rng(0).integers(0, 3, size=model.n_sa).astype(float)
+        first = [lo + np.argmax(q[lo:hi])
+                 for lo, hi in zip(model.offsets[:-1], model.offsets[1:])]
+        np.testing.assert_array_equal(model.first_argmax(q), first)
+
+    def test_greedy_optimal_toy_one_step(self):
+        bank, chain = load_config(TOY_CONFIG)
+        sol = solve_policy_iteration(bank, chain, tol=0)
+        assert sol.iterations == 1
+        assert sol.residual == 0.0
+        vi = solve_q_iteration(bank, chain, tol=0)
+        np.testing.assert_allclose(sol.values(), vi.values(), rtol=0, atol=1e-12)
+
+    def test_binding_ramps_improve_greedy(self, toy_chain):
+        bank = make_bank(capacities=(3, 5), ramps=(2, 2))
+        sol = solve_policy_iteration(bank, toy_chain, tol=1e-12)
+        assert sol.iterations == 3
+        vi = solve_q_iteration(bank, toy_chain, tol=1e-12)
+        assert np.abs(sol.values() - vi.values()).max() <= 1e-8
+
+    def test_step_cap_raises(self, monkeypatch, toy_chain):
+        monkeypatch.setattr(oracle, "MAX_PI_STEPS", 2)
+        bank = make_bank(capacities=(3, 5), ramps=(2, 2))
+        with pytest.raises(IterationLimitExceeded,
+                           match="after 2 policy-iteration steps"):
+            solve_policy_iteration(bank, toy_chain, tol=1e-12)
+
+    def test_residual_from_one_final_backup(self, toy_bank, toy_chain):
+        sol = solve_policy_iteration(toy_bank, toy_chain, tol=1e-10)
+        _, delta = sol.model.backup(sol.q)
+        assert delta <= toy_bank.gamma * sol.residual + 1e-15
 
 
 class TestEvaluatePolicyExact:
@@ -214,3 +262,19 @@ def test_greedy_optimal_on_free_lossless_banks(inst):
                                      make_policy("greedy", bank, chain),
                                      tol=1e-12, model=sol.model)
     assert np.abs(V_greedy - sol.values()).max() <= 1e-8
+    # policy iteration starts at greedy and never improves it
+    assert solve_policy_iteration(bank, chain, tol=1e-12).iterations == 1
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(instances())
+def test_policy_iteration_matches_value_iteration(inst):
+    # lossy and ramp-bound banks, where greedy is not optimal in general
+    bank, chain, _ = inst
+    pi = solve_policy_iteration(bank, chain, tol=1e-12)
+    vi = solve_q_iteration(bank, chain, tol=1e-12)
+    assert np.abs(pi.values() - vi.values()).max() <= 1e-8
+    V_pi = evaluate_policy_exact(bank, chain, pi.policy(), tol=1e-12,
+                                 model=pi.model)
+    assert np.abs(V_pi - vi.values()).max() <= 1e-8
