@@ -127,10 +127,8 @@ def cmd_solve_exact(args) -> int:
 
     lossless = all(bat.dissipation == 1.0 for bat in bank.batteries)
     unconstrained = all(bat.ramp >= bat.capacity for bat in bank.batteries)
-    from .policies import make_policy
     v_greedy = oracle.evaluate_policy_exact(
-        bank, chain, make_policy("greedy", bank, chain), tol=args.tol,
-        model=sol.model)
+        bank, chain, sol.model.greedy_policy(), tol=args.tol, model=sol.model)
     gap = float(np.abs(v_greedy - sol.values()).max())
     if lossless and unconstrained:
         verdict = "PASS" if gap <= 1e-8 else "FAIL"
@@ -149,6 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="battbank",
         description="Heterogeneous battery bank dispatch: simulator, "
                     "policies, learner, and exact solver.")
+    p.add_argument("--debug", action="store_true",
+                   help="re-raise an error with its traceback instead of "
+                        "printing only its message")
     sub = p.add_subparsers(dest="command", required=True)
 
     # learning-schedule flags shared by train and compare
@@ -205,6 +206,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # _load signals validation/IO exits this way
         return int(exc.code)
     except Exception as exc:
+        if args.debug:
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,7 +97,26 @@ class StateActions:
     kmat: np.ndarray | None = None
 
 
-@functools.lru_cache(maxsize=16)   # state_actions asks once per row
+@dataclass(slots=True, eq=False)
+class StateBlock:
+    """The rows of the state ids start, start + 1, ..., flattened: state
+    start + i owns the pairs offsets[i]:offsets[i + 1], in feasible_actions
+    order."""
+
+    start: int
+    offsets: np.ndarray   # (n_block_states + 1,) int
+    actions: np.ndarray   # (n_pairs, N) int
+    posts: np.ndarray     # (n_pairs, N) int, b + a
+    rewards: np.ndarray   # (n_pairs,)
+    next_bid: np.ndarray  # (n_pairs,) int
+
+
+# Most candidate actions one block tabulates at once, which bounds its
+# scratch arrays however large the bank; a block holds at least one state.
+BLOCK_CANDIDATES = 1 << 16
+
+
+@functools.lru_cache(maxsize=16)   # _post_tables asks once per table
 def occupancy_strides(capacities: tuple[int, ...]) -> tuple[int, ...]:
     """Place values of the mixed-radix occupancy id, first battery slowest:
     the id of b is sum(b_i * stride_i)."""
@@ -115,28 +136,39 @@ def check_b0(bank: BankConfig, b0: tuple[int, ...]) -> None:
                          f"capacities {bank.capacities}, got {tuple(b0)}")
 
 
-def state_actions(bank: BankConfig, chain: BackgroundChain, s: State) -> StateActions:
-    acts = feasible_actions(bank, chain, s)
-    posts = np.array(acts, dtype=np.int64) + np.array(s.b, dtype=np.int64)
+def _post_tables(bank: BankConfig, posts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rewards and successor occupancy ids of post-action occupancies
+    `posts` (n, N): env.reward and env.apply_action, one row per action.
+    The penalty is summed battery by battery, as env.reward does."""
     caps = np.array(bank.capacities, dtype=float)
     lo = np.array([bat.lower_frac for bat in bank.batteries]) * caps
     hi = np.array([bat.upper_frac for bat in bank.batteries]) * caps
     wts = np.array([bat.penalty_weight for bat in bank.batteries])
-    pen = np.maximum(lo - posts, 0.0) + np.maximum(posts - hi, 0.0)
-    rewards = -(pen * wts).sum(axis=1)
+    pen = (np.maximum(lo - posts, 0.0) + np.maximum(posts - hi, 0.0)) * wts
+    rewards = -functools.reduce(operator.add, pen.T)
     etas = np.array([bat.dissipation for bat in bank.batteries])
     next_b = np.floor(etas * posts).astype(np.int64)
-    next_bid = next_b.dot(occupancy_strides(bank.capacities)).tolist()
-    return StateActions(acts, posts, rewards, next_bid)
+    return rewards, next_b.dot(occupancy_strides(bank.capacities))
+
+
+def state_actions(bank: BankConfig, chain: BackgroundChain, s: State) -> StateActions:
+    """One state's row from the scalar spec, feasible_actions: the reference
+    that BankModel's block builder is tested against."""
+    acts = feasible_actions(bank, chain, s)
+    posts = np.array(acts, dtype=np.int64) + np.array(s.b, dtype=np.int64)
+    rewards, next_bid = _post_tables(bank, posts)
+    return StateActions(acts, posts, rewards, next_bid.tolist())
 
 
 class BankModel:
-    """The MDP of one bank and chain, tabulated once per state on demand.
+    """The MDP of one bank and chain, tabulated once per block of states on
+    demand.
 
     This is the one definition of the state space: state id
-    `x * num_b + occupancy_id(b)`, for ids in `range(n_states)`. Each row is
-    filled from `state_actions` the first time it is requested, and then
-    shared by every caller.
+    `x * num_b + occupancy_id(b)`, for ids in `range(n_states)`. The ids are
+    cut into blocks of `block_states` consecutive ids; `tabulate` builds a
+    whole block with numpy the first time one of its rows is requested, and
+    every caller then shares the block and the rows cut from it.
     """
 
     def __init__(self, batteries, chain: BackgroundChain):
@@ -145,24 +177,74 @@ class BankModel:
         self.strides = occupancy_strides(self.bank.capacities)
         self.n_states = state_count(self.bank, chain)
         self.num_b = self.n_states // chain.n_states
+        self._caps = np.array(self.bank.capacities, dtype=np.int64)
+        self._ramps = np.array(self.bank.ramps, dtype=np.int64)
+        # every combination of the first N-1 action components that some
+        # occupancy admits, lexicographic; the last component is the target
+        # minus their sum
+        spans = [range(-r, r + 1) for r in
+                 np.minimum(self._ramps, self._caps)[:-1].tolist()]
+        self._grid = np.array(list(itertools.product(*spans)), dtype=np.int64)
+        self._grid_sum = self._grid.sum(axis=1)
+        self._net_gen = np.array(chain.net_gen, dtype=np.int64)
+        self.block_states = max(1, BLOCK_CANDIDATES // len(self._grid))
+        self.n_blocks = -(-self.n_states // self.block_states)
+        self._blocks: dict[int, StateBlock] = {}
         self._rows: dict[int, StateActions] = {}
 
     def occupancy_id(self, b: tuple[int, ...]) -> int:
         return sum(v * m for v, m in zip(b, self.strides))
 
+    def decode(self, sids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Background states (n,) and occupancies (n, N) of state ids."""
+        x, occ = np.divmod(sids, self.num_b)
+        return x, occ[:, None] // np.array(self.strides) % (self._caps + 1)
+
     def state(self, sid: int) -> State:
-        x, rest = divmod(sid, self.num_b)
-        b = []
-        for m in self.strides:
-            v, rest = divmod(rest, m)
-            b.append(v)
-        return State(x=x, b=tuple(b))
+        x, b = self.decode(np.array([sid]))
+        return State(x=int(x[0]), b=tuple(b[0].tolist()))
+
+    def tabulate(self, start: int, stop: int) -> StateBlock:
+        """The rows of state ids start..stop-1, each equal to its state's
+        state_actions: every grid candidate is checked against the state's
+        ramp and capacity bounds at once."""
+        x, b = self.decode(np.arange(start, stop))
+        lo = -np.minimum(self._ramps, b)
+        hi = np.minimum(self._ramps, self._caps - b)
+        target = np.clip(self._net_gen[x], lo.sum(axis=1), hi.sum(axis=1))
+        last = target[:, None] - self._grid_sum
+        ok = (lo[:, -1:] <= last) & (last <= hi[:, -1:])
+        for i in range(self.bank.n - 1):
+            a_i = self._grid[:, i]
+            ok &= (lo[:, i:i + 1] <= a_i) & (a_i <= hi[:, i:i + 1])
+        si, ki = np.nonzero(ok)
+        actions = np.empty((len(si), self.bank.n), dtype=np.int64)
+        actions[:, :-1] = self._grid[ki]
+        actions[:, -1] = last[si, ki]
+        posts = actions + b[si]
+        rewards, next_bid = _post_tables(self.bank, posts)
+        offsets = np.concatenate(([0], np.cumsum(ok.sum(axis=1))))
+        return StateBlock(start, offsets, actions, posts, rewards, next_bid)
+
+    def block(self, k: int) -> StateBlock:
+        """Block k: state ids from k * block_states, tabulated on first use."""
+        blk = self._blocks.get(k)
+        if blk is None:
+            start = k * self.block_states
+            blk = self._blocks[k] = self.tabulate(
+                start, min(start + self.block_states, self.n_states))
+        return blk
 
     def row(self, sid: int, kernels: bool = False) -> StateActions:
-        """State sid's row; with kernels=True its `kmat` is filled too."""
+        """State sid's row, views of its block; with kernels=True its
+        `kmat` is filled too."""
         r = self._rows.get(sid)
         if r is None:
-            r = self._rows[sid] = state_actions(self.bank, self.chain, self.state(sid))
+            blk = self.block(sid // self.block_states)
+            lo, hi = blk.offsets[sid - blk.start:sid - blk.start + 2].tolist()
+            r = self._rows[sid] = StateActions(
+                list(map(tuple, blk.actions[lo:hi].tolist())), blk.posts[lo:hi],
+                blk.rewards[lo:hi], blk.next_bid[lo:hi].tolist())
         if kernels and r.kmat is None:
             from .features import kernel_matrix  # features imports this module
             r.kmat = kernel_matrix(self.bank, r.posts)

@@ -14,7 +14,6 @@
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -58,9 +57,10 @@ def _fixed_point(sweep, v: np.ndarray, tol: float, max_sweeps: int):
 
 
 class ExactModel:
-    """Flattened (state, action) arrays over every row of the bank's
+    """Flattened (state, action) arrays over every block of the bank's
     compiled model (env.bank_model), for vectorized Bellman sweeps. State i
-    is `compiled.state(i)` and its actions are `compiled.row(i)`'s."""
+    owns the pairs offsets[i]:offsets[i + 1], in the order of
+    `compiled.row(i)`'s actions."""
 
     def __init__(self, bank: BankConfig, chain: BackgroundChain):
         n = state_count(bank, chain)
@@ -72,14 +72,13 @@ class ExactModel:
         self.compiled = bank_model(bank, chain)
         self.num_b = self.compiled.num_b
 
-        rows = [self.compiled.row(i) for i in range(n)]
-        counts = np.array([len(row.actions) for row in rows], dtype=np.int64)
+        blocks = [self.compiled.block(k) for k in range(self.compiled.n_blocks)]
+        counts = np.concatenate([np.diff(blk.offsets) for blk in blocks])
         self.offsets = np.concatenate(([0], np.cumsum(counts)))
-        self.sa_rewards = np.concatenate([row.rewards for row in rows])
+        self.sa_actions = np.concatenate([blk.actions for blk in blocks])
+        self.sa_rewards = np.concatenate([blk.rewards for blk in blocks])
         self.sa_x = np.repeat(np.arange(n, dtype=np.int64) // self.num_b, counts)
-        self.sa_bnext = np.fromiter(
-            itertools.chain.from_iterable(row.next_bid for row in rows),
-            dtype=np.int64, count=len(self.sa_rewards))
+        self.sa_bnext = np.concatenate([blk.next_bid for blk in blocks])
 
     @property
     def n_states(self) -> int:
@@ -97,6 +96,12 @@ class ExactModel:
         counts = np.diff(self.offsets)
         best = np.flatnonzero(q == np.repeat(self.state_values(q), counts))
         return best[np.searchsorted(best, self.offsets[:-1])]
+
+    def greedy_policy(self):
+        """State id -> index, in that state's compiled row, of its first
+        reward argmax: the greedy rule of policies.make_policy, read off the
+        flat arrays."""
+        return (self.first_argmax(self.sa_rewards) - self.offsets[:-1]).__getitem__
 
     def lookahead(self, V: np.ndarray) -> np.ndarray:
         """r(s, a) + gamma * E[V(x', b')] for every (state, action) pair."""
@@ -208,15 +213,12 @@ def evaluate_policy_exact(bank: BankConfig, chain: BackgroundChain, policy,
 
 def write_solution_csv(sol: ExactSolution, path) -> None:
     model = sol.model
-    compiled = model.compiled
-    V = sol.values()
-    best = sol.policy()
+    x, b = model.compiled.decode(np.arange(model.n_states))
+    best = model.sa_actions[model.first_argmax(sol.q)]
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["state_index", "x", "b", "best_action", "optimal_value"])
-        for i in range(model.n_states):
-            s = compiled.state(i)
-            wr.writerow([i, s.x,
-                         " ".join(map(str, s.b)),
-                         " ".join(map(str, compiled.row(i).actions[best(i)])),
-                         f"{V[i]:.12g}"])
+        for i, (x_i, b_i, a_i, v_i) in enumerate(zip(
+                x.tolist(), b.tolist(), best.tolist(), sol.values().tolist())):
+            wr.writerow([i, x_i, " ".join(map(str, b_i)),
+                         " ".join(map(str, a_i)), f"{v_i:.12g}"])

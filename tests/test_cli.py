@@ -100,6 +100,21 @@ class TestParser:
         assert _schedule_from_args(args).seed == 5
 
 
+class TestDebug:
+    ARGV = ["compare", TOY_CONFIG, "--sizes", "2,,3"]
+
+    def test_message_only_by_default(self, capsys):
+        assert main(self.ARGV) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err == "error: --sizes: expected integers, got '2,,3'\n"
+
+    def test_debug_reraises_with_traceback(self, capsys):
+        with pytest.raises(ValueError, match="--sizes: expected integers") as info:
+            main(["--debug", *self.ARGV])
+        assert info.traceback[-1].name == "_parse_int_tuple"
+        assert capsys.readouterr().err == ""
+
+
 class TestTrain:
     def test_zero_steps_writes_zero_weights(self, tmp_path, capsys):
         out = tmp_path / "w.json"

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from battbank import cli, env, harness, learner, oracle, policies
+from battbank import cli, env, harness, oracle
 from battbank.chain import cumulative_transition, generate_trajectory
 from battbank.core import (BackgroundChain, BankConfig, BatteryConfig, State,
                            validate_config)
@@ -65,18 +65,17 @@ class TestBankModel:
 
 
 def _count_tabulations(monkeypatch) -> Counter:
-    """Count state_actions calls per distinct (batteries, state), wherever
-    a module of the package looks the function up."""
+    """Count, per distinct (batteries, state id), how many blocks the
+    compiled model's builder, BankModel.tabulate, has covered the state in."""
     counts = Counter()
-    real = env.state_actions
+    real = env.BankModel.tabulate
 
-    def counting(bank, chain, s):
-        counts[(bank.batteries, s.x, s.b)] += 1
-        return real(bank, chain, s)
+    def counting(model, start, stop):
+        for sid in range(start, stop):
+            counts[(model.bank.batteries, sid)] += 1
+        return real(model, start, stop)
 
-    for module in (env, learner, policies, oracle, harness):
-        if hasattr(module, "state_actions"):
-            monkeypatch.setattr(module, "state_actions", counting)
+    monkeypatch.setattr(env.BankModel, "tabulate", counting)
     return counts
 
 
@@ -105,6 +104,28 @@ class TestTabulatedOnce:
         assert rc == 0, capsys.readouterr().err
         assert len(counts) == 48 and max(counts.values()) == 1
         assert len(builds) == 1
+
+
+def test_small_blocks_give_identical_tables(monkeypatch):
+    # a block cap far below the default cuts the ids into blocks whose
+    # boundaries fall inside one background state's occupancies
+    bank = make_bank(capacities=(3, 4, 2), ramps=(2, 1, 3),
+                     weights=(0.1, 1.0, 0.5), dissipation=(0.9, 1.0, 0.75))
+    ref = oracle.ExactModel(bank, make_chain())
+    assert ref.compiled.n_blocks == 1
+    for cap in (1, 100):
+        monkeypatch.setattr(env, "BLOCK_CANDIDATES", cap)
+        small = oracle.ExactModel(bank, make_chain())   # a new chain, a new model
+        compiled = small.compiled
+        assert compiled.n_blocks > 1 and compiled.block_states % compiled.num_b
+        assert small.sa_rewards.tobytes() == ref.sa_rewards.tobytes()
+        for name in ("offsets", "sa_actions", "sa_x", "sa_bnext"):
+            np.testing.assert_array_equal(getattr(small, name), getattr(ref, name))
+        for sid in range(compiled.n_states):
+            row, ref_row = compiled.row(sid), ref.compiled.row(sid)
+            assert row.actions == ref_row.actions
+            assert row.next_bid == ref_row.next_bid
+            np.testing.assert_array_equal(row.posts, ref_row.posts)
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +176,20 @@ def _spec_policies(bank, chain, w):
 
 @PROPERTY
 @given(instances())
+def test_block_rows_match_scalar_spec(inst):
+    bank, chain, _ = inst
+    model = env.BankModel(bank.batteries, chain)
+    for sid, s in enumerate(_states(bank, chain)):
+        row = model.row(sid)
+        assert row.actions == env.feasible_actions(bank, chain, s)
+        assert row.rewards.tolist() == [reward(bank, s, a) for a in row.actions]
+        assert row.next_bid == [model.occupancy_id(apply_action(bank, s.b, a))
+                                for a in row.actions]
+        np.testing.assert_array_equal(row.posts, np.add(row.actions, s.b))
+
+
+@PROPERTY
+@given(instances())
 def test_model_policies_match_scalar_actions_everywhere(inst):
     bank, chain, seed = inst
     w = _weights(bank, chain, seed)
@@ -178,6 +213,8 @@ def test_exact_model_flattens_state_actions(inst):
     rows = [env.state_actions(bank, chain, s) for s in states]
     np.testing.assert_array_equal(
         model.offsets, np.cumsum([0] + [len(r.actions) for r in rows]))
+    np.testing.assert_array_equal(
+        model.sa_actions, [a for r in rows for a in r.actions])
     np.testing.assert_array_equal(
         model.sa_rewards, np.concatenate([r.rewards for r in rows]))
     np.testing.assert_array_equal(

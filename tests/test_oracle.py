@@ -11,6 +11,7 @@ from battbank import oracle
 from battbank.core import (BackgroundChain, BankConfig, BatteryConfig,
                            load_config, validate_config)
 from battbank.env import bank_model, reward
+from battbank.learner import LearnSchedule, train
 from battbank.oracle import (ExactModel, IterationLimitExceeded,
                              StateSpaceTooLarge, evaluate_policy_exact,
                              solve_policy_iteration, solve_q_iteration,
@@ -278,3 +279,33 @@ def test_policy_iteration_matches_value_iteration(inst):
     V_pi = evaluate_policy_exact(bank, chain, pi.policy(), tol=1e-12,
                                  model=pi.model)
     assert np.abs(V_pi - vi.values()).max() <= 1e-8
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(instances())
+def test_policy_iteration_starts_at_greedy(inst):
+    # V = 0 makes the first improvement each state's first reward argmax,
+    # which is the greedy rule on lossy and ramp-bound banks too
+    bank, chain, _ = inst
+    model = ExactModel(bank, chain)
+    start = (model.first_argmax(model.sa_rewards) - model.offsets[:-1]).tolist()
+    greedy, flat_greedy = make_policy("greedy", bank, chain), model.greedy_policy()
+    assert start == [greedy(i) for i in range(model.n_states)]
+    assert start == [flat_greedy(i) for i in range(model.n_states)]
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(instances())
+def test_no_policy_beats_optimal(inst):
+    # state-wise V_pi <= V*: the solution's values are within its bound of V*
+    bank, chain, seed = inst
+    w, _ = train(bank, chain, LearnSchedule(t_train=3000, seed=seed))
+    sol = solve_policy_iteration(bank, chain, tol=1e-12)
+    ceiling = sol.values() + sol.suboptimality_bound() + 1e-8
+    for name in ("greedy", "naive", "rl"):
+        V = evaluate_policy_exact(bank, chain,
+                                  make_policy(name, bank, chain, weights=w),
+                                  tol=1e-12, model=sol.model)
+        assert (V <= ceiling).all(), name
