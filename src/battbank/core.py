@@ -262,11 +262,15 @@ def config_from_dict(doc: dict) -> tuple[BankConfig, BackgroundChain]:
 
     keys = ("labels", "transition", "net_gen")
     ch = _fields(doc["chain"], "chain", keys, keys)
-    rows = _items(ch["transition"], "chain.transition")
+    rows = [_numbers(row, f"chain.transition[{j}]", float)
+            for j, row in enumerate(_items(ch["transition"], "chain.transition"))]
+    for j, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise ValueError(f"chain.transition[{j}]: expected {len(rows[0])} "
+                             f"entries, got {len(row)}")
     chain = BackgroundChain(
         labels=tuple(_items(ch["labels"], "chain.labels")),
-        transition=np.array([_numbers(row, f"chain.transition[{j}]", float)
-                             for j, row in enumerate(rows)], dtype=float),
+        transition=np.array(rows, dtype=float),
         net_gen=_numbers(ch["net_gen"], "chain.net_gen", int),
     )
     return bank, chain

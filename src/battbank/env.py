@@ -88,12 +88,11 @@ def apply_action(bank: BankConfig, b: tuple[int, ...], a: Action) -> tuple[int, 
 class StateActions:
     """One state's feasible set, in feasible_actions (lexicographic) order.
     `next_bid[i]` is the occupancy id action i leads to; `kmat`, the kernel
-    features, stays None until a caller of BankModel.row asks for it."""
+    features of b + a, is filled by BankModel.row, not by state_actions."""
 
-    actions: list[Action]
-    posts: np.ndarray     # (n_actions, N) int, b + a
+    actions: np.ndarray   # (n_actions, N) int
     rewards: np.ndarray   # (n_actions,)
-    next_bid: list[int]
+    next_bid: list[int]   # Python ints: the learner's step reads one at a time
     kmat: np.ndarray | None = None
 
 
@@ -106,7 +105,6 @@ class StateBlock:
     start: int
     offsets: np.ndarray   # (n_block_states + 1,) int
     actions: np.ndarray   # (n_pairs, N) int
-    posts: np.ndarray     # (n_pairs, N) int, b + a
     rewards: np.ndarray   # (n_pairs,)
     next_bid: np.ndarray  # (n_pairs,) int
 
@@ -154,10 +152,9 @@ def _post_tables(bank: BankConfig, posts: np.ndarray) -> tuple[np.ndarray, np.nd
 def state_actions(bank: BankConfig, chain: BackgroundChain, s: State) -> StateActions:
     """One state's row from the scalar spec, feasible_actions: the reference
     that BankModel's block builder is tested against."""
-    acts = feasible_actions(bank, chain, s)
-    posts = np.array(acts, dtype=np.int64) + np.array(s.b, dtype=np.int64)
-    rewards, next_bid = _post_tables(bank, posts)
-    return StateActions(acts, posts, rewards, next_bid.tolist())
+    actions = np.array(feasible_actions(bank, chain, s), dtype=np.int64)
+    rewards, next_bid = _post_tables(bank, actions + s.b)
+    return StateActions(actions, rewards, next_bid.tolist())
 
 
 class BankModel:
@@ -221,10 +218,9 @@ class BankModel:
         actions = np.empty((len(si), self.bank.n), dtype=np.int64)
         actions[:, :-1] = self._grid[ki]
         actions[:, -1] = last[si, ki]
-        posts = actions + b[si]
-        rewards, next_bid = _post_tables(self.bank, posts)
+        rewards, next_bid = _post_tables(self.bank, actions + b[si])
         offsets = np.concatenate(([0], np.cumsum(ok.sum(axis=1))))
-        return StateBlock(start, offsets, actions, posts, rewards, next_bid)
+        return StateBlock(start, offsets, actions, rewards, next_bid)
 
     def block(self, k: int) -> StateBlock:
         """Block k: state ids from k * block_states, tabulated on first use."""
@@ -235,19 +231,18 @@ class BankModel:
                 start, min(start + self.block_states, self.n_states))
         return blk
 
-    def row(self, sid: int, kernels: bool = False) -> StateActions:
-        """State sid's row, views of its block; with kernels=True its
-        `kmat` is filled too."""
+    def row(self, sid: int) -> StateActions:
+        """State sid's row: views of its block's actions and rewards, and
+        the kernel features of its post-action occupancies."""
         r = self._rows.get(sid)
         if r is None:
+            from .features import kernel_matrix  # features imports this module
             blk = self.block(sid // self.block_states)
             lo, hi = blk.offsets[sid - blk.start:sid - blk.start + 2].tolist()
+            actions = blk.actions[lo:hi]
             r = self._rows[sid] = StateActions(
-                list(map(tuple, blk.actions[lo:hi].tolist())), blk.posts[lo:hi],
-                blk.rewards[lo:hi], blk.next_bid[lo:hi].tolist())
-        if kernels and r.kmat is None:
-            from .features import kernel_matrix  # features imports this module
-            r.kmat = kernel_matrix(self.bank, r.posts)
+                actions, blk.rewards[lo:hi], blk.next_bid[lo:hi].tolist(),
+                kernel_matrix(self.bank, actions + self.decode(np.array([sid]))[1]))
         return r
 
 

@@ -79,6 +79,9 @@ def update_weights(w: np.ndarray, phi: np.ndarray, delta: float,
     return w + beta * delta * phi
 
 
+# a diverging run overflows before its TD error turns non-finite; the check
+# below then reports it, whatever the warning filters say
+@np.errstate(over="ignore", invalid="ignore")
 def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
           x0: int = 0, b0: tuple[int, ...] | None = None,
           log_every: int = 1000) -> tuple[np.ndarray, TrainLog]:
@@ -116,7 +119,7 @@ def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
     beta_tau = schedule.beta_tau
 
     x = x0
-    e = row(x0 * num_b + model.occupancy_id(tuple(b0)), True)
+    e = row(x0 * num_b + model.occupancy_id(tuple(b0)))
     kv = kernel_product(e.kmat, kernel_ws[x])
     cum_reward = 0.0
     abs_td_acc = 0.0
@@ -139,7 +142,7 @@ def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
         r = e.rewards[a_idx]
         # bisect_right is searchsorted(side="right") on a Python list
         x_next = bisect.bisect_right(cum_rows[x], rng.random())
-        e_next = row(x_next * num_b + e.next_bid[a_idx], True)
+        e_next = row(x_next * num_b + e.next_bid[a_idx])
         kv_next = kernel_product(e_next.kmat, kernel_ws[x_next])
         q_next = q_from_kernels(w0, e_next.rewards, blocks[x_next][0], kv_next)
 

@@ -77,8 +77,9 @@ class ExactModel:
         self.offsets = np.concatenate(([0], np.cumsum(counts)))
         self.sa_actions = np.concatenate([blk.actions for blk in blocks])
         self.sa_rewards = np.concatenate([blk.rewards for blk in blocks])
-        self.sa_x = np.repeat(np.arange(n, dtype=np.int64) // self.num_b, counts)
-        self.sa_bnext = np.concatenate([blk.next_bid for blk in blocks])
+        # x * num_b + b' per pair: where PV.take finds its expected next value
+        self.sa_next = (np.repeat(np.arange(n) // self.num_b * self.num_b, counts)
+                        + np.concatenate([blk.next_bid for blk in blocks]))
 
     @property
     def n_states(self) -> int:
@@ -106,7 +107,7 @@ class ExactModel:
     def lookahead(self, V: np.ndarray) -> np.ndarray:
         """r(s, a) + gamma * E[V(x', b')] for every (state, action) pair."""
         PV = self.chain.transition @ V.reshape(self.chain.n_states, self.num_b)
-        return self.sa_rewards + self.bank.gamma * PV[self.sa_x, self.sa_bnext]
+        return self.sa_rewards + self.bank.gamma * PV.take(self.sa_next)
 
     def backup(self, q: np.ndarray) -> tuple[np.ndarray, float]:
         """One synchronous sweep; returns (q', sup-norm change)."""
@@ -123,11 +124,6 @@ class ExactSolution:
 
     def values(self) -> np.ndarray:
         return self.model.state_values(self.q)
-
-    def policy(self):
-        """State id -> index, in that state's compiled row, of its first best
-        action under q: the policy the solution CSV writes out."""
-        return (self.model.first_argmax(self.q) - self.model.offsets[:-1]).__getitem__
 
     def suboptimality_bound(self) -> float:
         g = self.model.bank.gamma
@@ -150,13 +146,12 @@ def _evaluate(model: ExactModel, sa: np.ndarray, V: np.ndarray,
     """Sweep from V the evaluation operator of the policy that takes flat
     pair sa[i] in state i, until a sweep changes V by at most tol."""
     r_pi = model.sa_rewards[sa]
-    bnext = model.sa_bnext[sa]
-    xs = model.sa_x[sa]
+    nxt = model.sa_next[sa]
     P, gamma = model.chain.transition, model.bank.gamma
 
     def sweep(V):
         PV = P @ V.reshape(model.chain.n_states, model.num_b)
-        V_new = r_pi + gamma * PV[xs, bnext]
+        V_new = r_pi + gamma * PV.take(nxt)
         return V_new, float(np.abs(V_new - V).max())
 
     return _fixed_point(sweep, V, tol, DEFAULT_MAX_SWEEPS)[0]

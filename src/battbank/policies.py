@@ -35,15 +35,16 @@ def _round_half_toward_zero(t: float) -> int:
 def _naive(bank: BankConfig, row: StateActions) -> int:
     """Apportion the clipped target proportionally to capacities; repair to
     feasibility by minimal L1 local search when rounding breaks it."""
-    target = sum(row.actions[0])   # every feasible action sums to it
+    target = int(row.actions[0].sum())   # every feasible action sums to it
     total_cap = sum(bank.capacities)
     t = [target * B / total_cap for B in bank.capacities]
-    rounded = tuple(_round_half_toward_zero(v) for v in t)
+    rounded = [_round_half_toward_zero(v) for v in t]
 
-    if rounded in row.actions:
-        return row.actions.index(rounded)
+    hit = np.flatnonzero((row.actions == rounded).all(axis=1))
+    if len(hit):
+        return int(hit[0])
 
-    dist = np.abs(np.array(row.actions, dtype=float) - np.array(t)).sum(axis=1)
+    dist = np.abs(row.actions - np.array(t)).sum(axis=1)
     return int(np.argmin(dist))
 
 
@@ -54,19 +55,19 @@ def _rl(bank: BankConfig, x: int, row: StateActions, w: np.ndarray) -> int:
 
 def greedy_action(bank: BankConfig, chain: BackgroundChain, s: State) -> Action:
     row = state_actions(bank, chain, s)
-    return row.actions[_greedy(row)]
+    return tuple(row.actions[_greedy(row)].tolist())
 
 
 def naive_action(bank: BankConfig, chain: BackgroundChain, s: State) -> Action:
     row = state_actions(bank, chain, s)
-    return row.actions[_naive(bank, row)]
+    return tuple(row.actions[_naive(bank, row)].tolist())
 
 
 def rl_action(bank: BankConfig, chain: BackgroundChain, s: State,
               w: np.ndarray) -> Action:
     row = state_actions(bank, chain, s)
-    row.kmat = kernel_matrix(bank, row.posts)
-    return row.actions[_rl(bank, s.x, row, w)]
+    row.kmat = kernel_matrix(bank, row.actions + s.b)
+    return tuple(row.actions[_rl(bank, s.x, row, w)].tolist())
 
 
 def make_policy(name: str, bank: BankConfig, chain: BackgroundChain,
@@ -89,4 +90,4 @@ def make_policy(name: str, bank: BankConfig, chain: BackgroundChain,
         return lambda sid: _greedy(row(sid))
     if name == "naive":
         return lambda sid: _naive(bank, row(sid))
-    return lambda sid: _rl(bank, sid // num_b, row(sid, True), weights)
+    return lambda sid: _rl(bank, sid // num_b, row(sid), weights)

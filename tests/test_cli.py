@@ -294,7 +294,7 @@ def test_weights_round_trip_preserves_policy(tmp_path):
     rl, rl2 = (make_policy("rl", bank, chain, weights=v) for v in (w, w2))
     for sid in range(model.n_states):
         s = model.state(sid)
-        row = model.row(sid, kernels=True)
+        row = model.row(sid)
         np.testing.assert_array_equal(
             features.q_values(bank, s.x, row.rewards, row.kmat, w),
             features.q_values(bank, s.x, row.rewards, row.kmat, w2))

@@ -174,6 +174,8 @@ class TestStrictIngestion:
          "batteries[0].penalty_weight: expected a number, got '1'"),
         (lambda d: d["chain"]["transition"][2].__setitem__(1, None),
          "chain.transition[2][1]: expected a number, got None"),
+        (lambda d: d["chain"]["transition"].__setitem__(1, [1.0]),
+         "chain.transition[1]: expected 4 entries, got 1"),
     ])
     def test_wrong_type_named(self, edit, message):
         with pytest.raises(ValueError) as exc:

@@ -174,9 +174,10 @@ def test_state_actions_tables_consistent(toy_chain):
     bank = make_bank(capacities=(3, 5), ramps=(2, 2), dissipation=(0.9, 1.0))
     s = State(x=1, b=(2, 4))
     ent = state_actions(bank, toy_chain, s)
-    assert ent.actions == feasible_actions(bank, toy_chain, s)
-    for i, a in enumerate(ent.actions):
-        assert tuple(ent.posts[i]) == tuple(bi + ai for bi, ai in zip(s.b, a))
+    acts = feasible_actions(bank, toy_chain, s)
+    assert ent.actions.tolist() == [list(a) for a in acts]
+    for i, a in enumerate(acts):
+        assert (ent.actions[i] + s.b).tolist() == [bi + ai for bi, ai in zip(s.b, a)]
         assert ent.rewards[i] == pytest.approx(reward(bank, s, a), abs=1e-12)
         nb = apply_action(bank, s.b, a)
         assert ent.next_bid[i] == nb[0] * 6 + nb[1]   # mixed radix (4, 6)

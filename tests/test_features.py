@@ -116,7 +116,7 @@ class TestFeatureVector:
 def q_block(bank, chain, s, w):
     """q_values over s's feasible set, from a fresh state_actions table."""
     ent = state_actions(bank, chain, s)
-    return q_values(bank, s.x, ent.rewards, kernel_matrix(bank, ent.posts), w)
+    return q_values(bank, s.x, ent.rewards, kernel_matrix(bank, ent.actions + s.b), w)
 
 
 class TestQHat:
@@ -161,7 +161,7 @@ class TestQHat:
             s = State(x=int(rng.integers(4)),
                       b=(int(rng.integers(7)), int(rng.integers(10))))
             ent = state_actions(bank, chain, s)
-            kmat = kernel_matrix(bank, ent.posts)
+            kmat = kernel_matrix(bank, ent.actions + s.b)
             q = q_values(bank, s.x, ent.rewards, kmat, w)
             blk = w[block_slice(s.x, bank.n)]
             kv = kernel_product(kmat, blk[1:])

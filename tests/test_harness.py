@@ -139,6 +139,18 @@ class TestComparePolicies:
         assert "ValueError" in table.failures[0]
         assert len(table.rows) == 3  # surviving size still reported
 
+    def test_divergence_recorded_whatever_the_warning_filters(self, toy_bank,
+                                                              toy_chain):
+        # the suite turns warnings into errors; numpy's overflow warning
+        # used to escape the table before the TD-error check could see it
+        table = compare_policies(toy_bank, toy_chain, [(2, 3)], seeds=[0],
+                                 T=100,
+                                 schedule=LearnSchedule(t_train=2000, beta0=100))
+        assert table.rows == []
+        assert len(table.failures) == 1
+        assert table.failures[0].startswith(
+            "sizes (2, 3): FloatingPointError: non-finite TD error at step ")
+
     def test_programming_error_propagates(self, monkeypatch, toy_bank,
                                           toy_chain):
         def broken(*args, **kwargs):

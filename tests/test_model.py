@@ -11,7 +11,7 @@ from battbank.chain import cumulative_transition, generate_trajectory
 from battbank.core import (BackgroundChain, BankConfig, BatteryConfig, State,
                            validate_config)
 from battbank.env import apply_action, bank_model, reward
-from battbank.features import feature_dim
+from battbank.features import feature_dim, kernel_matrix
 from battbank.learner import LearnSchedule
 from battbank.policies import (greedy_action, make_policy, naive_action,
                                rl_action)
@@ -48,11 +48,11 @@ class TestBankModel:
             s = model.state(sid)
             ent = env.state_actions(bank, toy_chain, s)
             row = model.row(sid)
-            assert row.actions == ent.actions
+            np.testing.assert_array_equal(row.actions, ent.actions)
             np.testing.assert_array_equal(row.rewards, ent.rewards)
             assert row.next_bid == ent.next_bid == [
                 model.occupancy_id(apply_action(bank, s.b, a))
-                for a in ent.actions]
+                for a in ent.actions.tolist()]
 
     def test_shared_per_batteries_and_chain(self, toy_chain):
         bank = make_bank()
@@ -119,13 +119,13 @@ def test_small_blocks_give_identical_tables(monkeypatch):
         compiled = small.compiled
         assert compiled.n_blocks > 1 and compiled.block_states % compiled.num_b
         assert small.sa_rewards.tobytes() == ref.sa_rewards.tobytes()
-        for name in ("offsets", "sa_actions", "sa_x", "sa_bnext"):
+        for name in ("offsets", "sa_actions", "sa_next"):
             np.testing.assert_array_equal(getattr(small, name), getattr(ref, name))
         for sid in range(compiled.n_states):
             row, ref_row = compiled.row(sid), ref.compiled.row(sid)
-            assert row.actions == ref_row.actions
+            np.testing.assert_array_equal(row.actions, ref_row.actions)
             assert row.next_bid == ref_row.next_bid
-            np.testing.assert_array_equal(row.posts, ref_row.posts)
+            np.testing.assert_array_equal(row.kmat, ref_row.kmat)
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +181,25 @@ def test_block_rows_match_scalar_spec(inst):
     model = env.BankModel(bank.batteries, chain)
     for sid, s in enumerate(_states(bank, chain)):
         row = model.row(sid)
-        assert row.actions == env.feasible_actions(bank, chain, s)
-        assert row.rewards.tolist() == [reward(bank, s, a) for a in row.actions]
+        acts = env.feasible_actions(bank, chain, s)
+        assert row.actions.tolist() == [list(a) for a in acts]
+        assert row.rewards.tolist() == [reward(bank, s, a) for a in acts]
         assert row.next_bid == [model.occupancy_id(apply_action(bank, s.b, a))
-                                for a in row.actions]
-        np.testing.assert_array_equal(row.posts, np.add(row.actions, s.b))
+                                for a in acts]
+        np.testing.assert_array_equal(
+            row.kmat, kernel_matrix(bank, np.add(acts, s.b)))
+
+
+@PROPERTY
+@given(instances())
+def test_rows_are_views_of_their_block(inst):
+    bank, chain, _ = inst
+    model = env.BankModel(bank.batteries, chain)
+    for sid in range(model.n_states):
+        row = model.row(sid)
+        blk = model.block(sid // model.block_states)
+        assert np.shares_memory(row.actions, blk.actions)
+        assert np.shares_memory(row.rewards, blk.rewards)
 
 
 @PROPERTY
@@ -197,7 +211,7 @@ def test_model_policies_match_scalar_actions_everywhere(inst):
             ("greedy", "naive", "rl")}
     model = bank_model(bank, chain)
     for sid, s in enumerate(_states(bank, chain)):
-        actions = model.row(sid).actions
+        actions = list(map(tuple, model.row(sid).actions.tolist()))
         assert actions[fast["greedy"](sid)] == greedy_action(bank, chain, s)
         assert actions[fast["naive"](sid)] == naive_action(bank, chain, s)
         assert actions[fast["rl"](sid)] == rl_action(bank, chain, s, w)
@@ -218,10 +232,8 @@ def test_exact_model_flattens_state_actions(inst):
     np.testing.assert_array_equal(
         model.sa_rewards, np.concatenate([r.rewards for r in rows]))
     np.testing.assert_array_equal(
-        model.sa_x, [s.x for s, r in zip(states, rows) for _ in r.actions])
-    np.testing.assert_array_equal(
-        model.sa_bnext, [occ_id[apply_action(bank, s.b, a)]
-                         for s, r in zip(states, rows) for a in r.actions])
+        model.sa_next, [s.x * len(occ_id) + occ_id[apply_action(bank, s.b, a)]
+                        for s, r in zip(states, rows) for a in r.actions.tolist()])
 
 
 @PROPERTY

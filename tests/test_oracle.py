@@ -276,7 +276,8 @@ def test_policy_iteration_matches_value_iteration(inst):
     pi = solve_policy_iteration(bank, chain, tol=1e-12)
     vi = solve_q_iteration(bank, chain, tol=1e-12)
     assert np.abs(pi.values() - vi.values()).max() <= 1e-8
-    V_pi = evaluate_policy_exact(bank, chain, pi.policy(), tol=1e-12,
+    picks = pi.model.first_argmax(pi.q) - pi.model.offsets[:-1]
+    V_pi = evaluate_policy_exact(bank, chain, picks.__getitem__, tol=1e-12,
                                  model=pi.model)
     assert np.abs(V_pi - vi.values()).max() <= 1e-8
 

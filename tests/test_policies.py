@@ -168,7 +168,7 @@ class TestMakePolicy:
                 for b2 in range(4):
                     s = State(x=x, b=(b1, b2))
                     sid = x * model.num_b + model.occupancy_id(s.b)
-                    actions = model.row(sid).actions
+                    actions = list(map(tuple, model.row(sid).actions.tolist()))
                     for cached, fresh in pols.values():
                         assert actions[cached(sid)] == fresh(s)
                         # the row is filled now
