@@ -8,8 +8,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 
 @dataclass(frozen=True)
@@ -161,9 +159,21 @@ def validate_config(bank: BankConfig, chain: BackgroundChain) -> ValidationRepor
 
 
 def _is_irreducible(P: np.ndarray) -> bool:
-    adj = csr_matrix(P > 0)
-    n_comp, _ = connected_components(adj, directed=True, connection="strong")
-    return n_comp == 1
+    """State 0 reaches every state along positive entries of P, and every
+    state reaches state 0 (the same search on the transpose)."""
+    adj = P > 0
+    return len(adj) > 0 and _reaches_all(adj) and _reaches_all(adj.T)
+
+
+def _reaches_all(adj: np.ndarray) -> bool:
+    """Grow the set reachable from state 0 to a fixed point."""
+    seen = np.arange(len(adj)) == 0
+    while not seen.all():
+        grown = seen | adj[seen].any(axis=0)
+        if (grown == seen).all():
+            return False
+        seen = grown
+    return True
 
 
 def clip(y: int, m: int, M: int) -> int:

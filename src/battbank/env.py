@@ -7,6 +7,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,25 +97,22 @@ class StateActions:
     kmat: np.ndarray | None = None
 
 
-@dataclass(slots=True, eq=False)
-class StateBlock:
-    """The rows of the state ids start, start + 1, ..., flattened: state
-    start + i owns the pairs offsets[i]:offsets[i + 1], in feasible_actions
-    order."""
+class Table(NamedTuple):
+    """Every state's row, flattened: state sid owns the pairs
+    offsets[sid]:offsets[sid + 1], in feasible_actions order."""
 
-    start: int
-    offsets: np.ndarray   # (n_block_states + 1,) int
+    offsets: np.ndarray   # (n_states + 1,) int
     actions: np.ndarray   # (n_pairs, N) int
     rewards: np.ndarray   # (n_pairs,)
     next_bid: np.ndarray  # (n_pairs,) int
 
 
-# Most candidate actions one block tabulates at once, which bounds its
-# scratch arrays however large the bank; a block holds at least one state.
+# Most candidate actions one tabulate call checks at once, which bounds its
+# scratch arrays however large the bank; a call covers at least one state.
 BLOCK_CANDIDATES = 1 << 16
 
 
-@functools.lru_cache(maxsize=16)   # _post_tables asks once per table
+@functools.lru_cache(maxsize=16)   # _post_tables asks once per tabulate call
 def occupancy_strides(capacities: tuple[int, ...]) -> tuple[int, ...]:
     """Place values of the mixed-radix occupancy id, first battery slowest:
     the id of b is sum(b_i * stride_i)."""
@@ -151,21 +149,20 @@ def _post_tables(bank: BankConfig, posts: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def state_actions(bank: BankConfig, chain: BackgroundChain, s: State) -> StateActions:
     """One state's row from the scalar spec, feasible_actions: the reference
-    that BankModel's block builder is tested against."""
+    that BankModel's table is tested against."""
     actions = np.array(feasible_actions(bank, chain, s), dtype=np.int64)
     rewards, next_bid = _post_tables(bank, actions + s.b)
     return StateActions(actions, rewards, next_bid.tolist())
 
 
 class BankModel:
-    """The MDP of one bank and chain, tabulated once per block of states on
-    demand.
+    """The MDP of one bank and chain, tabulated once, on first use.
 
     This is the one definition of the state space: state id
-    `x * num_b + occupancy_id(b)`, for ids in `range(n_states)`. The ids are
-    cut into blocks of `block_states` consecutive ids; `tabulate` builds a
-    whole block with numpy the first time one of its rows is requested, and
-    every caller then shares the block and the rows cut from it.
+    `x * num_b + occupancy_id(b)`, for ids in `range(n_states)`. `table`
+    holds every state's feasible actions, rewards and successor occupancy
+    ids as one set of flat arrays, which every caller shares: rows and the
+    exact solver's arrays are views of it.
     """
 
     def __init__(self, batteries, chain: BackgroundChain):
@@ -184,9 +181,6 @@ class BankModel:
         self._grid = np.array(list(itertools.product(*spans)), dtype=np.int64)
         self._grid_sum = self._grid.sum(axis=1)
         self._net_gen = np.array(chain.net_gen, dtype=np.int64)
-        self.block_states = max(1, BLOCK_CANDIDATES // len(self._grid))
-        self.n_blocks = -(-self.n_states // self.block_states)
-        self._blocks: dict[int, StateBlock] = {}
         self._rows: dict[int, StateActions] = {}
 
     def occupancy_id(self, b: tuple[int, ...]) -> int:
@@ -201,10 +195,11 @@ class BankModel:
         x, b = self.decode(np.array([sid]))
         return State(x=int(x[0]), b=tuple(b[0].tolist()))
 
-    def tabulate(self, start: int, stop: int) -> StateBlock:
+    def tabulate(self, start: int, stop: int) -> tuple[np.ndarray, ...]:
         """The rows of state ids start..stop-1, each equal to its state's
-        state_actions: every grid candidate is checked against the state's
-        ramp and capacity bounds at once."""
+        state_actions, as (per-state pair counts, actions, rewards,
+        next_bid): every grid candidate is checked against the state's ramp
+        and capacity bounds at once."""
         x, b = self.decode(np.arange(start, stop))
         lo = -np.minimum(self._ramps, b)
         hi = np.minimum(self._ramps, self._caps - b)
@@ -219,29 +214,33 @@ class BankModel:
         actions[:, :-1] = self._grid[ki]
         actions[:, -1] = last[si, ki]
         rewards, next_bid = _post_tables(self.bank, actions + b[si])
-        offsets = np.concatenate(([0], np.cumsum(ok.sum(axis=1))))
-        return StateBlock(start, offsets, actions, rewards, next_bid)
+        return ok.sum(axis=1), actions, rewards, next_bid
 
-    def block(self, k: int) -> StateBlock:
-        """Block k: state ids from k * block_states, tabulated on first use."""
-        blk = self._blocks.get(k)
-        if blk is None:
-            start = k * self.block_states
-            blk = self._blocks[k] = self.tabulate(
-                start, min(start + self.block_states, self.n_states))
-        return blk
+    @functools.cached_property
+    def table(self) -> Table:
+        """The whole state space, tabulated in runs of consecutive ids that
+        each check at most BLOCK_CANDIDATES candidates. Read-only, as every
+        row and the exact solver share it."""
+        step = max(1, BLOCK_CANDIDATES // len(self._grid))
+        counts, *pairs = map(np.concatenate, zip(*(
+            self.tabulate(start, min(start + step, self.n_states))
+            for start in range(0, self.n_states, step))))
+        table = Table(np.concatenate(([0], np.cumsum(counts))), *pairs)
+        for arr in table:
+            arr.flags.writeable = False
+        return table
 
     def row(self, sid: int) -> StateActions:
-        """State sid's row: views of its block's actions and rewards, and
+        """State sid's row: views of the table's actions and rewards, and
         the kernel features of its post-action occupancies."""
         r = self._rows.get(sid)
         if r is None:
             from .features import kernel_matrix  # features imports this module
-            blk = self.block(sid // self.block_states)
-            lo, hi = blk.offsets[sid - blk.start:sid - blk.start + 2].tolist()
-            actions = blk.actions[lo:hi]
+            t = self.table
+            lo, hi = t.offsets[sid:sid + 2].tolist()
+            actions = t.actions[lo:hi]
             r = self._rows[sid] = StateActions(
-                actions, blk.rewards[lo:hi], blk.next_bid[lo:hi].tolist(),
+                actions, t.rewards[lo:hi], t.next_bid[lo:hi].tolist(),
                 kernel_matrix(self.bank, actions + self.decode(np.array([sid]))[1]))
         return r
 

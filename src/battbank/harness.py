@@ -51,6 +51,9 @@ def coupled_rollout(bank: BankConfig, chain: BackgroundChain,
             hit = seen.get(sid)
             if hit is None:
                 e, i = model.row(sid), policy(sid)
+                if not 0 <= i < len(e.next_bid):
+                    raise ValueError(f"policy {name}: index {i} outside state "
+                                     f"{sid}'s row of {len(e.next_bid)} actions")
                 hit = seen[sid] = (float(e.rewards[i]), e.next_bid[i])
             r, bid = hit
             total += r

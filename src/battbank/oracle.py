@@ -57,9 +57,10 @@ def _fixed_point(sweep, v: np.ndarray, tol: float, max_sweeps: int):
 
 
 class ExactModel:
-    """Flattened (state, action) arrays over every block of the bank's
-    compiled model (env.bank_model), for vectorized Bellman sweeps. State i
-    owns the pairs offsets[i]:offsets[i + 1], in the order of
+    """The bank's compiled table (env.bank_model) read as flat (state,
+    action) arrays for vectorized Bellman sweeps: `offsets`, `sa_actions`
+    and `sa_rewards` are the table's own arrays, not copies. State i owns
+    the pairs offsets[i]:offsets[i + 1], in the order of
     `compiled.row(i)`'s actions."""
 
     def __init__(self, bank: BankConfig, chain: BackgroundChain):
@@ -71,15 +72,10 @@ class ExactModel:
         self.chain = chain
         self.compiled = bank_model(bank, chain)
         self.num_b = self.compiled.num_b
-
-        blocks = [self.compiled.block(k) for k in range(self.compiled.n_blocks)]
-        counts = np.concatenate([np.diff(blk.offsets) for blk in blocks])
-        self.offsets = np.concatenate(([0], np.cumsum(counts)))
-        self.sa_actions = np.concatenate([blk.actions for blk in blocks])
-        self.sa_rewards = np.concatenate([blk.rewards for blk in blocks])
+        self.offsets, self.sa_actions, self.sa_rewards, next_bid = self.compiled.table
         # x * num_b + b' per pair: where PV.take finds its expected next value
-        self.sa_next = (np.repeat(np.arange(n) // self.num_b * self.num_b, counts)
-                        + np.concatenate([blk.next_bid for blk in blocks]))
+        self.sa_next = (np.repeat(np.arange(n) // self.num_b * self.num_b,
+                                  np.diff(self.offsets)) + next_bid)
 
     @property
     def n_states(self) -> int:
@@ -201,9 +197,14 @@ def evaluate_policy_exact(bank: BankConfig, chain: BackgroundChain, policy,
     if model is None:
         model = ExactModel(bank, chain)
     n = model.n_states
-    sa = model.offsets[:-1] + np.fromiter(map(policy, range(n)),
-                                          dtype=np.int64, count=n)
-    return _evaluate(model, sa, np.zeros(n), tol)
+    picks = np.fromiter(map(policy, range(n)), dtype=np.int64, count=n)
+    counts = np.diff(model.offsets)
+    bad = np.flatnonzero((picks < 0) | (picks >= counts))
+    if len(bad):
+        sid = bad[0]
+        raise ValueError(f"policy: index {picks[sid]} outside state {sid}'s "
+                         f"row of {counts[sid]} actions")
+    return _evaluate(model, model.offsets[:-1] + picks, np.zeros(n), tol)
 
 
 def write_solution_csv(sol: ExactSolution, path) -> None:

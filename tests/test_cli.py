@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,6 +28,17 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def test_import_leaves_scipy_out():
+    # the runtime needs numpy alone: no command imports scipy
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, battbank.cli; print('scipy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestValidate:

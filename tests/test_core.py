@@ -3,12 +3,38 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
-from battbank.core import (BankConfig, BatteryConfig, BackgroundChain, clip,
-                           config_fingerprint, config_from_dict,
-                           config_to_dict, load_config, validate_config)
+from battbank.core import (BankConfig, BatteryConfig, BackgroundChain,
+                           _is_irreducible, clip, config_fingerprint,
+                           config_from_dict, config_to_dict, load_config,
+                           validate_config)
 
 from conftest import make_bank, make_chain
+from test_model import instances
+
+
+@st.composite
+def digraphs(draw):
+    """Random adjacency of 1-11 states, self-loops included."""
+    n = draw(st.integers(1, 11))
+    return np.array(draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                                  min_size=n, max_size=n)))
+
+
+@st.composite
+def one_way_chains(draw):
+    """The path 0 -> 1 -> ... -> n-1 with random forward shortcuts and
+    self-loops: state 0 reaches every state, but no other state reaches
+    state 0; transposed, the other way round."""
+    n = draw(st.integers(2, 11))
+    extra = np.array(draw(st.lists(st.booleans(), min_size=n * n,
+                                   max_size=n * n))).reshape(n, n)
+    adj = np.triu(extra) | np.eye(n, k=1, dtype=bool)
+    return adj.T if draw(st.booleans()) else adj
 
 
 class TestClip:
@@ -79,6 +105,15 @@ class TestValidateConfig:
         chain = BackgroundChain(labels=(0, 1), transition=P, net_gen=(1, -1))
         report = validate_config(toy_bank, chain)
         assert any("irreducible" in v for v in report.violations)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(digraphs(), one_way_chains(),
+                     instances().map(lambda inst: inst[1].transition),
+                     st.just(np.zeros((0, 0)))))
+    def test_irreducible_iff_one_strong_component(self, P):
+        n_comp, _ = connected_components(csr_matrix(P > 0), directed=True,
+                                         connection="strong")
+        assert _is_irreducible(P) == (n_comp == 1)
 
     def test_gamma_out_of_range(self, toy_chain):
         for g in (0.0, 1.0, 1.3, -0.1):

@@ -6,7 +6,7 @@ import pytest
 from battbank import harness
 from battbank.chain import generate_trajectory
 from battbank.core import State
-from battbank.env import apply_action, reward
+from battbank.env import apply_action, bank_model, reward
 from battbank.harness import (TRAIN_SEED_OFFSET, compare_policies,
                               coupled_rollout, resize_bank)
 from battbank.learner import LearnSchedule, train
@@ -52,6 +52,22 @@ class TestCoupledRollout:
             b = apply_action(toy_bank, b, a)
         assert rep["naive"].total_reward == total
         assert rep["naive"].penalty_events == events
+
+    @pytest.mark.parametrize("pick", [lambda n: n, lambda n: -1],
+                             ids=["past-end", "negative"])
+    def test_index_outside_row_rejected(self, toy_bank, toy_chain, pick):
+        model = bank_model(toy_bank, toy_chain)
+
+        def policy(sid):
+            return pick(len(model.row(sid).next_bid))
+
+        traj = generate_trajectory(toy_chain, 0, 10, seed=0)
+        b0 = toy_bank.start_occupancy()
+        sid = model.occupancy_id(b0)
+        n = len(model.row(sid).next_bid)
+        with pytest.raises(ValueError,
+                           match=rf"state {sid}'s row of {n} actions"):
+            coupled_rollout(toy_bank, toy_chain, [("bad", policy)], traj, b0)
 
     def test_deterministic_repeat(self, toy_bank, toy_chain):
         traj = generate_trajectory(toy_chain, 0, 1000, seed=4)

@@ -65,8 +65,8 @@ class TestBankModel:
 
 
 def _count_tabulations(monkeypatch) -> Counter:
-    """Count, per distinct (batteries, state id), how many blocks the
-    compiled model's builder, BankModel.tabulate, has covered the state in."""
+    """Count, per distinct (batteries, state id), how many calls of the
+    compiled model's builder, BankModel.tabulate, have covered the state."""
     counts = Counter()
     real = env.BankModel.tabulate
 
@@ -107,17 +107,27 @@ class TestTabulatedOnce:
 
 
 def test_small_blocks_give_identical_tables(monkeypatch):
-    # a block cap far below the default cuts the ids into blocks whose
+    # a candidate cap far below the default cuts the ids into runs whose
     # boundaries fall inside one background state's occupancies
     bank = make_bank(capacities=(3, 4, 2), ramps=(2, 1, 3),
                      weights=(0.1, 1.0, 0.5), dissipation=(0.9, 1.0, 0.75))
+    calls = []
+    real = env.BankModel.tabulate
+
+    def recording(model, start, stop):
+        calls.append(start)
+        return real(model, start, stop)
+
+    monkeypatch.setattr(env.BankModel, "tabulate", recording)
     ref = oracle.ExactModel(bank, make_chain())
-    assert ref.compiled.n_blocks == 1
+    assert calls == [0]
     for cap in (1, 100):
+        calls.clear()
         monkeypatch.setattr(env, "BLOCK_CANDIDATES", cap)
         small = oracle.ExactModel(bank, make_chain())   # a new chain, a new model
         compiled = small.compiled
-        assert compiled.n_blocks > 1 and compiled.block_states % compiled.num_b
+        assert len(calls) > 1
+        assert any(start % compiled.num_b for start in calls)
         assert small.sa_rewards.tobytes() == ref.sa_rewards.tobytes()
         for name in ("offsets", "sa_actions", "sa_next"):
             np.testing.assert_array_equal(getattr(small, name), getattr(ref, name))
@@ -126,6 +136,16 @@ def test_small_blocks_give_identical_tables(monkeypatch):
             np.testing.assert_array_equal(row.actions, ref_row.actions)
             assert row.next_bid == ref_row.next_bid
             np.testing.assert_array_equal(row.kmat, ref_row.kmat)
+
+
+def test_exact_model_reads_the_table_without_copying(toy_bank, toy_chain):
+    model = oracle.ExactModel(toy_bank, toy_chain)
+    table = model.compiled.table
+    assert np.shares_memory(model.offsets, table.offsets)
+    assert np.shares_memory(model.sa_actions, table.actions)
+    assert np.shares_memory(model.sa_rewards, table.rewards)
+    # shared, so no caller may write through them
+    assert not any(arr.flags.writeable for arr in table)
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +217,8 @@ def test_rows_are_views_of_their_block(inst):
     model = env.BankModel(bank.batteries, chain)
     for sid in range(model.n_states):
         row = model.row(sid)
-        blk = model.block(sid // model.block_states)
-        assert np.shares_memory(row.actions, blk.actions)
-        assert np.shares_memory(row.rewards, blk.rewards)
+        assert np.shares_memory(row.actions, model.table.actions)
+        assert np.shares_memory(row.rewards, model.table.rewards)
 
 
 @PROPERTY

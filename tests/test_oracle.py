@@ -202,6 +202,18 @@ class TestEvaluatePolicyExact:
             a = greedy_action(bank, toy_chain, s)
             assert V[i] == pytest.approx(reward(bank, s, a), abs=1e-6)
 
+    @pytest.mark.parametrize("pick", [lambda n: n, lambda n: -1],
+                             ids=["past-end", "negative"])
+    def test_index_outside_row_rejected(self, toy_bank, toy_chain, pick):
+        model = bank_model(toy_bank, toy_chain)
+
+        def policy(sid):
+            return pick(len(model.row(sid).next_bid))
+
+        n = len(model.row(0).next_bid)
+        with pytest.raises(ValueError, match=rf"state 0's row of {n} actions"):
+            evaluate_policy_exact(toy_bank, toy_chain, policy)
+
     def test_policy_value_below_optimal(self, toy_bank, toy_chain):
         sol = solve_q_iteration(toy_bank, toy_chain, tol=1e-12)
         V_naive = evaluate_policy_exact(
