@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from . import core, features, harness, learner, oracle
+from . import core, features, harness, learner, oracle, policies
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -128,7 +128,8 @@ def cmd_solve_exact(args) -> int:
     lossless = all(bat.dissipation == 1.0 for bat in bank.batteries)
     unconstrained = all(bat.ramp >= bat.capacity for bat in bank.batteries)
     v_greedy = oracle.evaluate_policy_exact(
-        bank, chain, sol.model.greedy_policy(), tol=args.tol, model=sol.model)
+        bank, chain, policies.make_policy("greedy", bank, chain),
+        tol=args.tol, model=sol.model)
     gap = float(np.abs(v_greedy - sol.values()).max())
     if lossless and unconstrained:
         verdict = "PASS" if gap <= 1e-8 else "FAIL"

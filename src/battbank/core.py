@@ -242,7 +242,7 @@ def _numbers(v, path: str, kind: type) -> tuple:
 def _fields(doc, path: str, allowed, required) -> dict:
     """doc, checked to be an object with no unknown and no missing keys."""
     if not isinstance(doc, dict):
-        raise ValueError(f"{path or 'config'}: expected an object, got {doc!r}")
+        raise ValueError(f"{path or 'top level'}: expected an object, got {doc!r}")
     at = path + "." if path else ""
     for problem, keys in (("unknown key", doc.keys() - set(allowed)),
                           ("required key missing", set(required) - doc.keys())):

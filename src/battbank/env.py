@@ -132,6 +132,14 @@ def check_b0(bank: BankConfig, b0: tuple[int, ...]) -> None:
                          f"capacities {bank.capacities}, got {tuple(b0)}")
 
 
+def first_argmax(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Flat index of each state's first largest value, where state i owns
+    values[offsets[i]:offsets[i + 1]]."""
+    best = np.flatnonzero(values == np.repeat(
+        np.maximum.reduceat(values, offsets[:-1]), np.diff(offsets)))
+    return best[np.searchsorted(best, offsets[:-1])]
+
+
 def _post_tables(bank: BankConfig, posts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rewards and successor occupancy ids of post-action occupancies
     `posts` (n, N): env.reward and env.apply_action, one row per action.
@@ -229,6 +237,19 @@ class BankModel:
         for arr in table:
             arr.flags.writeable = False
         return table
+
+    def pairs(self, policy: np.ndarray, name: str = "policy") -> np.ndarray:
+        """Flat table index of each state's chosen pair under a policy
+        array, whose entry sid indexes state sid's row."""
+        counts = np.diff(self.table.offsets)
+        if np.shape(policy) != counts.shape:
+            raise ValueError(f"{name}: expected shape {counts.shape}, one index "
+                             f"per state, got {np.shape(policy)}")
+        bad = np.flatnonzero((policy < 0) | (policy >= counts))
+        if len(bad):
+            raise ValueError(f"{name}: index {policy[bad[0]]} outside state "
+                             f"{bad[0]}'s row of {counts[bad[0]]} actions")
+        return self.table.offsets[:-1] + policy
 
     def row(self, sid: int) -> StateActions:
         """State sid's row: views of the table's actions and rewards, and

@@ -12,8 +12,8 @@ import json
 
 import numpy as np
 
-from .core import (Action, BankConfig, BackgroundChain, State,
-                   config_fingerprint)
+from .core import (Action, BankConfig, BackgroundChain, State, _fields,
+                   _number, _numbers, config_fingerprint)
 from .env import reward
 
 WEIGHTS_FORMAT_VERSION = 1
@@ -98,17 +98,24 @@ def save_weights(path, w: np.ndarray, bank: BankConfig, chain: BackgroundChain) 
 
 
 def load_weights(path, bank: BankConfig, chain: BackgroundChain) -> np.ndarray:
+    """The weights save_weights wrote for this config; a malformed file is
+    rejected with a ValueError naming the field."""
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("version") != WEIGHTS_FORMAT_VERSION:
-        raise ValueError(f"unsupported weights file version: {doc.get('version')}")
+    _fields(doc, "", ("version", "fingerprint", "d", "N", "num_bg_states", "weights"),
+            ("version", "fingerprint", "d", "weights"))
+    if _number(doc["version"], "version", int) != WEIGHTS_FORMAT_VERSION:
+        raise ValueError(f"unsupported weights file version: {doc['version']}")
     expect = config_fingerprint(bank, chain)
     if doc["fingerprint"] != expect:
         raise ValueError(
             f"weights fingerprint {doc['fingerprint']} does not match "
             f"config fingerprint {expect}")
-    w = np.array(doc["weights"], dtype=float)
+    w = np.array(_numbers(doc["weights"], "weights", float))
+    bad = np.flatnonzero(~np.isfinite(w))
+    if len(bad):
+        raise ValueError(f"weights[{bad[0]}]: expected a finite number, got {w[bad[0]]}")
     d = feature_dim(bank.n, chain.n_states)
-    if len(w) != d or doc["d"] != d:
+    if len(w) != d or _number(doc["d"], "d", int) != d:
         raise ValueError(f"weights dimension {len(w)} != expected {d}")
     return w

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from .chain import Trajectory, check_length, check_seed, generate_trajectory
 from .core import BankConfig, BackgroundChain, validate_config
-from .env import bank_model
+from .env import bank_model, check_b0
 from .learner import LearnSchedule, train
 from .policies import make_policy
 
@@ -32,30 +32,26 @@ def coupled_rollout(bank: BankConfig, chain: BackgroundChain,
     """Evaluate each deterministic policy on the identical x-path, starting
     from the same occupancy vector; returns each policy's stats by name.
 
-    A policy is called once per distinct state it visits, and the reward
-    and next occupancy id of its choice are read from the state's compiled
-    row; every later visit reuses them, so the totals equal the step-by-step
-    loop over env.reward and env.apply_action bit for bit.
+    Each policy is an array as policies.make_policy returns. The reward and
+    next occupancy id of every state's choice are gathered from the compiled
+    table once, so a step reads two lists, and the totals equal the
+    step-by-step loop over env.reward and env.apply_action bit for bit.
     """
+    check_b0(bank, b0)
     model = bank_model(bank, chain)
     num_b = model.num_b
     T = len(traj.x_path) - 1
     stats = {}
     for name, policy in policies:
-        seen: dict[int, tuple[float, int]] = {}   # state id -> (reward, next occupancy id)
+        pairs = model.pairs(policy, f"policy {name}")
+        rewards = model.table.rewards[pairs].tolist()
+        next_bid = model.table.next_bid[pairs].tolist()
         total = 0.0
         events = 0
         bid = model.occupancy_id(b0)
         for x in itertools.islice(traj.x_path, T):
             sid = x * num_b + bid
-            hit = seen.get(sid)
-            if hit is None:
-                e, i = model.row(sid), policy(sid)
-                if not 0 <= i < len(e.next_bid):
-                    raise ValueError(f"policy {name}: index {i} outside state "
-                                     f"{sid}'s row of {len(e.next_bid)} actions")
-                hit = seen[sid] = (float(e.rewards[i]), e.next_bid[i])
-            r, bid = hit
+            r, bid = rewards[sid], next_bid[sid]
             total += r
             if r < 0:
                 events += 1

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BankConfig, BackgroundChain
-from .env import bank_model, state_count
+from .env import bank_model, first_argmax, state_count
 
 STATE_CAP = 10**6
 DEFAULT_TOL = 1e-9
@@ -88,18 +88,6 @@ class ExactModel:
     def state_values(self, q: np.ndarray) -> np.ndarray:
         return np.maximum.reduceat(q, self.offsets[:-1])
 
-    def first_argmax(self, q: np.ndarray) -> np.ndarray:
-        """Flat index of each state's first best (state, action) pair under q."""
-        counts = np.diff(self.offsets)
-        best = np.flatnonzero(q == np.repeat(self.state_values(q), counts))
-        return best[np.searchsorted(best, self.offsets[:-1])]
-
-    def greedy_policy(self):
-        """State id -> index, in that state's compiled row, of its first
-        reward argmax: the greedy rule of policies.make_policy, read off the
-        flat arrays."""
-        return (self.first_argmax(self.sa_rewards) - self.offsets[:-1]).__getitem__
-
     def lookahead(self, V: np.ndarray) -> np.ndarray:
         """r(s, a) + gamma * E[V(x', b')] for every (state, action) pair."""
         PV = self.chain.transition @ V.reshape(self.chain.n_states, self.num_b)
@@ -166,12 +154,12 @@ def solve_policy_iteration(bank: BankConfig, chain: BackgroundChain,
     check_tol(tol)
     model = ExactModel(bank, chain)
     g = bank.gamma
-    sa = model.first_argmax(model.sa_rewards)    # the improvement of V = 0
+    sa = first_argmax(model.sa_rewards, model.offsets)   # the improvement of V = 0
     V = np.zeros(model.n_states)
     for step in range(1, MAX_PI_STEPS + 1):
         V = _evaluate(model, sa, V, tol)
         q = model.lookahead(V)
-        best = model.first_argmax(q)
+        best = first_argmax(q, model.offsets)
         gain = q[best] - q[sa]
         # V is within g * tol / (1 - g) of the policy's value, so q within g
         # times that; rounding is bounded relative to the largest |q|
@@ -190,27 +178,19 @@ def evaluate_policy_exact(bank: BankConfig, chain: BackgroundChain, policy,
                           tol: float = DEFAULT_TOL,
                           model: ExactModel | None = None) -> np.ndarray:
     """Fixed point of the policy's evaluation operator, as a value vector
-    indexed by state id. `policy` maps a state id to the index of its action
-    in that state's compiled row (see policies.make_policy). Pass the
-    `model` of an earlier solve of this bank and chain to reuse it."""
+    indexed by state id. `policy` is an array as policies.make_policy
+    returns: entry sid indexes state sid's compiled row. Pass the `model`
+    of an earlier solve of this bank and chain to reuse it."""
     check_tol(tol)
     if model is None:
         model = ExactModel(bank, chain)
-    n = model.n_states
-    picks = np.fromiter(map(policy, range(n)), dtype=np.int64, count=n)
-    counts = np.diff(model.offsets)
-    bad = np.flatnonzero((picks < 0) | (picks >= counts))
-    if len(bad):
-        sid = bad[0]
-        raise ValueError(f"policy: index {picks[sid]} outside state {sid}'s "
-                         f"row of {counts[sid]} actions")
-    return _evaluate(model, model.offsets[:-1] + picks, np.zeros(n), tol)
+    return _evaluate(model, model.compiled.pairs(policy), np.zeros(model.n_states), tol)
 
 
 def write_solution_csv(sol: ExactSolution, path) -> None:
     model = sol.model
     x, b = model.compiled.decode(np.arange(model.n_states))
-    best = model.sa_actions[model.first_argmax(sol.q)]
+    best = model.sa_actions[first_argmax(sol.q, model.offsets)]
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["state_index", "x", "b", "best_action", "optimal_value"])

@@ -3,9 +3,9 @@
 # Tie-breaking everywhere: the lexicographically smallest action. Feasible
 # sets are enumerated in lexicographic order, so "first maximizer" does it.
 #
-# Each rule maps a state's row (env.StateActions) to the index of its choice.
-# The *_action functions apply it to a freshly tabulated row and are the
-# reference that the model-backed policies of make_policy are tested against.
+# A policy is an array: entry sid indexes state sid's compiled row. Each rule
+# is written once; the *_action functions apply it to a freshly tabulated row
+# and are the reference that make_policy is tested against.
 
 from __future__ import annotations
 
@@ -14,15 +14,10 @@ import math
 import numpy as np
 
 from .core import Action, BankConfig, BackgroundChain, State
-from .env import StateActions, bank_model, state_actions
+from .env import StateActions, bank_model, first_argmax, state_actions
 from .features import kernel_matrix, q_values
 
 POLICY_NAMES = ("greedy", "naive", "rl")
-
-
-def _greedy(row: StateActions) -> int:
-    """Maximize the instantaneous reward over the feasible set."""
-    return int(np.argmax(row.rewards))
 
 
 def _round_half_toward_zero(t: float) -> int:
@@ -54,8 +49,9 @@ def _rl(bank: BankConfig, x: int, row: StateActions, w: np.ndarray) -> int:
 
 
 def greedy_action(bank: BankConfig, chain: BackgroundChain, s: State) -> Action:
+    """Maximize the instantaneous reward over the feasible set."""
     row = state_actions(bank, chain, s)
-    return tuple(row.actions[_greedy(row)].tolist())
+    return tuple(row.actions[np.argmax(row.rewards)].tolist())
 
 
 def naive_action(bank: BankConfig, chain: BackgroundChain, s: State) -> Action:
@@ -71,13 +67,16 @@ def rl_action(bank: BankConfig, chain: BackgroundChain, s: State,
 
 
 def make_policy(name: str, bank: BankConfig, chain: BackgroundChain,
-                weights: np.ndarray | None = None):
-    """Deterministic stationary policy as a callable from a state id to the
-    index of its action in `bank_model(bank, chain).row(sid)`.
+                weights: np.ndarray | None = None) -> np.ndarray:
+    """Deterministic stationary policy as a read-only (n_states,) index
+    array: entry sid is the index of state sid's action in
+    `bank_model(bank, chain).row(sid)`.
 
     It reads the bank's shared compiled model (env.bank_model), so a state's
     feasible set is tabulated once for every policy, learner and oracle
     that visits it; each choice equals the matching *_action function's.
+    Naive and rl take one row at a time: a matrix-vector product over many
+    rows can round the rl Q values differently from the per-row one.
     """
     if name not in POLICY_NAMES:
         raise ValueError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
@@ -85,9 +84,13 @@ def make_policy(name: str, bank: BankConfig, chain: BackgroundChain,
         raise ValueError("rl policy needs a weight vector")
 
     model = bank_model(bank, chain)
-    row, num_b = model.row, model.num_b
+    t, row, sids = model.table, model.row, range(model.n_states)
     if name == "greedy":
-        return lambda sid: _greedy(row(sid))
-    if name == "naive":
-        return lambda sid: _naive(bank, row(sid))
-    return lambda sid: _rl(bank, sid // num_b, row(sid), weights)
+        policy = first_argmax(t.rewards, t.offsets) - t.offsets[:-1]
+    elif name == "naive":
+        policy = np.array([_naive(bank, row(sid)) for sid in sids])
+    else:
+        policy = np.array([_rl(bank, sid // model.num_b, row(sid), weights)
+                           for sid in sids])
+    policy.flags.writeable = False
+    return policy

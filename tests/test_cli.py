@@ -312,4 +312,4 @@ def test_weights_round_trip_preserves_policy(tmp_path):
         np.testing.assert_array_equal(
             features.q_values(bank, s.x, row.rewards, row.kmat, w),
             features.q_values(bank, s.x, row.rewards, row.kmat, w2))
-        assert rl(sid) == rl2(sid)
+        assert rl[sid] == rl2[sid]

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -194,3 +196,19 @@ class TestWeightPersistence:
         save_weights(path, np.zeros(feature_dim(2, 4)), bank, toy_chain)
         with pytest.raises(ValueError, match="fingerprint"):
             load_weights(path, other, toy_chain)
+
+    @pytest.mark.parametrize("edit, message", [
+        *((lambda d, k=key: {f: v for f, v in d.items() if f != k},
+           f"{key}: required key missing") for key in ("fingerprint", "d", "weights")),
+        (lambda d: {**d, "weights": [float("nan")] * len(d["weights"])},
+         "weights[0]: expected a finite number, got nan"),
+        (lambda d: [d], "top level: expected an object"),
+    ], ids=["no-fingerprint", "no-d", "no-weights", "nan-weight", "list"])
+    def test_malformed_file_named(self, tmp_path, toy_bank, toy_chain, edit,
+                                  message):
+        path = tmp_path / "w.json"
+        save_weights(path, np.zeros(feature_dim(2, 4)), toy_bank, toy_chain)
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(ValueError) as exc:
+            load_weights(path, toy_bank, toy_chain)
+        assert str(exc.value).startswith(message)

@@ -53,21 +53,27 @@ class TestCoupledRollout:
         assert rep["naive"].total_reward == total
         assert rep["naive"].penalty_events == events
 
-    @pytest.mark.parametrize("pick", [lambda n: n, lambda n: -1],
-                             ids=["past-end", "negative"])
-    def test_index_outside_row_rejected(self, toy_bank, toy_chain, pick):
-        model = bank_model(toy_bank, toy_chain)
-
-        def policy(sid):
-            return pick(len(model.row(sid).next_bid))
-
+    @pytest.mark.parametrize("pick, match", [
+        (lambda counts: counts, r"policy bad: .* state 0's row of {n} actions"),
+        (lambda counts: counts * 0 - 1, r"policy bad: .* state 0's row of {n} actions"),
+        (lambda counts: counts[1:] * 0, r"policy bad: expected shape \(48,\)")],
+        ids=["past-end", "negative", "wrong-length"])
+    def test_index_outside_row_rejected(self, toy_bank, toy_chain, pick, match):
+        # every state's index is checked before the first step, visited or not
+        counts = np.diff(bank_model(toy_bank, toy_chain).table.offsets)
         traj = generate_trajectory(toy_chain, 0, 10, seed=0)
-        b0 = toy_bank.start_occupancy()
-        sid = model.occupancy_id(b0)
-        n = len(model.row(sid).next_bid)
-        with pytest.raises(ValueError,
-                           match=rf"state {sid}'s row of {n} actions"):
-            coupled_rollout(toy_bank, toy_chain, [("bad", policy)], traj, b0)
+        with pytest.raises(ValueError, match=match.format(n=counts[0])):
+            coupled_rollout(toy_bank, toy_chain, [("bad", pick(counts))], traj,
+                            toy_bank.start_occupancy())
+
+    @pytest.mark.parametrize("b0", [(0, 4), (-1, 0), (1,)])
+    def test_start_occupancy_outside_bank_rejected(self, toy_bank, toy_chain, b0):
+        # each of these used to map onto another state's id and roll out
+        traj = generate_trajectory(toy_chain, 0, 10, seed=0)
+        with pytest.raises(ValueError, match=r"b0: must be 2 occupancies"):
+            coupled_rollout(toy_bank, toy_chain,
+                            [("greedy", make_policy("greedy", toy_bank, toy_chain))],
+                            traj, b0)
 
     def test_deterministic_repeat(self, toy_bank, toy_chain):
         traj = generate_trajectory(toy_chain, 0, 1000, seed=4)

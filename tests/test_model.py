@@ -231,9 +231,9 @@ def test_model_policies_match_scalar_actions_everywhere(inst):
     model = bank_model(bank, chain)
     for sid, s in enumerate(_states(bank, chain)):
         actions = list(map(tuple, model.row(sid).actions.tolist()))
-        assert actions[fast["greedy"](sid)] == greedy_action(bank, chain, s)
-        assert actions[fast["naive"](sid)] == naive_action(bank, chain, s)
-        assert actions[fast["rl"](sid)] == rl_action(bank, chain, s, w)
+        assert actions[fast["greedy"][sid]] == greedy_action(bank, chain, s)
+        assert actions[fast["naive"][sid]] == naive_action(bank, chain, s)
+        assert actions[fast["rl"][sid]] == rl_action(bank, chain, s, w)
 
 
 @PROPERTY

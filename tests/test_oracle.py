@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from battbank import oracle
 from battbank.core import (BackgroundChain, BankConfig, BatteryConfig,
                            load_config, validate_config)
-from battbank.env import bank_model, reward
+from battbank.env import bank_model, first_argmax, reward
 from battbank.learner import LearnSchedule, train
 from battbank.oracle import (ExactModel, IterationLimitExceeded,
                              StateSpaceTooLarge, evaluate_policy_exact,
@@ -153,7 +153,7 @@ class TestPolicyIteration:
         q = np.random.default_rng(0).integers(0, 3, size=model.n_sa).astype(float)
         first = [lo + np.argmax(q[lo:hi])
                  for lo, hi in zip(model.offsets[:-1], model.offsets[1:])]
-        np.testing.assert_array_equal(model.first_argmax(q), first)
+        np.testing.assert_array_equal(first_argmax(q, model.offsets), first)
 
     def test_greedy_optimal_toy_one_step(self):
         bank, chain = load_config(TOY_CONFIG)
@@ -202,17 +202,15 @@ class TestEvaluatePolicyExact:
             a = greedy_action(bank, toy_chain, s)
             assert V[i] == pytest.approx(reward(bank, s, a), abs=1e-6)
 
-    @pytest.mark.parametrize("pick", [lambda n: n, lambda n: -1],
-                             ids=["past-end", "negative"])
-    def test_index_outside_row_rejected(self, toy_bank, toy_chain, pick):
-        model = bank_model(toy_bank, toy_chain)
-
-        def policy(sid):
-            return pick(len(model.row(sid).next_bid))
-
-        n = len(model.row(0).next_bid)
-        with pytest.raises(ValueError, match=rf"state 0's row of {n} actions"):
-            evaluate_policy_exact(toy_bank, toy_chain, policy)
+    @pytest.mark.parametrize("pick, match", [
+        (lambda counts: counts, r"state 0's row of {n} actions"),
+        (lambda counts: counts * 0 - 1, r"state 0's row of {n} actions"),
+        (lambda counts: counts[1:] * 0, r"expected shape \(48,\)")],
+        ids=["past-end", "negative", "wrong-length"])
+    def test_index_outside_row_rejected(self, toy_bank, toy_chain, pick, match):
+        counts = np.diff(bank_model(toy_bank, toy_chain).table.offsets)
+        with pytest.raises(ValueError, match=match.format(n=counts[0])):
+            evaluate_policy_exact(toy_bank, toy_chain, pick(counts))
 
     def test_policy_value_below_optimal(self, toy_bank, toy_chain):
         sol = solve_q_iteration(toy_bank, toy_chain, tol=1e-12)
@@ -288,8 +286,8 @@ def test_policy_iteration_matches_value_iteration(inst):
     pi = solve_policy_iteration(bank, chain, tol=1e-12)
     vi = solve_q_iteration(bank, chain, tol=1e-12)
     assert np.abs(pi.values() - vi.values()).max() <= 1e-8
-    picks = pi.model.first_argmax(pi.q) - pi.model.offsets[:-1]
-    V_pi = evaluate_policy_exact(bank, chain, picks.__getitem__, tol=1e-12,
+    picks = first_argmax(pi.q, pi.model.offsets) - pi.model.offsets[:-1]
+    V_pi = evaluate_policy_exact(bank, chain, picks, tol=1e-12,
                                  model=pi.model)
     assert np.abs(V_pi - vi.values()).max() <= 1e-8
 
@@ -302,10 +300,10 @@ def test_policy_iteration_starts_at_greedy(inst):
     # which is the greedy rule on lossy and ramp-bound banks too
     bank, chain, _ = inst
     model = ExactModel(bank, chain)
-    start = (model.first_argmax(model.sa_rewards) - model.offsets[:-1]).tolist()
-    greedy, flat_greedy = make_policy("greedy", bank, chain), model.greedy_policy()
-    assert start == [greedy(i) for i in range(model.n_states)]
-    assert start == [flat_greedy(i) for i in range(model.n_states)]
+    start = (first_argmax(model.sa_rewards, model.offsets)
+             - model.offsets[:-1]).tolist()
+    greedy = make_policy("greedy", bank, chain)
+    assert start == [greedy[i] for i in range(model.n_states)]
 
 
 @settings(max_examples=20, deadline=None,

@@ -151,7 +151,7 @@ class TestEpsilonGreedy:
 
 
 class TestMakePolicy:
-    def test_memoized_policies_match_fresh_calls(self, toy_bank, toy_chain):
+    def test_policy_arrays_match_reference_actions(self, toy_bank, toy_chain):
         d = feature_dim(toy_bank.n, toy_chain.n_states)
         w = np.random.default_rng(3).normal(size=d)
         model = bank_model(toy_bank, toy_chain)
@@ -169,10 +169,11 @@ class TestMakePolicy:
                     s = State(x=x, b=(b1, b2))
                     sid = x * model.num_b + model.occupancy_id(s.b)
                     actions = list(map(tuple, model.row(sid).actions.tolist()))
-                    for cached, fresh in pols.values():
-                        assert actions[cached(sid)] == fresh(s)
-                        # the row is filled now
-                        assert actions[cached(sid)] == fresh(s)
+                    for policy, fresh in pols.values():
+                        assert actions[policy[sid]] == fresh(s)
+        for policy, _ in pols.values():
+            assert policy.shape == (model.n_states,)
+            assert not policy.flags.writeable
 
     def test_unknown_name_rejected(self, toy_bank, toy_chain):
         with pytest.raises(ValueError, match="unknown policy"):
