@@ -227,10 +227,11 @@ class BankModel:
     @functools.cached_property
     def table(self) -> Table:
         """The whole state space, tabulated in runs of consecutive ids that
-        each check at most BLOCK_CANDIDATES candidates. Read-only, as every
-        row and the exact solver share it."""
+        each check at most BLOCK_CANDIDATES candidates; one run is not copied.
+        Read-only, as every row and the exact solver share it."""
         step = max(1, BLOCK_CANDIDATES // len(self._grid))
-        counts, *pairs = map(np.concatenate, zip(*(
+        counts, *pairs = (col[0] if len(col) == 1 else np.concatenate(col)
+                          for col in zip(*(
             self.tabulate(start, min(start + step, self.n_states))
             for start in range(0, self.n_states, step))))
         table = Table(np.concatenate(([0], np.cumsum(counts))), *pairs)

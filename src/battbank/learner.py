@@ -72,6 +72,55 @@ class TrainLog:
             wr.writerows(self.rows)
 
 
+# words per PCG64.random_raw refill; a block's three decoded lists stay small
+RAW_BLOCK = 512
+
+
+class RawDraws:
+    """default_rng(seed).random() and .integers(n) for 1 <= n <= 2**32,
+    decoded from PCG64(seed).random_raw blocks: the same values in the same
+    order, without a Generator call's dispatch cost. A uniform is a word's
+    top 53 bits; integers is Lemire's method on 32-bit draws, each a fresh
+    word's low half, then its high half, which stays cached across random()
+    calls and refills."""
+
+    def __init__(self, seed: int):
+        self._bits = np.random.PCG64(seed)
+        self._i, self._high = RAW_BLOCK, None
+
+    def _refill(self) -> int:
+        raw = self._bits.random_raw(RAW_BLOCK)
+        self._floats = ((raw >> np.uint64(11)) * 2.0**-53).tolist()
+        self._lows = (raw & np.uint64(0xFFFFFFFF)).tolist()
+        self._highs = (raw >> np.uint64(32)).tolist()
+        return 0   # the index of the block's first word
+
+    def random(self) -> float:
+        i = self._i if self._i < RAW_BLOCK else self._refill()
+        self._i = i + 1
+        return self._floats[i]
+
+    def _uint32(self) -> int:
+        high, self._high = self._high, None
+        if high is not None:
+            return high
+        i = self._i if self._i < RAW_BLOCK else self._refill()
+        self._i = i + 1
+        self._high = self._highs[i]
+        return self._lows[i]
+
+    def integers(self, n: int) -> int:
+        # n = 1 draws nothing. numpy skips computing threshold when the low
+        # half is >= n; as threshold < n, the loop alone rejects the same draws
+        if n == 1:
+            return 0
+        threshold = (0x100000000 - n) % n
+        m = self._uint32() * n
+        while m & 0xFFFFFFFF < threshold:
+            m = self._uint32() * n
+        return m >> 32
+
+
 def update_weights(w: np.ndarray, phi: np.ndarray, delta: float,
                    beta: float) -> np.ndarray:
     if phi.shape != w.shape:
@@ -89,8 +138,11 @@ def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
 
     Behavior is epsilon-greedy in the current estimate; chain transitions are
     drawn fresh each step. Fully reproducible from schedule.seed: per step the
-    rng yields the exploration coin, then (only when exploring) the uniform
-    action index, then the chain-transition uniform.
+    exploration coin, then (only when exploring) the uniform action index,
+    then the chain-transition uniform. RawDraws decodes them from
+    PCG64.random_raw, equal to the np.random.default_rng calls they replace;
+    it relies on numpy's Lemire method on 32-bit halves of a word and on
+    PCG64's cached high half.
     """
     check_x0(chain, x0)
     if log_every < 1:
@@ -98,7 +150,8 @@ def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
     if b0 is None:
         b0 = bank.start_occupancy()
     check_b0(bank, b0)
-    rng = np.random.default_rng(schedule.seed)
+    draws = RawDraws(schedule.seed)
+    uniform, integers = draws.random, draws.integers
     gamma = bank.gamma
     w = np.zeros(feature_dim(bank.n, chain.n_states))
     log = TrainLog()
@@ -131,8 +184,8 @@ def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
         blk = blocks[x]
         w0 = w[0]
 
-        if rng.random() < eps:
-            a_idx = int(rng.integers(len(e.actions)))
+        if uniform() < eps:
+            a_idx = integers(len(e.actions))
             q_a = q_from_kernels(w0, e.rewards[a_idx], blk[0], kv[a_idx])
         else:
             q = q_from_kernels(w0, e.rewards, blk[0], kv)
@@ -141,7 +194,7 @@ def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
 
         r = e.rewards[a_idx]
         # bisect_right is searchsorted(side="right") on a Python list
-        x_next = bisect.bisect_right(cum_rows[x], rng.random())
+        x_next = bisect.bisect_right(cum_rows[x], uniform())
         e_next = row(x_next * num_b + e.next_bid[a_idx])
         kv_next = kernel_product(e_next.kmat, kernel_ws[x_next])
         q_next = q_from_kernels(w0, e_next.rewards, blocks[x_next][0], kv_next)

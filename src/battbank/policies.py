@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import Action, BankConfig, BackgroundChain, State
 from .env import StateActions, bank_model, first_argmax, state_actions
-from .features import kernel_matrix, q_values
+from .features import feature_dim, kernel_matrix, q_values
 
 POLICY_NAMES = ("greedy", "naive", "rl")
 
@@ -82,6 +82,9 @@ def make_policy(name: str, bank: BankConfig, chain: BackgroundChain,
         raise ValueError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
     if name == "rl" and weights is None:
         raise ValueError("rl policy needs a weight vector")
+    d = feature_dim(bank.n, chain.n_states)
+    if name == "rl" and np.shape(weights) != (d,):
+        raise ValueError(f"weights: expected shape ({d},), got {np.shape(weights)}")
 
     model = bank_model(bank, chain)
     t, row, sids = model.table, model.row, range(model.n_states)

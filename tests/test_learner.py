@@ -5,7 +5,8 @@ from battbank.chain import cumulative_transition
 from battbank.core import BackgroundChain, State
 from battbank.env import apply_action, feasible_actions, reward
 from battbank.features import feature_dim, feature_vector
-from battbank.learner import LearnSchedule, train, update_weights
+from battbank.learner import (RAW_BLOCK, LearnSchedule, RawDraws, train,
+                              update_weights)
 
 from conftest import TOY_LABELS, make_bank, make_chain
 
@@ -228,6 +229,70 @@ class TestUpdateWeights:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             update_weights(np.zeros(3), np.zeros(4), 1.0, 0.1)
+
+
+def assert_same_draws(seed, ops):
+    """RawDraws(seed) against np.random.default_rng(seed) over one script of
+    draws: "r" is random(), an int n is integers(n)."""
+    gen, draws = np.random.default_rng(seed), RawDraws(seed)
+    for k, op in enumerate(ops):
+        if op == "r":
+            assert draws.random() == gen.random(), (k, op)
+        else:
+            assert draws.integers(op) == gen.integers(op), (k, op)
+
+
+def training_ops(seed, steps, ns, eps):
+    """The draws of `steps` training steps: the coin, an action count from ns
+    only when the coin (read from the Generator stream) is below eps, then
+    the chain uniform."""
+    gen, pick = np.random.default_rng(seed), np.random.default_rng(seed + 99)
+    ops = []
+    for _ in range(steps):
+        ops.append("r")
+        if gen.random() < eps:
+            n = int(pick.choice(ns))
+            ops.append(n)
+            gen.integers(n)
+        ops.append("r")
+        gen.random()
+    return ops
+
+
+# 2**31 + 5 and 3e9 reject about 50% and 30% of their 32-bit draws
+LARGE_NS = [2**31 + 5, 3 * 10**9, 2**32 - 1, 2**32]
+
+
+class TestRawDraws:
+    # train() decodes its draws from PCG64 words; they must stay the
+    # Generator calls of the stream contract, value for value
+    @pytest.mark.parametrize("ns, eps", [
+        (list(range(2, 60)), 1.0),
+        ([1, 2, 3], 1.0),
+        (LARGE_NS, 1.0),
+        ([1, 2, 7, 59] + LARGE_NS, 0.3),
+    ], ids=["2-59", "with-1", "large", "coin-only-steps"])
+    @pytest.mark.parametrize("seed", [0, 12345])
+    def test_matches_generator_over_training_draws(self, seed, ns, eps):
+        assert_same_draws(seed, training_ops(seed, 30_000, ns, eps))
+
+    def test_one_draws_nothing(self):
+        # not a word, and not the high half cached by the draw before it
+        ops = [5, 1, 1, 5, "r", 1, "r", 5, 1, 1, 5]
+        assert_same_draws(7, ops)
+        draws = RawDraws(7)
+        assert [draws.integers(1) for _ in range(5)] == [0] * 5
+        assert draws.random() == np.random.default_rng(7).random()
+
+    @pytest.mark.parametrize("tail", [
+        [7, "r", 7, "r"],   # random() refills before the high half is read
+        [7, 7, 7, "r"],     # the high half, then the third integers refills
+        [3 * 10**9] * 20 + ["r"],
+    ], ids=["refill-by-random", "refill-by-integers", "rejections"])
+    def test_cached_high_half_at_a_refill(self, tail):
+        # the first block's last word serves a low half; its high half goes
+        # to the next 32-bit draw, before or after the next block is drawn
+        assert_same_draws(3, ["r"] * (RAW_BLOCK - 1) + tail)
 
 
 class TestTrain:

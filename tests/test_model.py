@@ -138,6 +138,25 @@ def test_small_blocks_give_identical_tables(monkeypatch):
             np.testing.assert_array_equal(row.kmat, ref_row.kmat)
 
 
+def test_one_run_table_keeps_tabulate_arrays(monkeypatch, toy_bank, toy_chain):
+    # ids that fit one run are tabulated once, and that call's arrays are
+    # the table: no concatenated copy
+    runs = []
+    real = env.BankModel.tabulate
+
+    def recording(model, start, stop):
+        runs.append(real(model, start, stop))
+        return runs[-1]
+
+    monkeypatch.setattr(env.BankModel, "tabulate", recording)
+    table = env.BankModel(toy_bank.batteries, toy_chain).table
+    assert len(runs) == 1
+    _, *arrays = runs[0]
+    for arr, shared in zip(arrays, (table.actions, table.rewards,
+                                    table.next_bid), strict=True):
+        assert np.shares_memory(arr, shared)
+
+
 def test_exact_model_reads_the_table_without_copying(toy_bank, toy_chain):
     model = oracle.ExactModel(toy_bank, toy_chain)
     table = model.compiled.table

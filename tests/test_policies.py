@@ -182,3 +182,13 @@ class TestMakePolicy:
     def test_rl_requires_weights(self, toy_bank, toy_chain):
         with pytest.raises(ValueError, match="weight"):
             make_policy("rl", toy_bank, toy_chain)
+
+    @pytest.mark.parametrize("shape", [(29,), (18,), (0,), (21, 1)],
+                             ids=["too-long", "too-short", "empty", "2-d"])
+    def test_rl_weights_of_wrong_shape_rejected(self, shape, toy_bank,
+                                                toy_chain):
+        # d = 21 on the toy bank; a longer vector and a column used to be
+        # accepted, a shorter one failed inside numpy
+        assert feature_dim(toy_bank.n, toy_chain.n_states) == 21
+        with pytest.raises(ValueError, match=r"weights: expected shape \(21,\)"):
+            make_policy("rl", toy_bank, toy_chain, weights=np.zeros(shape))
