@@ -92,8 +92,9 @@ class StateActions:
     features of b + a, is filled by BankModel.row, not by state_actions."""
 
     actions: np.ndarray   # (n_actions, N) int
-    rewards: np.ndarray   # (n_actions,)
-    next_bid: list[int]   # Python ints: the learner's step reads one at a time
+    # Python numbers: the learner's step works in Python floats and ints
+    rewards: list[float]
+    next_bid: list[int]
     kmat: np.ndarray | None = None
 
 
@@ -160,7 +161,7 @@ def state_actions(bank: BankConfig, chain: BackgroundChain, s: State) -> StateAc
     that BankModel's table is tested against."""
     actions = np.array(feasible_actions(bank, chain, s), dtype=np.int64)
     rewards, next_bid = _post_tables(bank, actions + s.b)
-    return StateActions(actions, rewards, next_bid.tolist())
+    return StateActions(actions, rewards.tolist(), next_bid.tolist())
 
 
 class BankModel:
@@ -169,8 +170,8 @@ class BankModel:
     This is the one definition of the state space: state id
     `x * num_b + occupancy_id(b)`, for ids in `range(n_states)`. `table`
     holds every state's feasible actions, rewards and successor occupancy
-    ids as one set of flat arrays, which every caller shares: rows and the
-    exact solver's arrays are views of it.
+    ids as one set of flat arrays, which every caller shares: the exact
+    solver's arrays and each row's actions are views of it.
     """
 
     def __init__(self, batteries, chain: BackgroundChain):
@@ -253,8 +254,9 @@ class BankModel:
         return self.table.offsets[:-1] + policy
 
     def row(self, sid: int) -> StateActions:
-        """State sid's row: views of the table's actions and rewards, and
-        the kernel features of its post-action occupancies."""
+        """State sid's row: a view of the table's actions, lists of its
+        rewards and successor ids, and the kernel features of its
+        post-action occupancies."""
         r = self._rows.get(sid)
         if r is None:
             from .features import kernel_matrix  # features imports this module
@@ -262,7 +264,7 @@ class BankModel:
             lo, hi = t.offsets[sid:sid + 2].tolist()
             actions = t.actions[lo:hi]
             r = self._rows[sid] = StateActions(
-                actions, t.rewards[lo:hi], t.next_bid[lo:hi].tolist(),
+                actions, t.rewards[lo:hi].tolist(), t.next_bid[lo:hi].tolist(),
                 kernel_matrix(self.bank, actions + self.decode(np.array([sid]))[1]))
         return r
 

@@ -9,6 +9,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -56,13 +57,14 @@ def feature_vector(bank: BankConfig, chain: BackgroundChain, s: State,
     return phi
 
 
-def q_values(bank: BankConfig, s_x: int, rewards: np.ndarray, kmat: np.ndarray,
-             w: np.ndarray) -> np.ndarray:
+def q_values(bank: BankConfig, s_x: int, rewards: list[float],
+             kmat: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Linear Q estimates for one state's whole feasible set, exploiting the
-    block sparsity of the feature map: rewards and kmat are the set's
-    rewards and kernel_matrix rows."""
+    block sparsity of the feature map: rewards (a list, as rows hold them)
+    and kmat are the set's rewards and kernel_matrix rows."""
     blk = w[block_slice(s_x, bank.n)]
-    return q_from_kernels(w[0], rewards, blk[0], kernel_product(kmat, blk[1:]))
+    return q_from_kernels(w[0], np.asarray(rewards), blk[0],
+                          kernel_product(kmat, blk[1:]))
 
 
 def kernel_product(kmat: np.ndarray, kernel_w: np.ndarray) -> np.ndarray:
@@ -78,6 +80,34 @@ def q_from_kernels(w0, rewards, bias, kv):
     the kernel product kv: arrays give the whole feasible set, one action's
     scalars give its value alone, equal bit for bit to its array entry."""
     return w0 * rewards + bias + kv
+
+
+def q_row(w0: float, rewards: list[float], bias: float,
+          kv: list[float]) -> list[float]:
+    """q_from_kernels over a whole feasible set in Python floats: the same
+    expression entry by entry, so each equals its q_values entry bit for
+    bit. The learner's step uses it, where a list of a few entries costs
+    less than numpy's dispatch."""
+    return [w0 * r + bias + k for r, k in zip(rewards, kv)]
+
+
+def q_max(q: list[float]) -> float:
+    """np.maximum.reduce(q) for a q_row list. Python's max gives the same
+    value unless the row holds a NaN, which max may pass over, or the
+    largest value is a zero, whose sign max takes from the first zero and
+    numpy need not. A NaN or an infinity makes the row's sum non-finite, so
+    such rows and zero maxima are reduced by numpy."""
+    m = max(q)
+    if m == 0.0 or not math.isfinite(sum(q)):
+        return float(np.maximum.reduce(q))
+    return m
+
+
+def q_argmax(q: list[float]) -> int:
+    """np.argmax(q) for a q_row list: the first index of its largest value,
+    where a NaN counts as largest."""
+    m = q_max(q)
+    return q.index(m) if m == m else int(np.argmax(q))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ import numpy as np
 from .chain import check_x0, cumulative_transition
 from .core import BankConfig, BackgroundChain
 from .env import bank_model, check_b0
-from .features import block_slice, feature_dim, kernel_product, q_from_kernels
+from .features import (block_slice, feature_dim, kernel_product, q_argmax,
+                       q_from_kernels, q_max, q_row)
 
 
 @dataclass(frozen=True)
@@ -143,6 +144,16 @@ def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
     PCG64.random_raw, equal to the np.random.default_rng calls they replace;
     it relies on numpy's Lemire method on 32-bit halves of a word and on
     PCG64's cached high half.
+
+    Besides the update of the kernel weights it visits, a step makes one
+    numpy call: the BLAS product of the next state's kernel rows with that
+    block's kernel weights, taken out as a list. The rest is Python-float
+    arithmetic on the same expressions in the same order, so the weights
+    equal the array form's bit for bit: w[0] and each block's bias weight
+    are carried as Python floats and written into w at the end, and a
+    state's Q row is features.q_row. Its max and first argmax fall back to
+    numpy for a zero maximum or a row holding a NaN or an infinity
+    (features.q_max), so a divergence is raised at the same step.
     """
     check_x0(chain, x0)
     if log_every < 1:
@@ -160,9 +171,12 @@ def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
     model = bank_model(bank, chain)
     row = model.row
     num_b = model.num_b
-    # views into w: each background state's block, and its kernel weights
+    # views into w: each background state's block, and its kernel weights;
+    # w[0] and the blocks' leading bias weights live in w0 and bias
     blocks = [w[block_slice(x, bank.n)] for x in range(chain.n_states)]
     kernel_ws = [blk[1:] for blk in blocks]
+    w0 = 0.0
+    bias = [0.0] * chain.n_states
 
     # schedule.eps and schedule.beta, hoisted: eps stays at eps_min when
     # eps0 <= eps_min, and beta is LearnSchedule.beta's expression
@@ -173,7 +187,7 @@ def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
 
     x = x0
     e = row(x0 * num_b + model.occupancy_id(tuple(b0)))
-    kv = kernel_product(e.kmat, kernel_ws[x])
+    kv = kernel_product(e.kmat, kernel_ws[x]).tolist()
     cum_reward = 0.0
     abs_td_acc = 0.0
 
@@ -181,32 +195,31 @@ def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
         if annealed:
             eps = schedule.eps(k)
         beta = beta_num / (beta_tau + k)
-        blk = blocks[x]
-        w0 = w[0]
+        rewards = e.rewards
 
         if uniform() < eps:
-            a_idx = integers(len(e.actions))
-            q_a = q_from_kernels(w0, e.rewards[a_idx], blk[0], kv[a_idx])
+            a_idx = integers(len(rewards))
+            q_a = q_from_kernels(w0, rewards[a_idx], bias[x], kv[a_idx])
         else:
-            q = q_from_kernels(w0, e.rewards, blk[0], kv)
-            a_idx = int(q.argmax())
+            q = q_row(w0, rewards, bias[x], kv)
+            a_idx = q_argmax(q)
             q_a = q[a_idx]
 
-        r = e.rewards[a_idx]
+        r = rewards[a_idx]
         # bisect_right is searchsorted(side="right") on a Python list
         x_next = bisect.bisect_right(cum_rows[x], uniform())
         e_next = row(x_next * num_b + e.next_bid[a_idx])
-        kv_next = kernel_product(e_next.kmat, kernel_ws[x_next])
-        q_next = q_from_kernels(w0, e_next.rewards, blocks[x_next][0], kv_next)
+        kv_next = kernel_product(e_next.kmat, kernel_ws[x_next]).tolist()
+        q_next = q_row(w0, e_next.rewards, bias[x_next], kv_next)
 
-        delta = r + gamma * np.maximum.reduce(q_next) - q_a
+        delta = r + gamma * q_max(q_next) - q_a
         if not math.isfinite(delta):
             raise FloatingPointError(f"non-finite TD error at step {k}")
 
         # sparse form of w += beta * delta * phi(s, a)
         scale = beta * delta
-        w[0] += scale * r
-        blk[0] += scale
+        w0 += scale * r
+        bias[x] += scale
         kernel_ws[x] += scale * e.kmat[a_idx]
 
         cum_reward += r
@@ -217,7 +230,10 @@ def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
 
         if x_next == x:
             # the update just changed this block: the carried product is stale
-            kv_next = kernel_product(e_next.kmat, kernel_ws[x])
+            kv_next = kernel_product(e_next.kmat, kernel_ws[x]).tolist()
         x, e, kv = x_next, e_next, kv_next
 
+    w[0] = w0
+    for blk, b in zip(blocks, bias):
+        blk[0] = b
     return w, log

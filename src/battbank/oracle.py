@@ -76,6 +76,8 @@ class ExactModel:
         # x * num_b + b' per pair: where PV.take finds its expected next value
         self.sa_next = (np.repeat(np.arange(n) // self.num_b * self.num_b,
                                   np.diff(self.offsets)) + next_bid)
+        # (pairs, tol, value) of the latest evaluate_from_zero
+        self._from_zero = None
 
     @property
     def n_states(self) -> int:
@@ -97,6 +99,19 @@ class ExactModel:
         """One synchronous sweep; returns (q', sup-norm change)."""
         q_new = self.lookahead(self.state_values(q))
         return q_new, float(np.abs(q_new - q).max())
+
+    def evaluate_from_zero(self, sa: np.ndarray, tol: float) -> np.ndarray:
+        """The value of the policy that takes flat pair sa[i] in state i,
+        swept from V = 0 until a sweep changes it by at most tol; read-only.
+        The latest is kept, so asking again for the same policy and tol
+        returns it without a sweep: policy iteration's first step evaluates
+        the greedy rule so, and solve-exact's optimality check asks again."""
+        last = self._from_zero
+        if last is None or last[1] != tol or not np.array_equal(last[0], sa):
+            V = _evaluate(self, sa, np.zeros(self.n_states), tol)
+            V.flags.writeable = False
+            self._from_zero = last = sa, tol, V
+        return last[2]
 
 
 @dataclass
@@ -155,9 +170,8 @@ def solve_policy_iteration(bank: BankConfig, chain: BackgroundChain,
     model = ExactModel(bank, chain)
     g = bank.gamma
     sa = first_argmax(model.sa_rewards, model.offsets)   # the improvement of V = 0
-    V = np.zeros(model.n_states)
+    V = model.evaluate_from_zero(sa, tol)
     for step in range(1, MAX_PI_STEPS + 1):
-        V = _evaluate(model, sa, V, tol)
         q = model.lookahead(V)
         best = first_argmax(q, model.offsets)
         gain = q[best] - q[sa]
@@ -170,6 +184,7 @@ def solve_policy_iteration(bank: BankConfig, chain: BackgroundChain,
             q, residual = model.backup(q)
             return ExactSolution(q=q, residual=residual, iterations=step, model=model)
         sa = np.where(switch, best, sa)
+        V = _evaluate(model, sa, V, tol)
     raise IterationLimitExceeded(float(gain.max()), MAX_PI_STEPS,
                                  "policy-iteration steps")
 
@@ -180,11 +195,13 @@ def evaluate_policy_exact(bank: BankConfig, chain: BackgroundChain, policy,
     """Fixed point of the policy's evaluation operator, as a value vector
     indexed by state id. `policy` is an array as policies.make_policy
     returns: entry sid indexes state sid's compiled row. Pass the `model`
-    of an earlier solve of this bank and chain to reuse it."""
+    of an earlier solve of this bank and chain to reuse it, and with it the
+    value of the greedy rule, which policy iteration's first step holds.
+    The result is read-only."""
     check_tol(tol)
     if model is None:
         model = ExactModel(bank, chain)
-    return _evaluate(model, model.compiled.pairs(policy), np.zeros(model.n_states), tol)
+    return model.evaluate_from_zero(model.compiled.pairs(policy), tol)
 
 
 def write_solution_csv(sol: ExactSolution, path) -> None:

@@ -1,13 +1,17 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from battbank.core import BackgroundChain, State
-from battbank.env import feasible_actions, reward, state_actions
+from battbank.env import bank_model, feasible_actions, reward, state_actions
 from battbank.features import (block_slice, feature_dim, feature_vector,
                                kernel_matrix, kernel_product, load_weights,
-                               q_from_kernels, q_values, save_weights)
+                               q_argmax, q_from_kernels, q_max, q_row,
+                               q_values, save_weights)
 
 from conftest import make_bank, make_chain
 
@@ -170,6 +174,55 @@ class TestQHat:
             for a in range(len(q)):
                 assert q_from_kernels(w[0], ent.rewards[a], blk[0],
                                       kv[a]) == q[a]
+
+    def test_q_row_equals_q_values(self):
+        # the learner's list form of a row's estimates, its max and its
+        # first argmax, against the array form on compiled rows
+        rng = np.random.default_rng(8)
+        chain = make_chain()
+        for _ in range(60):
+            n = int(rng.integers(1, 4))
+            bank = make_bank(
+                capacities=tuple(rng.integers(1, 9, size=n).tolist()),
+                ramps=tuple(rng.integers(1, 10, size=n).tolist()),
+                weights=tuple(rng.uniform(0.0, 2.0, size=n).tolist()),
+                dissipation=tuple(
+                    rng.choice([0.8, 0.95, 1.0], size=n).tolist()))
+            w = (rng.normal(size=feature_dim(n, chain.n_states))
+                 * 10.0 ** rng.integers(-3, 4))
+            model = bank_model(bank, chain)
+            for sid in rng.integers(model.n_states, size=5).tolist():
+                row, x = model.row(sid), sid // model.num_b
+                blk = w[block_slice(x, n)]
+                q = q_values(bank, x, row.rewards, row.kmat, w)
+                got = q_row(float(w[0]), row.rewards, float(blk[0]),
+                            kernel_product(row.kmat, blk[1:]).tolist())
+                assert [v.hex() for v in got] == [float(v).hex() for v in q]
+                assert q_max(got).hex() == float(np.maximum.reduce(q)).hex()
+                assert q_argmax(got) == int(np.argmax(q))
+
+
+# values where Python's max and numpy's reduction can part: NaN, infinities,
+# zeros of either sign, and finite values whose sum overflows
+SPECIAL_Q = [0.0, -0.0, math.nan, math.inf, -math.inf, 1.7e308, -1.7e308,
+             1.0, -1.0]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(SPECIAL_Q), st.floats()),
+                min_size=1, max_size=12))
+@example([-0.0, 0.0])
+@example([0.0, -0.0, -1.0])
+@example([1.0, math.nan])
+@example([math.nan, 1.0])
+@example([math.inf, -math.inf])
+@example([1.7e308, 1.7e308, 2.0])
+def test_q_max_and_argmax_follow_numpy(q):
+    # bit for bit, so a NaN, and a zero's sign, reach the TD error as the
+    # array form's np.maximum.reduce gives them
+    arr = np.array(q)
+    assert np.float64(q_max(q)).tobytes() == np.maximum.reduce(arr).tobytes()
+    assert q_argmax(q) == int(np.argmax(arr))
 
 
 class TestWeightPersistence:

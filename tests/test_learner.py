@@ -5,6 +5,7 @@ from battbank.chain import cumulative_transition
 from battbank.core import BackgroundChain, State
 from battbank.env import apply_action, feasible_actions, reward
 from battbank.features import feature_dim, feature_vector
+from battbank.harness import resize_bank
 from battbank.learner import (RAW_BLOCK, LearnSchedule, RawDraws, train,
                               update_weights)
 
@@ -370,6 +371,14 @@ class TestTrain:
         cum = [row[4] for row in log.rows]
         assert all(b <= a + 1e-12 for a, b in zip(cum, cum[1:]))
 
+    def test_log_rows_are_python_numbers(self, toy_bank, toy_chain):
+        for sched in (LearnSchedule(t_train=3000),
+                      LearnSchedule(t_train=3000, eps0=0.9, eps_min=0.1)):
+            _, log = train(toy_bank, toy_chain, sched)
+            assert len(log.rows) == 3
+            for row in log.rows:
+                assert [type(v) for v in row] == [int] + [float] * 4
+
     def test_log_csv_round_trip(self, tmp_path, toy_bank, toy_chain):
         import csv
         _, log = train(toy_bank, toy_chain, LearnSchedule(t_train=2000))
@@ -379,3 +388,24 @@ class TestTrain:
             rows = list(csv.reader(fh))
         assert rows[0] == list(log.HEADER)
         assert len(rows) == 1 + len(log.rows)
+
+
+class TestDivergence:
+    # the shipped toy bank resized to (40, 40), ramps 25: one training seed
+    # diverges and its neighbour does not. The step the divergence is raised
+    # at pins how a step's max meets NaN and infinite estimates.
+    @staticmethod
+    def big_bank():
+        return resize_bank(make_bank(gamma=0.9), (40, 40), (25, 25))
+
+    def test_raised_at_pinned_step(self):
+        with pytest.raises(FloatingPointError,
+                           match=r"^non-finite TD error at step 10942$"):
+            train(self.big_bank(), make_chain(),
+                  LearnSchedule(seed=0x5EED + 1))
+
+    def test_neighbouring_seed_runs_its_steps(self):
+        w, log = train(self.big_bank(), make_chain(),
+                       LearnSchedule(seed=0x5EED))
+        assert np.isfinite(w).all()
+        assert log.rows[-1][0] == 100_000

@@ -219,6 +219,38 @@ class TestEvaluatePolicyExact:
             tol=1e-12)
         assert (V_naive <= sol.values() + 1e-9).all()
 
+    @pytest.mark.parametrize("capacities, ramps", [((2, 3), (25, 25)),
+                                                   ((3, 5), (2, 2))],
+                             ids=["one-step", "three-steps"])
+    def test_greedy_value_read_back_from_policy_iteration(
+            self, capacities, ramps, monkeypatch, toy_chain):
+        # policy iteration's first step evaluates the greedy rule from V = 0;
+        # solve-exact's gap asks again on the solve's model, which returns
+        # that array without a sweep, equal to a fresh evaluation
+        bank = make_bank(capacities=capacities, ramps=ramps)
+        greedy = make_policy("greedy", bank, toy_chain)
+        fresh = evaluate_policy_exact(bank, toy_chain, greedy, tol=1e-12)
+        sol = solve_policy_iteration(bank, toy_chain, tol=1e-12)
+        sweeps, fixed_point = [], oracle._fixed_point
+
+        def counted(*args):
+            sweeps.append(args)
+            return fixed_point(*args)
+
+        monkeypatch.setattr(oracle, "_fixed_point", counted)
+        V = evaluate_policy_exact(bank, toy_chain, greedy, tol=1e-12,
+                                  model=sol.model)
+        assert V.tobytes() == fresh.tobytes()
+        assert not V.flags.writeable
+        assert sweeps == []
+        # another tol or another policy is evaluated afresh
+        evaluate_policy_exact(bank, toy_chain, greedy, tol=1e-11,
+                              model=sol.model)
+        evaluate_policy_exact(bank, toy_chain,
+                              make_policy("naive", bank, toy_chain),
+                              tol=1e-12, model=sol.model)
+        assert len(sweeps) == 2
+
 
 def test_solution_csv_export(tmp_path, toy_bank, toy_chain):
     sol = solve_q_iteration(toy_bank, toy_chain, tol=1e-9)
