@@ -5,6 +5,7 @@
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,26 +53,25 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"seed: must be >= 0, got {seed}")
 
 
-# uniforms drawn and resolved per block: n_states * _BLOCK indices at a time
+# uniforms drawn per block: at most _BLOCK of them are held at a time
 _BLOCK = 1 << 14
 
 
 def generate_trajectory(chain: BackgroundChain, x0: int, T: int, seed: int) -> Trajectory:
     """Background path of T steps from x0. PCG64(seed) yields T uniforms,
     the k-th choosing the successor of step k. Uniforms are drawn a block
-    at a time, and each block's successors from every state are found in
-    bulk, so only the index chase runs step by step."""
+    at a time; each step finds its successor by bisect_right over the
+    current state's cumulative row, as learner.train does."""
     check_x0(chain, x0)
     check_length(T)
     check_seed(seed)
     rng = np.random.default_rng(seed)
-    cum = cumulative_transition(chain)
+    cum_rows = cumulative_transition(chain).tolist()
     x = int(x0)
     path = [x]
     for lo in range(0, T, _BLOCK):
-        u = rng.random(min(_BLOCK, T - lo))
-        succ = [np.searchsorted(row, u, side="right").tolist() for row in cum]
-        for k in range(len(u)):
-            x = succ[x][k]
+        for u in rng.random(min(_BLOCK, T - lo)).tolist():
+            # bisect_right is searchsorted(side="right") on a Python list
+            x = bisect.bisect_right(cum_rows[x], u)
             path.append(x)
     return Trajectory(x_path=tuple(path))

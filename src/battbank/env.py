@@ -243,10 +243,14 @@ class BankModel:
     def pairs(self, policy: np.ndarray, name: str = "policy") -> np.ndarray:
         """Flat table index of each state's chosen pair under a policy
         array, whose entry sid indexes state sid's row."""
+        policy = np.asarray(policy)
         counts = np.diff(self.table.offsets)
-        if np.shape(policy) != counts.shape:
+        if policy.shape != counts.shape:
             raise ValueError(f"{name}: expected shape {counts.shape}, one index "
-                             f"per state, got {np.shape(policy)}")
+                             f"per state, got {policy.shape}")
+        if not np.issubdtype(policy.dtype, np.integer):   # bool included
+            raise ValueError(f"{name}: expected integer indices, got dtype "
+                             f"{policy.dtype}")
         bad = np.flatnonzero((policy < 0) | (policy >= counts))
         if len(bad):
             raise ValueError(f"{name}: index {policy[bad[0]]} outside state "

@@ -5,6 +5,9 @@
 #   block j (2N+1 wide): (1, -(1-y_1)^4, -y_1^4, ..., -(1-y_N)^4, -y_N^4)
 #                        if x == j, else all zeros,
 # where y_i is the normalised post-action occupancy of battery i.
+#
+# The linear estimate Q-hat = phi . w has one home: q_row over a feasible set,
+# and the scalar q_from_kernels for one action; both read w[0] and one block.
 
 from __future__ import annotations
 
@@ -57,16 +60,6 @@ def feature_vector(bank: BankConfig, chain: BackgroundChain, s: State,
     return phi
 
 
-def q_values(bank: BankConfig, s_x: int, rewards: list[float],
-             kmat: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Linear Q estimates for one state's whole feasible set, exploiting the
-    block sparsity of the feature map: rewards (a list, as rows hold them)
-    and kmat are the set's rewards and kernel_matrix rows."""
-    blk = w[block_slice(s_x, bank.n)]
-    return q_from_kernels(w[0], np.asarray(rewards), blk[0],
-                          kernel_product(kmat, blk[1:]))
-
-
 def kernel_product(kmat: np.ndarray, kernel_w: np.ndarray) -> np.ndarray:
     """Kernel part of every action's Q estimate; kernel_w is the state's
     weight block without its leading bias entry. ndarray.dot gives the
@@ -75,19 +68,20 @@ def kernel_product(kmat: np.ndarray, kernel_w: np.ndarray) -> np.ndarray:
     return kmat.dot(kernel_w)
 
 
-def q_from_kernels(w0, rewards, bias, kv):
-    """The Q estimate from the reward weight w0, the block's bias weight and
-    the kernel product kv: arrays give the whole feasible set, one action's
-    scalars give its value alone, equal bit for bit to its array entry."""
-    return w0 * rewards + bias + kv
+def q_from_kernels(w0: float, reward: float, bias: float, kv: float) -> float:
+    """One action's Q estimate from the reward weight w0, its reward, the
+    block's bias weight and its kernel product kv: the expression q_row
+    takes entry by entry, so it equals that action's q_row entry bit for
+    bit."""
+    return w0 * reward + bias + kv
 
 
 def q_row(w0: float, rewards: list[float], bias: float,
           kv: list[float]) -> list[float]:
-    """q_from_kernels over a whole feasible set in Python floats: the same
-    expression entry by entry, so each equals its q_values entry bit for
-    bit. The learner's step uses it, where a list of a few entries costs
-    less than numpy's dispatch."""
+    """Q estimates of a whole feasible set in Python floats: rewards are
+    its row's rewards and kv its kernel_product, taken out as a list. The
+    learner's step and the rl policy use it, where a list of a few entries
+    costs less than numpy's dispatch."""
     return [w0 * r + bias + k for r, k in zip(rewards, kv)]
 
 
@@ -136,6 +130,9 @@ def load_weights(path, bank: BankConfig, chain: BackgroundChain) -> np.ndarray:
             ("version", "fingerprint", "d", "weights"))
     if _number(doc["version"], "version", int) != WEIGHTS_FORMAT_VERSION:
         raise ValueError(f"unsupported weights file version: {doc['version']}")
+    for key, expect in (("N", bank.n), ("num_bg_states", chain.n_states)):
+        if key in doc and _number(doc[key], key, int) != expect:
+            raise ValueError(f"{key}: expected {expect}, got {doc[key]}")
     expect = config_fingerprint(bank, chain)
     if doc["fingerprint"] != expect:
         raise ValueError(

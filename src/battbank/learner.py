@@ -148,12 +148,12 @@ def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
     Besides the update of the kernel weights it visits, a step makes one
     numpy call: the BLAS product of the next state's kernel rows with that
     block's kernel weights, taken out as a list. The rest is Python-float
-    arithmetic on the same expressions in the same order, so the weights
-    equal the array form's bit for bit: w[0] and each block's bias weight
-    are carried as Python floats and written into w at the end, and a
-    state's Q row is features.q_row. Its max and first argmax fall back to
-    numpy for a zero maximum or a row holding a NaN or an infinity
-    (features.q_max), so a divergence is raised at the same step.
+    arithmetic, which rounds each operation as float64 numpy does: w[0] and
+    each block's bias weight are carried as Python floats and written into
+    w at the end, and a state's Q row is features.q_row. Its max and first
+    argmax fall back to numpy for a zero maximum or a row holding a NaN or
+    an infinity (features.q_max), so a divergence is raised at the same
+    step.
     """
     check_x0(chain, x0)
     if log_every < 1:

@@ -4,48 +4,43 @@
 # sets are enumerated in lexicographic order, so "first maximizer" does it.
 #
 # A policy is an array: entry sid indexes state sid's compiled row. Each rule
-# is written once; the *_action functions apply it to a freshly tabulated row
-# and are the reference that make_policy is tested against.
+# is written once: greedy and naive over the whole table, rl row by row with
+# the learner's q_row. The *_action functions apply them to a freshly
+# tabulated row and are the reference that make_policy is tested against.
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .core import Action, BankConfig, BackgroundChain, State
 from .env import StateActions, bank_model, first_argmax, state_actions
-from .features import feature_dim, kernel_matrix, q_values
+from .features import (block_slice, feature_dim, kernel_matrix,
+                       kernel_product, q_argmax, q_row)
 
 POLICY_NAMES = ("greedy", "naive", "rl")
 
 
-def _round_half_toward_zero(t: float) -> int:
-    a = math.floor(abs(t))
-    if abs(t) - a > 0.5:
-        a += 1
-    return -a if t < 0 else a
+def _naive(bank: BankConfig, offsets: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    """Row index of each state's naive action, where state i owns
+    actions[offsets[i]:offsets[i + 1]]. Apportion the clipped target
+    proportionally to capacities, rounded half toward zero; repair to
+    feasibility by minimal L1 distance when rounding breaks it."""
+    target = actions[offsets[:-1]].sum(axis=1)   # every feasible action sums to it
+    caps = np.array(bank.capacities)
+    t = np.repeat(target[:, None] * caps / caps.sum(), np.diff(offsets), axis=0)
+    a = np.floor(np.abs(t))
+    a += np.abs(t) - a > 0.5
+    hit = (actions == np.where(t < 0, -a, a)).all(axis=1)
+    dist = np.abs(actions - t).sum(axis=1)
+    # the first exact hit, else the first action of least distance
+    return first_argmax(np.where(hit, np.inf, -dist), offsets) - offsets[:-1]
 
 
-def _naive(bank: BankConfig, row: StateActions) -> int:
-    """Apportion the clipped target proportionally to capacities; repair to
-    feasibility by minimal L1 local search when rounding breaks it."""
-    target = int(row.actions[0].sum())   # every feasible action sums to it
-    total_cap = sum(bank.capacities)
-    t = [target * B / total_cap for B in bank.capacities]
-    rounded = [_round_half_toward_zero(v) for v in t]
-
-    hit = np.flatnonzero((row.actions == rounded).all(axis=1))
-    if len(hit):
-        return int(hit[0])
-
-    dist = np.abs(row.actions - np.array(t)).sum(axis=1)
-    return int(np.argmin(dist))
-
-
-def _rl(bank: BankConfig, x: int, row: StateActions, w: np.ndarray) -> int:
-    """Maximize the linear Q estimate; the row's `kmat` must be filled."""
-    return int(np.argmax(q_values(bank, x, row.rewards, row.kmat, w)))
+def _rl(row: StateActions, w0: float, bias: float, kernel_w: np.ndarray) -> int:
+    """Maximize the linear Q estimate over a row whose `kmat` is filled;
+    w0, bias and kernel_w are the weights of learner.train's step."""
+    return q_argmax(q_row(w0, row.rewards, bias,
+                          kernel_product(row.kmat, kernel_w).tolist()))
 
 
 def greedy_action(bank: BankConfig, chain: BackgroundChain, s: State) -> Action:
@@ -56,14 +51,16 @@ def greedy_action(bank: BankConfig, chain: BackgroundChain, s: State) -> Action:
 
 def naive_action(bank: BankConfig, chain: BackgroundChain, s: State) -> Action:
     row = state_actions(bank, chain, s)
-    return tuple(row.actions[_naive(bank, row)].tolist())
+    idx = _naive(bank, np.array([0, len(row.actions)]), row.actions)[0]
+    return tuple(row.actions[idx].tolist())
 
 
 def rl_action(bank: BankConfig, chain: BackgroundChain, s: State,
               w: np.ndarray) -> Action:
     row = state_actions(bank, chain, s)
     row.kmat = kernel_matrix(bank, row.actions + s.b)
-    return tuple(row.actions[_rl(bank, s.x, row, w)].tolist())
+    blk = w[block_slice(s.x, bank.n)]
+    return tuple(row.actions[_rl(row, float(w[0]), float(blk[0]), blk[1:])].tolist())
 
 
 def make_policy(name: str, bank: BankConfig, chain: BackgroundChain,
@@ -75,8 +72,9 @@ def make_policy(name: str, bank: BankConfig, chain: BackgroundChain,
     It reads the bank's shared compiled model (env.bank_model), so a state's
     feasible set is tabulated once for every policy, learner and oracle
     that visits it; each choice equals the matching *_action function's.
-    Naive and rl take one row at a time: a matrix-vector product over many
-    rows can round the rl Q values differently from the per-row one.
+    Greedy and naive read the whole table at once; rl takes one row at a
+    time, as the learner does, since a matrix-vector product over many rows
+    can round the Q values differently from the per-row one.
     """
     if name not in POLICY_NAMES:
         raise ValueError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
@@ -87,13 +85,17 @@ def make_policy(name: str, bank: BankConfig, chain: BackgroundChain,
         raise ValueError(f"weights: expected shape ({d},), got {np.shape(weights)}")
 
     model = bank_model(bank, chain)
-    t, row, sids = model.table, model.row, range(model.n_states)
+    t = model.table
     if name == "greedy":
         policy = first_argmax(t.rewards, t.offsets) - t.offsets[:-1]
     elif name == "naive":
-        policy = np.array([_naive(bank, row(sid)) for sid in sids])
+        policy = _naive(bank, t.offsets, t.actions)
     else:
-        policy = np.array([_rl(bank, sid // model.num_b, row(sid), weights)
-                           for sid in sids])
+        # per background state: its bias weight and its kernel weights
+        blocks = [(float(blk[0]), blk[1:]) for blk in
+                  (weights[block_slice(x, bank.n)] for x in range(chain.n_states))]
+        w0 = float(weights[0])
+        policy = np.array([_rl(model.row(sid), w0, *blocks[sid // model.num_b])
+                           for sid in range(model.n_states)])
     policy.flags.writeable = False
     return policy

@@ -11,7 +11,7 @@ from battbank.env import bank_model, feasible_actions, reward, state_actions
 from battbank.features import (block_slice, feature_dim, feature_vector,
                                kernel_matrix, kernel_product, load_weights,
                                q_argmax, q_from_kernels, q_max, q_row,
-                               q_values, save_weights)
+                               save_weights)
 
 from conftest import make_bank, make_chain
 
@@ -120,13 +120,15 @@ class TestFeatureVector:
 
 
 def q_block(bank, chain, s, w):
-    """q_values over s's feasible set, from a fresh state_actions table."""
+    """q_row over s's feasible set, from a fresh state_actions table."""
     ent = state_actions(bank, chain, s)
-    return q_values(bank, s.x, ent.rewards, kernel_matrix(bank, ent.actions + s.b), w)
+    blk = w[block_slice(s.x, bank.n)]
+    kv = kernel_product(kernel_matrix(bank, ent.actions + s.b), blk[1:])
+    return q_row(float(w[0]), ent.rewards, float(blk[0]), kv.tolist())
 
 
 class TestQHat:
-    # q_values is the one home of the linear estimate Q-hat(s, a) = phi . w
+    # q_row is the one home of the linear estimate Q-hat(s, a) = phi . w
     def test_zero_weights(self, toy_bank, toy_chain):
         w = np.zeros(feature_dim(toy_bank.n, toy_chain.n_states))
         q = q_block(toy_bank, toy_chain, State(x=0, b=(1, 1)), w)
@@ -156,8 +158,8 @@ class TestQHat:
                                            rtol=1e-12, atol=1e-12)
 
     def test_single_action_equals_set_entry(self):
-        # the learner's one-action value and q_values share q_from_kernels
-        # and kernel_product; each entry must agree bit for bit
+        # the learner's one-action value and q_row share the expression and
+        # kernel_product; each entry must agree bit for bit
         bank = make_bank(capacities=(6, 9), ramps=(2, 3),
                          dissipation=(0.9, 0.95))
         chain = make_chain()
@@ -167,17 +169,16 @@ class TestQHat:
             s = State(x=int(rng.integers(4)),
                       b=(int(rng.integers(7)), int(rng.integers(10))))
             ent = state_actions(bank, chain, s)
-            kmat = kernel_matrix(bank, ent.actions + s.b)
-            q = q_values(bank, s.x, ent.rewards, kmat, w)
+            q = q_block(bank, chain, s, w)
             blk = w[block_slice(s.x, bank.n)]
-            kv = kernel_product(kmat, blk[1:])
+            kv = kernel_product(kernel_matrix(bank, ent.actions + s.b), blk[1:])
             for a in range(len(q)):
                 assert q_from_kernels(w[0], ent.rewards[a], blk[0],
                                       kv[a]) == q[a]
 
     def test_q_row_equals_q_values(self):
-        # the learner's list form of a row's estimates, its max and its
-        # first argmax, against the array form on compiled rows
+        # the list form of a row's estimates, its max and its first argmax,
+        # against the same expression in numpy arrays on compiled rows
         rng = np.random.default_rng(8)
         chain = make_chain()
         for _ in range(60):
@@ -194,7 +195,8 @@ class TestQHat:
             for sid in rng.integers(model.n_states, size=5).tolist():
                 row, x = model.row(sid), sid // model.num_b
                 blk = w[block_slice(x, n)]
-                q = q_values(bank, x, row.rewards, row.kmat, w)
+                q = (w[0] * np.asarray(row.rewards) + blk[0]
+                     + row.kmat.dot(blk[1:]))
                 got = q_row(float(w[0]), row.rewards, float(blk[0]),
                             kernel_product(row.kmat, blk[1:]).tolist())
                 assert [v.hex() for v in got] == [float(v).hex() for v in q]
@@ -256,7 +258,10 @@ class TestWeightPersistence:
         (lambda d: {**d, "weights": [float("nan")] * len(d["weights"])},
          "weights[0]: expected a finite number, got nan"),
         (lambda d: [d], "top level: expected an object"),
-    ], ids=["no-fingerprint", "no-d", "no-weights", "nan-weight", "list"])
+        (lambda d: {**d, "N": "two"}, "N: expected an integer, got 'two'"),
+        (lambda d: {**d, "num_bg_states": -7}, "num_bg_states: expected 4, got -7"),
+    ], ids=["no-fingerprint", "no-d", "no-weights", "nan-weight", "list",
+            "N-not-integer", "num-bg-states-mismatch"])
     def test_malformed_file_named(self, tmp_path, toy_bank, toy_chain, edit,
                                   message):
         path = tmp_path / "w.json"

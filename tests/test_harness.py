@@ -56,8 +56,12 @@ class TestCoupledRollout:
     @pytest.mark.parametrize("pick, match", [
         (lambda counts: counts, r"policy bad: .* state 0's row of {n} actions"),
         (lambda counts: counts * 0 - 1, r"policy bad: .* state 0's row of {n} actions"),
-        (lambda counts: counts[1:] * 0, r"policy bad: expected shape \(48,\)")],
-        ids=["past-end", "negative", "wrong-length"])
+        (lambda counts: counts[1:] * 0, r"policy bad: expected shape \(48,\)"),
+        (lambda counts: counts * 0.0,
+         r"policy bad: expected integer indices, got dtype float64"),
+        (lambda counts: np.zeros(len(counts), bool),
+         r"policy bad: expected integer indices, got dtype bool")],
+        ids=["past-end", "negative", "wrong-length", "float", "bool"])
     def test_index_outside_row_rejected(self, toy_bank, toy_chain, pick, match):
         # every state's index is checked before the first step, visited or not
         counts = np.diff(bank_model(toy_bank, toy_chain).table.offsets)

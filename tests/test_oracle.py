@@ -205,8 +205,12 @@ class TestEvaluatePolicyExact:
     @pytest.mark.parametrize("pick, match", [
         (lambda counts: counts, r"state 0's row of {n} actions"),
         (lambda counts: counts * 0 - 1, r"state 0's row of {n} actions"),
-        (lambda counts: counts[1:] * 0, r"expected shape \(48,\)")],
-        ids=["past-end", "negative", "wrong-length"])
+        (lambda counts: counts[1:] * 0, r"expected shape \(48,\)"),
+        (lambda counts: counts * 0.0,
+         r"expected integer indices, got dtype float64"),
+        (lambda counts: np.zeros(len(counts), bool),
+         r"expected integer indices, got dtype bool")],
+        ids=["past-end", "negative", "wrong-length", "float", "bool"])
     def test_index_outside_row_rejected(self, toy_bank, toy_chain, pick, match):
         counts = np.diff(bank_model(toy_bank, toy_chain).table.offsets)
         with pytest.raises(ValueError, match=match.format(n=counts[0])):

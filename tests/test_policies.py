@@ -1,15 +1,21 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from battbank.core import BackgroundChain, State
+from battbank.core import BackgroundChain, State, load_config
 from battbank.env import (action_bounds, bank_model, feasible_actions,
                           reward)
 from battbank.features import feature_dim, feature_vector
+from battbank.harness import resize_bank
 from battbank.learner import LearnSchedule, train, update_weights
 from battbank.policies import (greedy_action, make_policy, naive_action,
                                rl_action)
 
 from conftest import make_bank, make_chain
+
+TOY_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "toy_bank.json"
 
 
 def const_chain(f):
@@ -192,3 +198,23 @@ class TestMakePolicy:
         assert feature_dim(toy_bank.n, toy_chain.n_states) == 21
         with pytest.raises(ValueError, match=r"weights: expected shape \(21,\)"):
             make_policy("rl", toy_bank, toy_chain, weights=np.zeros(shape))
+
+    # sha256 of the int64 bytes of make_policy's arrays, recorded before
+    # naive and rl read the table through their current code paths
+    @pytest.mark.parametrize("sizes, ramp, naive_sha, rl_sha", [
+        ((10, 10), 25,
+         "717d0dc7cf80ce46d857d01559095d1ea0987d4d3e2b762389c35150af335d27",
+         "f6502a88afed286950896b9a83e841fe0fc627d5a33a4789ecc182934e9fd9bd"),
+        ((20, 20), 2,
+         "c34dafb98b760727d8f05ff84ccc18602b5d92386e52cabca10677ee48469cc6",
+         "abcbb126a11845f7fd541ec1ccd45f2a7a4b4a4844b0919e8202a9346653f293"),
+    ], ids=["10x10-ramp25", "20x20-ramp2"])
+    def test_picks_pinned(self, sizes, ramp, naive_sha, rl_sha):
+        toy, chain = load_config(TOY_CONFIG)
+        bank = resize_bank(toy, sizes, (ramp, ramp))
+        w, _ = train(bank, chain, LearnSchedule(t_train=20_000, seed=0x5EED))
+        for name, kw, sha in [("naive", {}, naive_sha),
+                              ("rl", {"weights": w}, rl_sha)]:
+            policy = make_policy(name, bank, chain, **kw)
+            digest = hashlib.sha256(policy.astype(np.int64).tobytes())
+            assert digest.hexdigest() == sha, name
