@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -108,12 +107,7 @@ class Table(NamedTuple):
     next_bid: np.ndarray  # (n_pairs,) int
 
 
-# Most candidate actions one tabulate call checks at once, which bounds its
-# scratch arrays however large the bank; a call covers at least one state.
-BLOCK_CANDIDATES = 1 << 16
-
-
-@functools.lru_cache(maxsize=16)   # _post_tables asks once per tabulate call
+@functools.lru_cache(maxsize=16)   # _post_tables asks once per table and per row
 def occupancy_strides(capacities: tuple[int, ...]) -> tuple[int, ...]:
     """Place values of the mixed-radix occupancy id, first battery slowest:
     the id of b is sum(b_i * stride_i)."""
@@ -182,13 +176,6 @@ class BankModel:
         self.num_b = self.n_states // chain.n_states
         self._caps = np.array(self.bank.capacities, dtype=np.int64)
         self._ramps = np.array(self.bank.ramps, dtype=np.int64)
-        # every combination of the first N-1 action components that some
-        # occupancy admits, lexicographic; the last component is the target
-        # minus their sum
-        spans = [range(-r, r + 1) for r in
-                 np.minimum(self._ramps, self._caps)[:-1].tolist()]
-        self._grid = np.array(list(itertools.product(*spans)), dtype=np.int64)
-        self._grid_sum = self._grid.sum(axis=1)
         self._net_gen = np.array(chain.net_gen, dtype=np.int64)
         self._rows: dict[int, StateActions] = {}
 
@@ -204,38 +191,51 @@ class BankModel:
         x, b = self.decode(np.array([sid]))
         return State(x=int(x[0]), b=tuple(b[0].tolist()))
 
-    def tabulate(self, start: int, stop: int) -> tuple[np.ndarray, ...]:
-        """The rows of state ids start..stop-1, each equal to its state's
-        state_actions, as (per-state pair counts, actions, rewards,
-        next_bid): every grid candidate is checked against the state's ramp
-        and capacity bounds at once."""
-        x, b = self.decode(np.arange(start, stop))
+    def tabulate(self) -> Table:
+        """Every state's row, equal to its state_actions: feasible_actions'
+        recursion on all states at once. Each of the first N-1 levels spreads
+        every partial action over its component's interval, and the last
+        component is the remainder. The post-action occupancy id grows as
+        components are fixed; rewards and successors are looked up by it."""
+        n = self.bank.n
+        # bounds and attainable sums of components i.. of each occupancy;
+        # a partial action's occupancy id still holds b_j for j >= i
+        b = self.decode(np.arange(self.num_b))[1]
         lo = -np.minimum(self._ramps, b)
         hi = np.minimum(self._ramps, self._caps - b)
-        target = np.clip(self._net_gen[x], lo.sum(axis=1), hi.sum(axis=1))
-        last = target[:, None] - self._grid_sum
-        ok = (lo[:, -1:] <= last) & (last <= hi[:, -1:])
-        for i in range(self.bank.n - 1):
-            a_i = self._grid[:, i]
-            ok &= (lo[:, i:i + 1] <= a_i) & (a_i <= hi[:, i:i + 1])
-        si, ki = np.nonzero(ok)
-        actions = np.empty((len(si), self.bank.n), dtype=np.int64)
-        actions[:, :-1] = self._grid[ki]
-        actions[:, -1] = last[si, ki]
-        rewards, next_bid = _post_tables(self.bank, actions + b[si])
-        return ok.sum(axis=1), actions, rewards, next_bid
+        sum_lo = np.cumsum(lo[:, ::-1], axis=1)[:, ::-1]
+        sum_hi = np.cumsum(hi[:, ::-1], axis=1)[:, ::-1]
+        x, post = np.divmod(np.arange(self.n_states), self.num_b)
+        rem = np.clip(self._net_gen[x], sum_lo[post, 0], sum_hi[post, 0])
+        first = np.arange(self.n_states)   # each state's first node
+        levels = []
+        for i in range(n - 1):
+            a_lo = np.maximum(lo[post, i], rem - sum_hi[post, i + 1])
+            counts = np.minimum(hi[post, i], rem - sum_lo[post, i + 1]) - a_lo + 1
+            starts = np.cumsum(counts) - counts
+            first = starts[first]
+            parent = np.repeat(np.arange(len(counts)), counts)
+            values = np.repeat(a_lo - starts, counts) + np.arange(len(parent))
+            rem = rem[parent] - values
+            post = post[parent] + values * self.strides[i]
+            levels.append((values, parent))
+        post += rem * self.strides[-1]
+        actions = np.empty((len(rem), n), dtype=np.int64)
+        actions[:, -1] = rem
+        offsets = np.append(first, len(rem))
+        idx = slice(None)   # each pair's node on the level being written
+        for i in reversed(range(n - 1)):
+            values, parent = levels.pop()
+            actions[:, i] = values[idx]
+            idx = parent[idx] if levels else None
+        rewards, next_bid = _post_tables(self.bank, b)
+        return Table(offsets, actions, rewards[post], next_bid[post])
 
     @functools.cached_property
     def table(self) -> Table:
-        """The whole state space, tabulated in runs of consecutive ids that
-        each check at most BLOCK_CANDIDATES candidates; one run is not copied.
-        Read-only, as every row and the exact solver share it."""
-        step = max(1, BLOCK_CANDIDATES // len(self._grid))
-        counts, *pairs = (col[0] if len(col) == 1 else np.concatenate(col)
-                          for col in zip(*(
-            self.tabulate(start, min(start + step, self.n_states))
-            for start in range(0, self.n_states, step))))
-        table = Table(np.concatenate(([0], np.cumsum(counts))), *pairs)
+        """tabulate's arrays, built on first use and read-only, as every
+        row and the exact solver share them."""
+        table = self.tabulate()
         for arr in table:
             arr.flags.writeable = False
         return table

@@ -122,6 +122,43 @@ class RawDraws:
         return m >> 32
 
 
+# Rewards are <= 0, so Q* lies in [min r / (1 - gamma), 0]. A trained Q
+# estimate further from zero than this many times -min r / (1 - gamma) has
+# diverged: healthy runs were measured at 0.19-0.79 times it and silent
+# divergences at 1.8e18 times or more, so 10 leaves a wide margin both ways.
+Q_BOUND_FACTOR = 10
+
+
+def check_q_bound(bank: BankConfig, chain: BackgroundChain, w: np.ndarray,
+                   schedule: LearnSchedule) -> None:
+    """Raise FloatingPointError when the Q estimate of weights w, valued
+    over every state's row with features.q_row, leaves Q_BOUND_FACTOR times
+    the range Q* can take."""
+    model = bank_model(bank, chain)
+    min_r = float(model.table.rewards.min())
+    bound = Q_BOUND_FACTOR * -min_r / (1.0 - bank.gamma)
+    # kernels lie in [-1, 0], so |Q-hat| <= |w0| * -min r plus the sum of
+    # |weights| of one background block: when that is within the bound, no
+    # row need be valued (the margin covers the rounding of both sums)
+    blocks = np.abs(w[1:]).reshape(chain.n_states, -1).sum(axis=1)
+    if (abs(w[0]) * -min_r + blocks.max()) * (1 + 1e-9) <= bound:
+        return
+    w0 = float(w[0])
+    tops = []
+    for sid in range(model.n_states):
+        e = model.row(sid)
+        blk = w[block_slice(sid // model.num_b, bank.n)]
+        q = q_row(w0, e.rewards, float(blk[0]),
+                  kernel_product(e.kmat, blk[1:]).tolist())
+        tops.append(q_max([abs(v) for v in q]))   # a NaN is kept
+    top = float(np.max(tops))
+    if not top <= bound:
+        raise FloatingPointError(
+            f"max|Q-hat| = {top:.3g} after {schedule.t_train} training steps "
+            f"exceeds the bound {bound:.3g} ({Q_BOUND_FACTOR} x -min r / "
+            f"(1 - gamma)), training seed {schedule.seed}")
+
+
 def update_weights(w: np.ndarray, phi: np.ndarray, delta: float,
                    beta: float) -> np.ndarray:
     if phi.shape != w.shape:
@@ -153,7 +190,8 @@ def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
     w at the end, and a state's Q row is features.q_row. Its max and first
     argmax fall back to numpy for a zero maximum or a row holding a NaN or
     an infinity (features.q_max), so a divergence is raised at the same
-    step.
+    step. A run that diverges without a non-finite TD error fails after its
+    last step, when its Q estimate leaves the range Q* can take.
     """
     check_x0(chain, x0)
     if log_every < 1:
@@ -236,4 +274,5 @@ def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
     w[0] = w0
     for blk, b in zip(blocks, bias):
         blk[0] = b
+    check_q_bound(bank, chain, w, schedule)
     return w, log

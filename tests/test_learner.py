@@ -1,15 +1,21 @@
+import itertools
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from battbank.chain import cumulative_transition
-from battbank.core import BackgroundChain, State
-from battbank.env import apply_action, feasible_actions, reward
+from battbank.core import BackgroundChain, State, load_config
+from battbank.env import apply_action, bank_model, feasible_actions, reward
 from battbank.features import feature_dim, feature_vector
 from battbank.harness import resize_bank
-from battbank.learner import (RAW_BLOCK, LearnSchedule, RawDraws, train,
-                              update_weights)
+from battbank.learner import (RAW_BLOCK, LearnSchedule, RawDraws,
+                              check_q_bound, train, update_weights)
 
 from conftest import TOY_LABELS, make_bank, make_chain
+
+TOY_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "toy_bank.json"
 
 # weights of train(make_bank(), toy chain, LearnSchedule(seed=0, t_train=5000)),
 # recorded before training moved onto the compiled bank model
@@ -405,7 +411,61 @@ class TestDivergence:
                   LearnSchedule(seed=0x5EED + 1))
 
     def test_neighbouring_seed_runs_its_steps(self):
-        w, log = train(self.big_bank(), make_chain(),
-                       LearnSchedule(seed=0x5EED))
+        # no TD error turns non-finite in its 1e5 steps, but its weights
+        # diverge all the same: the bound check after the last step says so
+        with pytest.raises(FloatingPointError, match=(
+                r"^max\|Q-hat\| = \S+ after 100000 training steps exceeds "
+                r"the bound ")):
+            train(self.big_bank(), make_chain(), LearnSchedule(seed=0x5EED))
+
+
+class TestQBound:
+    # the shipped toy config resized to (30, 30), ramps 25, trained with the
+    # default schedule: seed 0x5EED runs every step with finite TD errors
+    # and ends at ~1e62 times the bound; seed 0x5EED + 2 ends at ~0.54 times
+    @staticmethod
+    def bank_and_chain():
+        toy, chain = load_config(TOY_CONFIG)
+        return resize_bank(toy, (30, 30), (25, 25)), chain
+
+    def test_silent_divergence_fails_naming_the_bound(self):
+        bank, chain = self.bank_and_chain()
+        with pytest.raises(FloatingPointError) as info:
+            train(bank, chain, LearnSchedule(seed=0x5EED))
+        msg = str(info.value)
+        # -min r = 1 * (0.2 * 30) + 0.1 * (0.2 * 30) = 6.6, gamma = 0.9
+        assert re.fullmatch(
+            r"max\|Q-hat\| = (\S+) after 100000 training steps exceeds the "
+            r"bound 660 \(10 x -min r / \(1 - gamma\)\), training seed 24301",
+            msg), msg
+        assert float(msg.split()[2]) > 1e60 * 660
+
+    def test_healthy_run_passes(self):
+        bank, chain = self.bank_and_chain()
+        w, log = train(bank, chain, LearnSchedule(seed=0x5EED + 2))
         assert np.isfinite(w).all()
         assert log.rows[-1][0] == 100_000
+
+    @pytest.mark.parametrize("scale", [0.5, 1.5])
+    def test_rows_decide_where_weight_sums_cannot(self, scale):
+        # bias and kernel weights all equal: Q-hat = c * (1 + sum of
+        # kernels) stays within c on the rows, while a block's weights sum
+        # to 5c, above the bound, so every row is valued
+        bank, chain = make_bank(gamma=0.9), make_chain()
+        bound = 10 * -bank_model(bank, chain).table.rewards.min() / 0.1
+        w = np.zeros(feature_dim(bank.n, chain.n_states))
+        w[1:] = 1.0
+        top = max(abs(feature_vector(bank, chain, State(x, b), a) @ w)
+                  for x in range(chain.n_states)
+                  for b in itertools.product(range(3), range(4))
+                  for a in feasible_actions(bank, chain, State(x, b)))
+        w *= scale * bound / top
+        sched = LearnSchedule(t_train=0, seed=7)
+        if scale < 1:
+            check_q_bound(bank, chain, w, sched)
+            return
+        with pytest.raises(FloatingPointError) as info:
+            check_q_bound(bank, chain, w, sched)
+        assert str(info.value).endswith("training seed 7")
+        assert float(str(info.value).split()[2]) == pytest.approx(
+            scale * bound, rel=1e-2)

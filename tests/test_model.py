@@ -1,15 +1,18 @@
+import hashlib
 import itertools
+import json
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from battbank import cli, env, harness, oracle
 from battbank.chain import cumulative_transition, generate_trajectory
 from battbank.core import (BackgroundChain, BankConfig, BatteryConfig, State,
-                           validate_config)
+                           config_to_dict, load_config, validate_config)
 from battbank.env import apply_action, bank_model, reward
 from battbank.features import feature_dim, kernel_matrix
 from battbank.learner import LearnSchedule
@@ -65,15 +68,17 @@ class TestBankModel:
 
 
 def _count_tabulations(monkeypatch) -> Counter:
-    """Count, per distinct (batteries, state id), how many calls of the
-    compiled model's builder, BankModel.tabulate, have covered the state."""
+    """Count, per distinct (batteries, state id), how many whole-table builds
+    of the compiled model, BankModel.tabulate, have covered the state."""
     counts = Counter()
     real = env.BankModel.tabulate
 
-    def counting(model, start, stop):
-        for sid in range(start, stop):
+    def counting(model):
+        table = real(model)
+        assert len(table.offsets) == model.n_states + 1
+        for sid in range(model.n_states):
             counts[(model.bank.batteries, sid)] += 1
-        return real(model, start, stop)
+        return table
 
     monkeypatch.setattr(env.BankModel, "tabulate", counting)
     return counts
@@ -106,55 +111,67 @@ class TestTabulatedOnce:
         assert len(builds) == 1
 
 
-def test_small_blocks_give_identical_tables(monkeypatch):
-    # a candidate cap far below the default cuts the ids into runs whose
-    # boundaries fall inside one background state's occupancies
-    bank = make_bank(capacities=(3, 4, 2), ramps=(2, 1, 3),
-                     weights=(0.1, 1.0, 0.5), dissipation=(0.9, 1.0, 0.75))
-    calls = []
-    real = env.BankModel.tabulate
-
-    def recording(model, start, stop):
-        calls.append(start)
-        return real(model, start, stop)
-
-    monkeypatch.setattr(env.BankModel, "tabulate", recording)
-    ref = oracle.ExactModel(bank, make_chain())
-    assert calls == [0]
-    for cap in (1, 100):
-        calls.clear()
-        monkeypatch.setattr(env, "BLOCK_CANDIDATES", cap)
-        small = oracle.ExactModel(bank, make_chain())   # a new chain, a new model
-        compiled = small.compiled
-        assert len(calls) > 1
-        assert any(start % compiled.num_b for start in calls)
-        assert small.sa_rewards.tobytes() == ref.sa_rewards.tobytes()
-        for name in ("offsets", "sa_actions", "sa_next"):
-            np.testing.assert_array_equal(getattr(small, name), getattr(ref, name))
-        for sid in range(compiled.n_states):
-            row, ref_row = compiled.row(sid), ref.compiled.row(sid)
-            np.testing.assert_array_equal(row.actions, ref_row.actions)
-            assert row.next_bid == ref_row.next_bid
-            np.testing.assert_array_equal(row.kmat, ref_row.kmat)
+# banks whose tables take every level of BankModel.tabulate: three
+# enumeration levels with ramps above and below the capacities, and a lossy,
+# ramp-bound bank
+DEEP_BANKS = {
+    "4bat-free": make_bank(capacities=(2, 3, 1, 2), ramps=(5, 5, 5, 5),
+                           weights=(0.1, 1.0, 0.5, 2.5)),
+    "4bat-ramp-bound": make_bank(capacities=(3, 2, 4, 2), ramps=(1, 2, 1, 1),
+                                 weights=(0.7, 0.1, 1.0, 0.5),
+                                 dissipation=(0.9, 1.0, 0.75, 0.5)),
+    "4bat-mixed": make_bank(capacities=(4, 1, 3, 2), ramps=(2, 6, 3, 1),
+                            weights=(1.0, 0.5, 0.1, 2.5),
+                            dissipation=(1.0, 0.5, 0.9, 1.0)),
+    "3bat-lossy": make_bank(capacities=(3, 4, 2), ramps=(2, 1, 3),
+                            weights=(0.1, 1.0, 0.5),
+                            dissipation=(0.9, 1.0, 0.75)),
+}
 
 
-def test_one_run_table_keeps_tabulate_arrays(monkeypatch, toy_bank, toy_chain):
-    # ids that fit one run are tabulated once, and that call's arrays are
-    # the table: no concatenated copy
-    runs = []
-    real = env.BankModel.tabulate
+@pytest.mark.parametrize("name", DEEP_BANKS)
+def test_deep_tables_match_scalar_spec(name):
+    bank, chain = DEEP_BANKS[name], make_chain()
+    model = env.BankModel(bank.batteries, chain)
+    lengths = []
+    for sid, s in enumerate(_states(bank, chain)):
+        row = model.row(sid)
+        acts = env.feasible_actions(bank, chain, s)
+        lengths.append(len(acts))
+        assert row.actions.tolist() == [list(a) for a in acts]
+        assert row.rewards == [reward(bank, s, a) for a in acts]
+        assert row.next_bid == [model.occupancy_id(apply_action(bank, s.b, a))
+                                for a in acts]
+    np.testing.assert_array_equal(model.table.offsets, np.cumsum([0] + lengths))
 
-    def recording(model, start, stop):
-        runs.append(real(model, start, stop))
-        return runs[-1]
 
-    monkeypatch.setattr(env.BankModel, "tabulate", recording)
-    table = env.BankModel(toy_bank.batteries, toy_chain).table
-    assert len(runs) == 1
-    _, *arrays = runs[0]
-    for arr, shared in zip(arrays, (table.actions, table.rewards,
-                                    table.next_bid), strict=True):
-        assert np.shares_memory(arr, shared)
+# sha256 of the table's arrays (offsets, actions, rewards, next_bid, their
+# bytes in that order) and of the `solve-exact --out` CSV at the default
+# tolerance, recorded while the table was still built from a checked grid of
+# candidate actions
+@pytest.mark.parametrize("name, table_sha, csv_sha", [
+    ("toy",
+     "ec999c23f3b6b688139c399c0e0c6727dc8b333363fc105c2e5a21ba11a427b8",
+     "6534474a20a06c2e6328fb780f016e4a5b72d7450b9eb069648edb416765cc92"),
+    ("3bat-lossy",
+     "1ad216053af0a6546e27b85ce822b4d8c5c6806ca7c8f34a7e0b4339c2de6dbd",
+     "9778164e93e82a43a77055974c1ef94ed65b3276085a3d20df8ccbb1f642e569"),
+])
+def test_solve_path_bytes_pinned(name, table_sha, csv_sha, tmp_path, capsys):
+    if name == "toy":
+        bank, chain = load_config(CONFIG)
+    else:
+        bank, chain = DEEP_BANKS[name], make_chain()
+    table = env.BankModel(bank.batteries, chain).table
+    assert [arr.dtype for arr in table] == [np.int64, np.int64, np.float64,
+                                            np.int64]
+    digest = hashlib.sha256(b"".join(arr.tobytes() for arr in table))
+    assert digest.hexdigest() == table_sha
+    config, out = tmp_path / "bank.json", tmp_path / "sol.csv"
+    config.write_text(json.dumps(config_to_dict(bank, chain)))
+    assert cli.main(["solve-exact", str(config), "--out", str(out)]) == 0, \
+        capsys.readouterr().err
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
 
 
 def test_exact_model_reads_the_table_without_copying(toy_bank, toy_chain):
