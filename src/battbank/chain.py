@@ -6,6 +6,7 @@
 from __future__ import annotations
 
 import bisect
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,11 +68,10 @@ def generate_trajectory(chain: BackgroundChain, x0: int, T: int, seed: int) -> T
     check_seed(seed)
     rng = np.random.default_rng(seed)
     cum_rows = cumulative_transition(chain).tolist()
-    x = int(x0)
-    path = [x]
-    for lo in range(0, T, _BLOCK):
-        for u in rng.random(min(_BLOCK, T - lo)).tolist():
-            # bisect_right is searchsorted(side="right") on a Python list
-            x = bisect.bisect_right(cum_rows[x], u)
-            path.append(x)
+    uniforms = itertools.chain.from_iterable(
+        rng.random(min(_BLOCK, T - lo)).tolist() for lo in range(0, T, _BLOCK))
+    # bisect_right is searchsorted(side="right"); no list of the path is made
+    path = itertools.accumulate(
+        uniforms, lambda x, u: bisect.bisect_right(cum_rows[x], u),
+        initial=int(x0))
     return Trajectory(x_path=tuple(path))

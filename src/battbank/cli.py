@@ -80,8 +80,12 @@ def cmd_train(args) -> int:
     if log.rows:
         tail = log.rows[-min(10, len(log.rows)):]
         mean_tail = sum(r[3] for r in tail) / len(tail)
-        print(f"trained {sched.t_train} steps: cumulative reward "
-              f"{log.rows[-1][4]:.1f}, tail mean |td| {mean_tail:.4f}")
+        print(f"trained {sched.t_train} steps; at step {log.rows[-1][0]}, the "
+              f"last logged: cumulative reward {log.rows[-1][4]:.1f}, tail "
+              f"mean |td| {mean_tail:.4f}")
+    elif sched.t_train:
+        print(f"trained {sched.t_train} steps; none logged, the first log row "
+              f"is at step {learner.TrainLog.EVERY}")
     else:
         print("trained 0 steps: zero weight vector written")
     print(f"weights -> {args.out}")

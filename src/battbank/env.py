@@ -88,7 +88,7 @@ def apply_action(bank: BankConfig, b: tuple[int, ...], a: Action) -> tuple[int, 
 class StateActions:
     """One state's feasible set, in feasible_actions (lexicographic) order.
     `next_bid[i]` is the occupancy id action i leads to; `kmat`, the kernel
-    features of b + a, is filled by BankModel.row, not by state_actions."""
+    features of b + a, is filled in BankModel.rows, not by state_actions."""
 
     actions: np.ndarray   # (n_actions, N) int
     # Python numbers: the learner's step works in Python floats and ints
@@ -107,7 +107,7 @@ class Table(NamedTuple):
     next_bid: np.ndarray  # (n_pairs,) int
 
 
-@functools.lru_cache(maxsize=16)   # _post_tables asks once per table and per row
+@functools.lru_cache(maxsize=16)   # _post_tables asks once per table
 def occupancy_strides(capacities: tuple[int, ...]) -> tuple[int, ...]:
     """Place values of the mixed-radix occupancy id, first battery slowest:
     the id of b is sum(b_i * stride_i)."""
@@ -165,7 +165,7 @@ class BankModel:
     `x * num_b + occupancy_id(b)`, for ids in `range(n_states)`. `table`
     holds every state's feasible actions, rewards and successor occupancy
     ids as one set of flat arrays, which every caller shares: the exact
-    solver's arrays and each row's actions are views of it.
+    solver's arrays and the actions of each of `rows` are views of it.
     """
 
     def __init__(self, batteries, chain: BackgroundChain):
@@ -177,7 +177,6 @@ class BankModel:
         self._caps = np.array(self.bank.capacities, dtype=np.int64)
         self._ramps = np.array(self.bank.ramps, dtype=np.int64)
         self._net_gen = np.array(chain.net_gen, dtype=np.int64)
-        self._rows: dict[int, StateActions] = {}
 
     def occupancy_id(self, b: tuple[int, ...]) -> int:
         return sum(v * m for v, m in zip(b, self.strides))
@@ -186,10 +185,6 @@ class BankModel:
         """Background states (n,) and occupancies (n, N) of state ids."""
         x, occ = np.divmod(sids, self.num_b)
         return x, occ[:, None] // np.array(self.strides) % (self._caps + 1)
-
-    def state(self, sid: int) -> State:
-        x, b = self.decode(np.array([sid]))
-        return State(x=int(x[0]), b=tuple(b[0].tolist()))
 
     def tabulate(self) -> Table:
         """Every state's row, equal to its state_actions: feasible_actions'
@@ -240,6 +235,22 @@ class BankModel:
             arr.flags.writeable = False
         return table
 
+    @functools.cached_property
+    def rows(self) -> list[StateActions]:
+        """Every state's row, in state-id order, built on first use beside
+        the table: views of its actions, lists of its rewards and successor
+        ids, and as `kmat` views of one kernel_matrix call over all b + a."""
+        from .features import kernel_matrix  # features imports this module
+        t, ends = self.table, self.table.offsets.tolist()
+        posts = np.repeat(self.decode(np.arange(self.n_states))[1],
+                          np.diff(t.offsets), axis=0)
+        posts += t.actions
+        kmat = kernel_matrix(self.bank, posts)
+        rewards, next_bid = t.rewards.tolist(), t.next_bid.tolist()
+        return [StateActions(t.actions[lo:hi], rewards[lo:hi],
+                             next_bid[lo:hi], kmat[lo:hi])
+                for lo, hi in zip(ends, ends[1:])]
+
     def pairs(self, policy: np.ndarray, name: str = "policy") -> np.ndarray:
         """Flat table index of each state's chosen pair under a policy
         array, whose entry sid indexes state sid's row."""
@@ -256,21 +267,6 @@ class BankModel:
             raise ValueError(f"{name}: index {policy[bad[0]]} outside state "
                              f"{bad[0]}'s row of {counts[bad[0]]} actions")
         return self.table.offsets[:-1] + policy
-
-    def row(self, sid: int) -> StateActions:
-        """State sid's row: a view of the table's actions, lists of its
-        rewards and successor ids, and the kernel features of its
-        post-action occupancies."""
-        r = self._rows.get(sid)
-        if r is None:
-            from .features import kernel_matrix  # features imports this module
-            t = self.table
-            lo, hi = t.offsets[sid:sid + 2].tolist()
-            actions = t.actions[lo:hi]
-            r = self._rows[sid] = StateActions(
-                actions, t.rewards[lo:hi].tolist(), t.next_bid[lo:hi].tolist(),
-                kernel_matrix(self.bank, actions + self.decode(np.array([sid]))[1]))
-        return r
 
 
 # One entry: callers work through one bank at a time, and a larger cache

@@ -7,18 +7,19 @@
 # where y_i is the normalised post-action occupancy of battery i.
 #
 # The linear estimate Q-hat = phi . w has one home: q_row over a feasible set,
-# and the scalar q_from_kernels for one action; both read w[0] and one block.
+# the scalar q_from_kernels for one action, and q_rows over a model's rows.
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
 from .core import (Action, BankConfig, BackgroundChain, State, _fields,
                    _number, _numbers, config_fingerprint)
-from .env import reward
+from .env import BankModel, reward
 
 WEIGHTS_FORMAT_VERSION = 1
 
@@ -31,6 +32,14 @@ def block_slice(x: int, n_batteries: int) -> slice:
     """Slice of the weight/feature vector holding background state x's block."""
     width = 2 * n_batteries + 1
     return slice(1 + x * width, 1 + (x + 1) * width)
+
+
+def split_weights(w: np.ndarray, n_batteries: int, n_bg_states: int
+                  ) -> tuple[float, list[float], list[np.ndarray]]:
+    """w's reward weight and each block's bias weight as Python floats, and
+    each block's kernel weights as a view into w."""
+    blocks = [w[block_slice(x, n_batteries)] for x in range(n_bg_states)]
+    return float(w[0]), [float(blk[0]) for blk in blocks], [blk[1:] for blk in blocks]
 
 
 def kernel_matrix(bank: BankConfig, posts: np.ndarray) -> np.ndarray:
@@ -83,6 +92,16 @@ def q_row(w0: float, rewards: list[float], bias: float,
     learner's step and the rl policy use it, where a list of a few entries
     costs less than numpy's dispatch."""
     return [w0 * r + bias + k for r, k in zip(rewards, kv)]
+
+
+def q_rows(model: BankModel, w: np.ndarray) -> Iterator[list[float]]:
+    """Each state's q_row under weights w, in state-id order, one row at a
+    time as the learner's step takes them."""
+    w0, bias, kernel_ws = split_weights(w, model.bank.n, model.chain.n_states)
+    for sid, row in enumerate(model.rows):
+        x = sid // model.num_b
+        yield q_row(w0, row.rewards, bias[x],
+                    kernel_product(row.kmat, kernel_ws[x]).tolist())
 
 
 def q_max(q: list[float]) -> float:

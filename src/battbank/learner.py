@@ -13,7 +13,7 @@ from .chain import check_x0, cumulative_transition
 from .core import BankConfig, BackgroundChain
 from .env import bank_model, check_b0
 from .features import (block_slice, feature_dim, kernel_product, q_argmax,
-                       q_from_kernels, q_max, q_row)
+                       q_from_kernels, q_max, q_row, q_rows, split_weights)
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,7 @@ class TrainLog:
     rows: list[tuple] = field(default_factory=list)  # (step, eps, beta, mean_abs_td, cum_reward)
 
     HEADER = ("step", "epsilon", "beta", "mean_abs_td", "cum_reward")
+    EVERY = 1000   # steps per row, unless train is given log_every
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -132,7 +133,7 @@ Q_BOUND_FACTOR = 10
 def check_q_bound(bank: BankConfig, chain: BackgroundChain, w: np.ndarray,
                    schedule: LearnSchedule) -> None:
     """Raise FloatingPointError when the Q estimate of weights w, valued
-    over every state's row with features.q_row, leaves Q_BOUND_FACTOR times
+    over every state's row with features.q_rows, leaves Q_BOUND_FACTOR times
     the range Q* can take."""
     model = bank_model(bank, chain)
     min_r = float(model.table.rewards.min())
@@ -143,15 +144,8 @@ def check_q_bound(bank: BankConfig, chain: BackgroundChain, w: np.ndarray,
     blocks = np.abs(w[1:]).reshape(chain.n_states, -1).sum(axis=1)
     if (abs(w[0]) * -min_r + blocks.max()) * (1 + 1e-9) <= bound:
         return
-    w0 = float(w[0])
-    tops = []
-    for sid in range(model.n_states):
-        e = model.row(sid)
-        blk = w[block_slice(sid // model.num_b, bank.n)]
-        q = q_row(w0, e.rewards, float(blk[0]),
-                  kernel_product(e.kmat, blk[1:]).tolist())
-        tops.append(q_max([abs(v) for v in q]))   # a NaN is kept
-    top = float(np.max(tops))
+    # q_max keeps a NaN, and np.max passes it on
+    top = float(np.max([q_max([abs(v) for v in q]) for q in q_rows(model, w)]))
     if not top <= bound:
         raise FloatingPointError(
             f"max|Q-hat| = {top:.3g} after {schedule.t_train} training steps "
@@ -171,7 +165,7 @@ def update_weights(w: np.ndarray, phi: np.ndarray, delta: float,
 @np.errstate(over="ignore", invalid="ignore")
 def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
           x0: int = 0, b0: tuple[int, ...] | None = None,
-          log_every: int = 1000) -> tuple[np.ndarray, TrainLog]:
+          log_every: int = TrainLog.EVERY) -> tuple[np.ndarray, TrainLog]:
     """Run the online learning loop for schedule.t_train steps.
 
     Behavior is epsilon-greedy in the current estimate; chain transitions are
@@ -207,14 +201,11 @@ def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
 
     cum_rows = cumulative_transition(chain).tolist()
     model = bank_model(bank, chain)
-    row = model.row
+    rows = model.rows
     num_b = model.num_b
-    # views into w: each background state's block, and its kernel weights;
-    # w[0] and the blocks' leading bias weights live in w0 and bias
-    blocks = [w[block_slice(x, bank.n)] for x in range(chain.n_states)]
-    kernel_ws = [blk[1:] for blk in blocks]
-    w0 = 0.0
-    bias = [0.0] * chain.n_states
+    # kernel_ws are views into w; w[0] and the blocks' bias weights live in
+    # w0 and bias until training ends
+    w0, bias, kernel_ws = split_weights(w, bank.n, chain.n_states)
 
     # schedule.eps and schedule.beta, hoisted: eps stays at eps_min when
     # eps0 <= eps_min, and beta is LearnSchedule.beta's expression
@@ -224,7 +215,7 @@ def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
     beta_tau = schedule.beta_tau
 
     x = x0
-    e = row(x0 * num_b + model.occupancy_id(tuple(b0)))
+    e = rows[x0 * num_b + model.occupancy_id(tuple(b0))]
     kv = kernel_product(e.kmat, kernel_ws[x]).tolist()
     cum_reward = 0.0
     abs_td_acc = 0.0
@@ -246,7 +237,7 @@ def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
         r = rewards[a_idx]
         # bisect_right is searchsorted(side="right") on a Python list
         x_next = bisect.bisect_right(cum_rows[x], uniform())
-        e_next = row(x_next * num_b + e.next_bid[a_idx])
+        e_next = rows[x_next * num_b + e.next_bid[a_idx]]
         kv_next = kernel_product(e_next.kmat, kernel_ws[x_next]).tolist()
         q_next = q_row(w0, e_next.rewards, bias[x_next], kv_next)
 
@@ -272,7 +263,7 @@ def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
         x, e, kv = x_next, e_next, kv_next
 
     w[0] = w0
-    for blk, b in zip(blocks, bias):
-        blk[0] = b
+    for x, b in enumerate(bias):
+        w[block_slice(x, bank.n).start] = b
     check_q_bound(bank, chain, w, schedule)
     return w, log

@@ -60,8 +60,8 @@ class ExactModel:
     """The bank's compiled table (env.bank_model) read as flat (state,
     action) arrays for vectorized Bellman sweeps: `offsets`, `sa_actions`
     and `sa_rewards` are the table's own arrays, not copies. State i owns
-    the pairs offsets[i]:offsets[i + 1], in the order of
-    `compiled.row(i)`'s actions."""
+    the pairs offsets[i]:offsets[i + 1], in feasible_actions order, as in
+    `compiled.rows[i]`."""
 
     def __init__(self, bank: BankConfig, chain: BackgroundChain):
         n = state_count(bank, chain)

@@ -3,19 +3,19 @@
 # Tie-breaking everywhere: the lexicographically smallest action. Feasible
 # sets are enumerated in lexicographic order, so "first maximizer" does it.
 #
-# A policy is an array: entry sid indexes state sid's compiled row. Each rule
-# is written once: greedy and naive over the whole table, rl row by row with
-# the learner's q_row. The *_action functions apply them to a freshly
-# tabulated row and are the reference that make_policy is tested against.
+# A policy is an array: entry sid indexes state sid's row of the compiled
+# table. Each rule is written once: greedy and naive over the whole table, rl
+# as q_argmax of each features.q_rows entry. The *_action functions apply them
+# to a freshly tabulated row and are the reference make_policy is tested on.
 
 from __future__ import annotations
 
 import numpy as np
 
 from .core import Action, BankConfig, BackgroundChain, State
-from .env import StateActions, bank_model, first_argmax, state_actions
+from .env import bank_model, first_argmax, state_actions
 from .features import (block_slice, feature_dim, kernel_matrix,
-                       kernel_product, q_argmax, q_row)
+                       kernel_product, q_argmax, q_row, q_rows)
 
 POLICY_NAMES = ("greedy", "naive", "rl")
 
@@ -36,13 +36,6 @@ def _naive(bank: BankConfig, offsets: np.ndarray, actions: np.ndarray) -> np.nda
     return first_argmax(np.where(hit, np.inf, -dist), offsets) - offsets[:-1]
 
 
-def _rl(row: StateActions, w0: float, bias: float, kernel_w: np.ndarray) -> int:
-    """Maximize the linear Q estimate over a row whose `kmat` is filled;
-    w0, bias and kernel_w are the weights of learner.train's step."""
-    return q_argmax(q_row(w0, row.rewards, bias,
-                          kernel_product(row.kmat, kernel_w).tolist()))
-
-
 def greedy_action(bank: BankConfig, chain: BackgroundChain, s: State) -> Action:
     """Maximize the instantaneous reward over the feasible set."""
     row = state_actions(bank, chain, s)
@@ -58,23 +51,23 @@ def naive_action(bank: BankConfig, chain: BackgroundChain, s: State) -> Action:
 def rl_action(bank: BankConfig, chain: BackgroundChain, s: State,
               w: np.ndarray) -> Action:
     row = state_actions(bank, chain, s)
-    row.kmat = kernel_matrix(bank, row.actions + s.b)
     blk = w[block_slice(s.x, bank.n)]
-    return tuple(row.actions[_rl(row, float(w[0]), float(blk[0]), blk[1:])].tolist())
+    kv = kernel_product(kernel_matrix(bank, row.actions + s.b), blk[1:])
+    q = q_row(float(w[0]), row.rewards, float(blk[0]), kv.tolist())
+    return tuple(row.actions[q_argmax(q)].tolist())
 
 
 def make_policy(name: str, bank: BankConfig, chain: BackgroundChain,
                 weights: np.ndarray | None = None) -> np.ndarray:
     """Deterministic stationary policy as a read-only (n_states,) index
-    array: entry sid is the index of state sid's action in
-    `bank_model(bank, chain).row(sid)`.
+    array: entry sid is the index of state sid's action in its row of
+    `bank_model(bank, chain).table`.
 
     It reads the bank's shared compiled model (env.bank_model), so a state's
     feasible set is tabulated once for every policy, learner and oracle
     that visits it; each choice equals the matching *_action function's.
-    Greedy and naive read the whole table at once; rl takes one row at a
-    time, as the learner does, since a matrix-vector product over many rows
-    can round the Q values differently from the per-row one.
+    Greedy and naive read the whole table at once; rl values it with
+    features.q_rows, one state at a time as the learner does.
     """
     if name not in POLICY_NAMES:
         raise ValueError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
@@ -91,11 +84,6 @@ def make_policy(name: str, bank: BankConfig, chain: BackgroundChain,
     elif name == "naive":
         policy = _naive(bank, t.offsets, t.actions)
     else:
-        # per background state: its bias weight and its kernel weights
-        blocks = [(float(blk[0]), blk[1:]) for blk in
-                  (weights[block_slice(x, bank.n)] for x in range(chain.n_states))]
-        w0 = float(weights[0])
-        policy = np.array([_rl(model.row(sid), w0, *blocks[sid // model.num_b])
-                           for sid in range(model.n_states)])
+        policy = np.array([q_argmax(q) for q in q_rows(model, weights)])
     policy.flags.writeable = False
     return policy

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from battbank.core import BankConfig, BatteryConfig, BackgroundChain
+from battbank.core import BankConfig, BatteryConfig, BackgroundChain, State
 
 # transition matrix and state labels of the shipped toy instance
 TOY_P = [
@@ -27,6 +27,12 @@ def make_bank(capacities=(2, 3), ramps=(25, 25), weights=(0.1, 1.0),
         for B, c, w, eta in zip(capacities, ramps, weights, dissipation)
     )
     return BankConfig(batteries=batteries, gamma=gamma, initial_occupancy=occupancy)
+
+
+def model_state(model, sid):
+    """The State that a BankModel's state id stands for."""
+    x, b = model.decode(np.array([sid]))
+    return State(x=int(x[0]), b=tuple(b[0].tolist()))
 
 
 @pytest.fixture

@@ -139,6 +139,26 @@ class TestTrain:
         assert not w.any()
         assert "0 steps" in capsys.readouterr().out
 
+    def test_steps_below_one_log_row_named(self, tmp_path, capsys):
+        out = tmp_path / "w.json"
+        assert main(["train", TOY_CONFIG, "--out", str(out),
+                     "--steps", "500"]) == EXIT_OK
+        bank, chain = load_config(TOY_CONFIG)
+        assert features.load_weights(out, bank, chain).any()
+        text = capsys.readouterr().out
+        assert text.startswith("trained 500 steps; ")
+        assert "zero weight" not in text
+
+    def test_summary_names_the_logged_step(self, tmp_path, capsys):
+        out, log = tmp_path / "w.json", tmp_path / "log.csv"
+        assert main(["train", TOY_CONFIG, "--out", str(out), "--log",
+                     str(log), "--steps", "1500"]) == EXIT_OK
+        step, _, _, _, cum = log.read_text().splitlines()[-1].split(",")
+        assert step == "1000"
+        assert (f"trained 1500 steps; at step 1000, the last logged: "
+                f"cumulative reward {float(cum):.1f}, "
+                in capsys.readouterr().out)
+
     def test_seed_determinism_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "w1.json", tmp_path / "w2.json"
         for out in (out1, out2):
@@ -298,11 +318,6 @@ def test_weights_round_trip_preserves_policy(tmp_path):
     from battbank.learner import LearnSchedule, train
     from battbank.policies import make_policy
 
-    def q_hat(row, x, w):
-        blk = w[features.block_slice(x, bank.n)]
-        kv = features.kernel_product(row.kmat, blk[1:]).tolist()
-        return features.q_row(float(w[0]), row.rewards, float(blk[0]), kv)
-
     bank, chain = load_config(TOY_CONFIG)
     w, _ = train(bank, chain, LearnSchedule(t_train=2000, seed=3))
     path = tmp_path / "w.json"
@@ -310,8 +325,7 @@ def test_weights_round_trip_preserves_policy(tmp_path):
     w2 = features.load_weights(path, bank, chain)
     np.testing.assert_array_equal(w, w2)
     model = bank_model(bank, chain)
+    assert (list(features.q_rows(model, w))
+            == list(features.q_rows(model, w2)))
     rl, rl2 = (make_policy("rl", bank, chain, weights=v) for v in (w, w2))
-    for sid in range(model.n_states):
-        x, row = sid // model.num_b, model.row(sid)
-        assert q_hat(row, x, w) == q_hat(row, x, w2)
-        assert rl[sid] == rl2[sid]
+    np.testing.assert_array_equal(rl, rl2)

@@ -10,8 +10,8 @@ from battbank.core import BackgroundChain, State
 from battbank.env import bank_model, feasible_actions, reward, state_actions
 from battbank.features import (block_slice, feature_dim, feature_vector,
                                kernel_matrix, kernel_product, load_weights,
-                               q_argmax, q_from_kernels, q_max, q_row,
-                               save_weights)
+                               q_argmax, q_from_kernels, q_max, q_row, q_rows,
+                               save_weights, split_weights)
 
 from conftest import make_bank, make_chain
 
@@ -42,6 +42,26 @@ class TestDimensions:
             sl = block_slice(x, n)
             covered |= set(range(sl.start, sl.stop))
         assert covered == set(range(1, feature_dim(n, m)))
+
+    def test_split_weights_follows_block_slice(self):
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            n, m = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+            w = rng.normal(size=feature_dim(n, m))
+            w0, bias, kernel_ws = split_weights(w, n, m)
+            assert type(w0) is float and w0 == w[0]
+            assert len(bias) == len(kernel_ws) == m
+            for x in range(m):
+                blk = w[block_slice(x, n)]
+                assert type(bias[x]) is float and bias[x] == blk[0]
+                np.testing.assert_array_equal(kernel_ws[x], blk[1:])
+            # an update through a kernel view lands in w
+            x = int(rng.integers(m))
+            before = w.copy()
+            kernel_ws[x] += 1.0
+            changed = np.flatnonzero(w != before)
+            sl = block_slice(x, n)
+            assert changed.tolist() == list(range(sl.start + 1, sl.stop))
 
 
 class TestNormalizedOccupancy:
@@ -192,13 +212,14 @@ class TestQHat:
             w = (rng.normal(size=feature_dim(n, chain.n_states))
                  * 10.0 ** rng.integers(-3, 4))
             model = bank_model(bank, chain)
+            rows = list(q_rows(model, w))
+            assert len(rows) == model.n_states
             for sid in rng.integers(model.n_states, size=5).tolist():
-                row, x = model.row(sid), sid // model.num_b
+                row, x = model.rows[sid], sid // model.num_b
                 blk = w[block_slice(x, n)]
                 q = (w[0] * np.asarray(row.rewards) + blk[0]
                      + row.kmat.dot(blk[1:]))
-                got = q_row(float(w[0]), row.rewards, float(blk[0]),
-                            kernel_product(row.kmat, blk[1:]).tolist())
+                got = rows[sid]
                 assert [v.hex() for v in got] == [float(v).hex() for v in q]
                 assert q_max(got).hex() == float(np.maximum.reduce(q)).hex()
                 assert q_argmax(got) == int(np.argmax(q))

@@ -19,7 +19,7 @@ from battbank.learner import LearnSchedule
 from battbank.policies import (greedy_action, make_policy, naive_action,
                                rl_action)
 
-from conftest import make_bank, make_chain
+from conftest import make_bank, make_chain, model_state
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "toy_bank.json"
 
@@ -41,16 +41,16 @@ class TestBankModel:
         assert model.n_states == toy_chain.n_states * model.num_b == len(states)
         for i, s in enumerate(states):
             assert s.x * model.num_b + model.occupancy_id(s.b) == i
-            assert model.state(i) == s
+            assert model_state(model, i) == s
 
     def test_rows_match_state_actions(self, toy_chain):
         bank = make_bank(capacities=(4, 3), ramps=(2, 1),
                          dissipation=(0.75, 1.0))
         model = bank_model(bank, toy_chain)
         for sid in range(toy_chain.n_states * model.num_b):
-            s = model.state(sid)
+            s = model_state(model, sid)
             ent = env.state_actions(bank, toy_chain, s)
-            row = model.row(sid)
+            row = model.rows[sid]
             np.testing.assert_array_equal(row.actions, ent.actions)
             np.testing.assert_array_equal(row.rewards, ent.rewards)
             assert row.next_bid == ent.next_bid == [
@@ -135,7 +135,7 @@ def test_deep_tables_match_scalar_spec(name):
     model = env.BankModel(bank.batteries, chain)
     lengths = []
     for sid, s in enumerate(_states(bank, chain)):
-        row = model.row(sid)
+        row = model.rows[sid]
         acts = env.feasible_actions(bank, chain, s)
         lengths.append(len(acts))
         assert row.actions.tolist() == [list(a) for a in acts]
@@ -236,7 +236,7 @@ def test_block_rows_match_scalar_spec(inst):
     bank, chain, _ = inst
     model = env.BankModel(bank.batteries, chain)
     for sid, s in enumerate(_states(bank, chain)):
-        row = model.row(sid)
+        row = model.rows[sid]
         acts = env.feasible_actions(bank, chain, s)
         assert row.actions.tolist() == [list(a) for a in acts]
         assert row.rewards == [reward(bank, s, a) for a in acts]
@@ -248,15 +248,35 @@ def test_block_rows_match_scalar_spec(inst):
 
 @PROPERTY
 @given(instances())
+def test_rows_are_the_tables_slices(inst):
+    bank, chain, _ = inst
+    model = env.BankModel(bank.batteries, chain)
+    t = model.table
+    assert len(model.rows) == model.n_states
+    for sid, row in enumerate(model.rows):
+        lo, hi = t.offsets[sid:sid + 2]
+        np.testing.assert_array_equal(row.actions, t.actions[lo:hi])
+        assert row.rewards == t.rewards[lo:hi].tolist()
+        assert row.next_bid == t.next_bid[lo:hi].tolist()
+        b = model.decode(np.array([sid]))[1]
+        np.testing.assert_array_equal(
+            row.kmat, kernel_matrix(bank, row.actions + b))
+
+
+@PROPERTY
+@given(instances())
 def test_rows_are_views_of_their_block(inst):
     bank, chain, _ = inst
     model = env.BankModel(bank.batteries, chain)
-    for sid in range(model.n_states):
-        row = model.row(sid)
+    kernels = model.rows[0].kmat.base
+    assert kernels is not None and len(kernels) == len(model.table.actions)
+    for row in model.rows:
         assert np.shares_memory(row.actions, model.table.actions)
-        # rewards are a list, read one entry at a time by the learner's step
-        lo, hi = model.table.offsets[sid:sid + 2]
-        assert row.rewards == model.table.rewards[lo:hi].tolist()
+        # one kernel_matrix array holds every row's kernels
+        assert row.kmat.base is kernels
+        # rewards and successor ids are lists, read one entry at a time by
+        # the learner's step
+        assert type(row.rewards) is list and type(row.next_bid) is list
 
 
 @PROPERTY
@@ -268,7 +288,7 @@ def test_model_policies_match_scalar_actions_everywhere(inst):
             ("greedy", "naive", "rl")}
     model = bank_model(bank, chain)
     for sid, s in enumerate(_states(bank, chain)):
-        actions = list(map(tuple, model.row(sid).actions.tolist()))
+        actions = list(map(tuple, model.rows[sid].actions.tolist()))
         assert actions[fast["greedy"][sid]] == greedy_action(bank, chain, s)
         assert actions[fast["naive"][sid]] == naive_action(bank, chain, s)
         assert actions[fast["rl"][sid]] == rl_action(bank, chain, s, w)

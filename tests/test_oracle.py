@@ -18,7 +18,7 @@ from battbank.oracle import (ExactModel, IterationLimitExceeded,
                              write_solution_csv)
 from battbank.policies import greedy_action, make_policy
 
-from conftest import make_bank, make_chain
+from conftest import make_bank, make_chain, model_state
 from test_model import instances
 
 TOY_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "toy_bank.json"
@@ -40,7 +40,7 @@ class TestEnumerateStates:
 
     def test_bijective_and_x_major(self, toy_bank, toy_chain):
         model = ExactModel(toy_bank, toy_chain).compiled
-        states = [model.state(i) for i in range(model.n_states)]
+        states = [model_state(model, i) for i in range(model.n_states)]
         assert len(set(states)) == len(states) == 48
         for i, s in enumerate(states):
             assert s.x == i // model.num_b
@@ -198,7 +198,7 @@ class TestEvaluatePolicyExact:
         V = evaluate_policy_exact(bank, toy_chain, pol, tol=1e-15)
         model = bank_model(bank, toy_chain)
         for i in range(model.n_states):
-            s = model.state(i)
+            s = model_state(model, i)
             a = greedy_action(bank, toy_chain, s)
             assert V[i] == pytest.approx(reward(bank, s, a), abs=1e-6)
 

@@ -174,7 +174,7 @@ class TestMakePolicy:
                 for b2 in range(4):
                     s = State(x=x, b=(b1, b2))
                     sid = x * model.num_b + model.occupancy_id(s.b)
-                    actions = list(map(tuple, model.row(sid).actions.tolist()))
+                    actions = list(map(tuple, model.rows[sid].actions.tolist()))
                     for policy, fresh in pols.values():
                         assert actions[policy[sid]] == fresh(s)
         for policy, _ in pols.values():
