@@ -246,6 +246,7 @@ class BankModel:
                           np.diff(t.offsets), axis=0)
         posts += t.actions
         kmat = kernel_matrix(self.bank, posts)
+        del posts   # not held while the rows' lists are built
         rewards, next_bid = t.rewards.tolist(), t.next_bid.tolist()
         return [StateActions(t.actions[lo:hi], rewards[lo:hi],
                              next_bid[lo:hi], kmat[lo:hi])

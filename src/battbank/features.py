@@ -47,13 +47,14 @@ def kernel_matrix(bank: BankConfig, posts: np.ndarray) -> np.ndarray:
     of post-action occupancies.
 
     posts: (n, N) integer occupancies; returns (n, 2N) interleaved as
-    (empty-side, full-side) per battery.
+    (empty-side, full-side) per battery. Filled one battery at a time, so
+    only a few (n,) columns are held beside the output.
     """
-    caps = np.array(bank.capacities, dtype=float)
-    y = posts / caps
     out = np.empty((posts.shape[0], 2 * bank.n))
-    out[:, 0::2] = -((1.0 - y) ** 4)
-    out[:, 1::2] = -(y ** 4)
+    for i, cap in enumerate(bank.capacities):
+        y = posts[:, i] / float(cap)
+        out[:, 2 * i] = -((1.0 - y) ** 4)
+        out[:, 2 * i + 1] = -(y ** 4)
     return out
 
 

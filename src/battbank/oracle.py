@@ -13,7 +13,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -26,6 +25,8 @@ STATE_CAP = 10**6
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_SWEEPS = 10**5
 MAX_PI_STEPS = 1000
+# states per solution-CSV write: at most this many rows are held as text
+_CSV_BLOCK = 1 << 14
 
 
 class StateSpaceTooLarge(ValueError):
@@ -205,13 +206,28 @@ def evaluate_policy_exact(bank: BankConfig, chain: BackgroundChain, policy,
 
 
 def write_solution_csv(sol: ExactSolution, path) -> None:
+    """One CRLF-ended row per state id, as csv.writer's excel dialect writes
+    them (no field needs quoting): the id, its background index, its
+    occupancies and best action space-joined, and its value in %.12g. Each
+    block of states is formatted with one % operation."""
     model = sol.model
-    x, b = model.compiled.decode(np.arange(model.n_states))
+    n, num_b, k = model.n_states, model.num_b, model.bank.n + 4
+    ints = " ".join(["%d"] * model.bank.n)
+    occ = np.array([ints % tuple(b) for b in
+                    model.compiled.decode(np.arange(num_b))[1].tolist()], dtype=object)
     best = model.sa_actions[first_argmax(sol.q, model.offsets)]
+    values = sol.values()
+    row = "%d,%d,%s," + ints + ",%.12g\r\n"
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["state_index", "x", "b", "best_action", "optimal_value"])
-        for i, (x_i, b_i, a_i, v_i) in enumerate(zip(
-                x.tolist(), b.tolist(), best.tolist(), sol.values().tolist())):
-            wr.writerow([i, x_i, " ".join(map(str, b_i)),
-                         " ".join(map(str, a_i)), f"{v_i:.12g}"])
+        fh.write("state_index,x,b,best_action,optimal_value\r\n")
+        for lo in range(0, n, _CSV_BLOCK):
+            hi = min(lo + _CSV_BLOCK, n)
+            x, b = np.divmod(np.arange(lo, hi), num_b)
+            args = [None] * (k * (hi - lo))
+            args[0::k] = range(lo, hi)
+            args[1::k] = x.tolist()
+            args[2::k] = occ[b].tolist()
+            for j, col in enumerate(best[lo:hi].T.tolist(), 3):
+                args[j::k] = col
+            args[k - 1::k] = values[lo:hi].tolist()
+            fh.write(row * (hi - lo) % tuple(args))

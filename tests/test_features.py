@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from battbank.core import BackgroundChain, State
-from battbank.env import bank_model, feasible_actions, reward, state_actions
+from battbank.env import (BankModel, bank_model, feasible_actions, reward,
+                          state_actions)
 from battbank.features import (block_slice, feature_dim, feature_vector,
                                kernel_matrix, kernel_product, load_weights,
                                q_argmax, q_from_kernels, q_max, q_row, q_rows,
@@ -108,6 +110,46 @@ class TestKernels:
         for r, (b1, b2) in enumerate(posts):
             assert km[r, :2] == pytest.approx(kernels_at(b1 / 4))
             assert km[r, 2:] == pytest.approx(kernels_at(b2 / 8))
+
+    @staticmethod
+    def big_bank_posts():
+        """Every pair's post-action occupancy b + a on a (40, 40) bank with
+        ramps 25: 169,638 rows."""
+        bank = make_bank(capacities=(40, 40), ramps=(25, 25))
+        model = BankModel(bank.batteries, make_chain())
+        t = model.table
+        posts = np.repeat(model.decode(np.arange(model.n_states))[1],
+                          np.diff(t.offsets), axis=0)
+        return bank, posts + t.actions
+
+    def test_kernel_matrix_bit_identical_to_whole_array_form(self):
+        # the battery-by-battery fill against the form that divides the
+        # whole (n, N) array by the capacities at once
+        bank, posts = self.big_bank_posts()
+        rng = np.random.default_rng(3)
+        odd = make_bank(capacities=(3, 7, 1), ramps=(1, 2, 1),
+                        weights=(0.1, 1.0, 0.5))
+        for bank, posts in ((bank, posts),
+                            (odd, rng.integers(0, [4, 8, 2], size=(500, 3)))):
+            y = posts / np.array(bank.capacities, dtype=float)
+            ref = np.empty((len(posts), 2 * bank.n))
+            ref[:, 0::2] = -((1.0 - y) ** 4)
+            ref[:, 1::2] = -(y ** 4)
+            assert kernel_matrix(bank, posts).tobytes() == ref.tobytes()
+
+    def test_kernel_matrix_peak_stays_near_its_output(self):
+        # a few (n,) float columns beside the (n, 2N) output; the whole-array
+        # form held about six
+        bank, posts = self.big_bank_posts()
+        column = len(posts) * 8
+        tracemalloc.start()
+        try:
+            km = kernel_matrix(bank, posts)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held >= km.nbytes
+        assert peak - held <= 4 * column
 
 
 class TestFeatureVector:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -65,6 +66,20 @@ class TestBankModel:
                           toy_chain) is model
         assert bank_model(bank, make_chain()) is not model
         assert bank_model(make_bank(capacities=(3, 3)), toy_chain) is not model
+
+    def test_rows_build_peak_stays_near_what_they_hold(self, toy_chain):
+        # beside the rows, the build holds the table's two tolist copies,
+        # one pointer per pair each, but neither b + a nor kernel columns
+        bank = make_bank(capacities=(40, 40), ramps=(25, 25))
+        model = env.BankModel(bank.batteries, toy_chain)
+        column = len(model.table.rewards) * 8
+        tracemalloc.start()
+        try:
+            model.rows
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - held <= 3 * column
 
 
 def _count_tabulations(monkeypatch) -> Counter:
