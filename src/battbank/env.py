@@ -102,7 +102,7 @@ class Table(NamedTuple):
     offsets[sid]:offsets[sid + 1], in feasible_actions order."""
 
     offsets: np.ndarray   # (n_states + 1,) int
-    actions: np.ndarray   # (n_pairs, N) int
+    actions: np.ndarray   # (n_pairs, N) int, of _action_dtype
     rewards: np.ndarray   # (n_pairs,)
     next_bid: np.ndarray  # (n_pairs,) int
 
@@ -125,6 +125,13 @@ def check_b0(bank: BankConfig, b0: tuple[int, ...]) -> None:
     if len(b0) != bank.n or not all(0 <= v <= B for v, B in zip(b0, bank.capacities)):
         raise ValueError(f"b0: must be {bank.n} occupancies in [0, B_i] for "
                          f"capacities {bank.capacities}, got {tuple(b0)}")
+
+
+def _action_dtype(bank: BankConfig) -> np.dtype:
+    """The narrowest signed integer type that holds every action component:
+    |a_i| <= min(ramp_i, B_i)."""
+    top = max(min(bat.ramp, bat.capacity) for bat in bank.batteries)
+    return np.min_scalar_type(-top - 1)   # a type holding -top - 1 holds top
 
 
 def first_argmax(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -191,7 +198,8 @@ class BankModel:
         recursion on all states at once. Each of the first N-1 levels spreads
         every partial action over its component's interval, and the last
         component is the remainder. The post-action occupancy id grows as
-        components are fixed; rewards and successors are looked up by it."""
+        components are fixed; rewards and successors are looked up by it.
+        Actions are stored in the narrowest integer type that holds them."""
         n = self.bank.n
         # bounds and attainable sums of components i.. of each occupancy;
         # a partial action's occupancy id still holds b_j for j >= i
@@ -215,7 +223,7 @@ class BankModel:
             post = post[parent] + values * self.strides[i]
             levels.append((values, parent))
         post += rem * self.strides[-1]
-        actions = np.empty((len(rem), n), dtype=np.int64)
+        actions = np.empty((len(rem), n), dtype=_action_dtype(self.bank))
         actions[:, -1] = rem
         offsets = np.append(first, len(rem))
         idx = slice(None)   # each pair's node on the level being written

@@ -243,7 +243,8 @@ def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
 
         delta = r + gamma * q_max(q_next) - q_a
         if not math.isfinite(delta):
-            raise FloatingPointError(f"non-finite TD error at step {k}")
+            raise FloatingPointError(f"non-finite TD error at step {k}, "
+                                     f"training seed {schedule.seed}")
 
         # sparse form of w += beta * delta * phi(s, a)
         scale = beta * delta

@@ -59,10 +59,15 @@ def _fixed_point(sweep, v: np.ndarray, tol: float, max_sweeps: int):
 
 class ExactModel:
     """The bank's compiled table (env.bank_model) read as flat (state,
-    action) arrays for vectorized Bellman sweeps: `offsets`, `sa_actions`
-    and `sa_rewards` are the table's own arrays, not copies. State i owns
-    the pairs offsets[i]:offsets[i + 1], in feasible_actions order, as in
-    `compiled.rows[i]`."""
+    action) arrays for vectorized Bellman sweeps: `offsets`, `sa_actions`,
+    `sa_rewards` and `next_bid` are the table's own arrays, not copies, and
+    the model adds no pair-sized array of its own. State i owns the pairs
+    offsets[i]:offsets[i + 1], in feasible_actions order, as in
+    `compiled.rows[i]`. State ids put the background state first, so
+    background state x owns the contiguous pairs of `blocks[x]`, all of
+    whose successors are read from the same row of expected next values.
+    STATE_CAP bounds the states, not the pairs: a (16,16,16) bank with free
+    ramps has 2% of the cap in states and 3.0M pairs."""
 
     def __init__(self, bank: BankConfig, chain: BackgroundChain):
         n = state_count(bank, chain)
@@ -73,10 +78,10 @@ class ExactModel:
         self.chain = chain
         self.compiled = bank_model(bank, chain)
         self.num_b = self.compiled.num_b
-        self.offsets, self.sa_actions, self.sa_rewards, next_bid = self.compiled.table
-        # x * num_b + b' per pair: where PV.take finds its expected next value
-        self.sa_next = (np.repeat(np.arange(n) // self.num_b * self.num_b,
-                                  np.diff(self.offsets)) + next_bid)
+        table = self.compiled.table
+        self.offsets, self.sa_actions, self.sa_rewards, self.next_bid = table
+        ends = self.offsets[::self.num_b].tolist()
+        self.blocks = [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]
         # (pairs, tol, value) of the latest evaluate_from_zero
         self._from_zero = None
 
@@ -92,14 +97,25 @@ class ExactModel:
         return np.maximum.reduceat(q, self.offsets[:-1])
 
     def lookahead(self, V: np.ndarray) -> np.ndarray:
-        """r(s, a) + gamma * E[V(x', b')] for every (state, action) pair."""
+        """r(s, a) + gamma * E[V(x', b')] for every (state, action) pair,
+        built in one output vector: each background state's block of pairs
+        gathers its successors from its row of PV[x, b'] = sum over x' of
+        P[x, x'] V(x', b')."""
         PV = self.chain.transition @ V.reshape(self.chain.n_states, self.num_b)
-        return self.sa_rewards + self.bank.gamma * PV.take(self.sa_next)
+        q = np.empty(self.n_sa)
+        for pv, blk in zip(PV, self.blocks):
+            # successor ids lie in the row, so "clip" clips nothing; unlike
+            # the default "raise", it writes into `out` without a buffer
+            pv.take(self.next_bid[blk], out=q[blk], mode="clip")
+        q *= self.bank.gamma
+        q += self.sa_rewards
+        return q
 
     def backup(self, q: np.ndarray) -> tuple[np.ndarray, float]:
         """One synchronous sweep; returns (q', sup-norm change)."""
         q_new = self.lookahead(self.state_values(q))
-        return q_new, float(np.abs(q_new - q).max())
+        change = q_new - q
+        return q_new, float(np.abs(change, out=change).max())
 
     def evaluate_from_zero(self, sa: np.ndarray, tol: float) -> np.ndarray:
         """The value of the policy that takes flat pair sa[i] in state i,
@@ -146,7 +162,8 @@ def _evaluate(model: ExactModel, sa: np.ndarray, V: np.ndarray,
     """Sweep from V the evaluation operator of the policy that takes flat
     pair sa[i] in state i, until a sweep changes V by at most tol."""
     r_pi = model.sa_rewards[sa]
-    nxt = model.sa_next[sa]
+    # x * num_b + b' of each state's pair: where PV.take finds its next value
+    nxt = np.arange(len(sa)) // model.num_b * model.num_b + model.next_bid[sa]
     P, gamma = model.chain.transition, model.bank.gamma
 
     def sweep(V):
@@ -178,8 +195,8 @@ def solve_policy_iteration(bank: BankConfig, chain: BackgroundChain,
         gain = q[best] - q[sa]
         # V is within g * tol / (1 - g) of the policy's value, so q within g
         # times that; rounding is bounded relative to the largest |q|
-        margin = (2 * g * g * tol
-                  + 64 * np.finfo(float).eps * float(np.abs(q).max())) / (1 - g)
+        top = float(max(q.max(), -q.min()))   # max |q|, without an |q| array
+        margin = (2 * g * g * tol + 64 * np.finfo(float).eps * top) / (1 - g)
         switch = gain > margin
         if not switch.any():
             q, residual = model.backup(q)

@@ -178,9 +178,13 @@ def test_solve_path_bytes_pinned(name, table_sha, csv_sha, tmp_path, capsys):
     else:
         bank, chain = DEEP_BANKS[name], make_chain()
     table = env.BankModel(bank.batteries, chain).table
-    assert [arr.dtype for arr in table] == [np.int64, np.int64, np.float64,
+    # actions are held in the narrowest type and hashed as the int64 they
+    # were recorded in
+    assert [arr.dtype for arr in table] == [np.int64, np.int8, np.float64,
                                             np.int64]
-    digest = hashlib.sha256(b"".join(arr.tobytes() for arr in table))
+    digest = hashlib.sha256(b"".join(
+        arr.tobytes() for arr in table._replace(
+            actions=table.actions.astype(np.int64))))
     assert digest.hexdigest() == table_sha
     config, out = tmp_path / "bank.json", tmp_path / "sol.csv"
     config.write_text(json.dumps(config_to_dict(bank, chain)))
@@ -324,8 +328,47 @@ def test_exact_model_flattens_state_actions(inst):
     np.testing.assert_array_equal(
         model.sa_rewards, np.concatenate([r.rewards for r in rows]))
     np.testing.assert_array_equal(
-        model.sa_next, [s.x * len(occ_id) + occ_id[apply_action(bank, s.b, a)]
-                        for s, r in zip(states, rows) for a in r.actions.tolist()])
+        model.next_bid, [occ_id[apply_action(bank, s.b, a)]
+                         for s, r in zip(states, rows) for a in r.actions.tolist()])
+
+
+@PROPERTY
+@given(instances())
+def test_exact_lookahead_matches_scalar_spec(inst):
+    bank, chain, seed = inst
+    model = oracle.ExactModel(bank, chain)
+    # nonpositive, as the bank's values are: no sum below cancels, so the
+    # two summation orders agree to a relative 1e-12
+    V = -np.random.default_rng(seed).exponential(size=model.n_states)
+    q = model.lookahead(V)
+    expected = []
+    for s in _states(bank, chain):
+        for a in env.feasible_actions(bank, chain, s):
+            nb = model.compiled.occupancy_id(apply_action(bank, s.b, a))
+            expected.append(reward(bank, s, a) + bank.gamma * sum(
+                chain.transition[s.x, x2] * V[x2 * model.num_b + nb]
+                for x2 in range(chain.n_states)))
+    np.testing.assert_allclose(q, expected, rtol=1e-12)
+
+
+# the first battery's |a| is bounded by `limit`, and the chain's net
+# generation at both signs of it makes both extremes feasible actions
+@pytest.mark.parametrize("limit, dtype", [(127, np.int8), (128, np.int16)])
+def test_actions_in_narrowest_type(limit, dtype):
+    bank = make_bank(capacities=(limit, 3), ramps=(limit + 5, 2),
+                     weights=(0.1, 1.0))
+    chain = BackgroundChain(labels=(-limit, 0, limit),
+                            transition=np.full((3, 3), 1 / 3),
+                            net_gen=(-limit, 0, limit))
+    model = env.BankModel(bank.batteries, chain)
+    actions = model.table.actions
+    assert actions.dtype == dtype
+    assert actions.min() == -limit and actions.max() == limit
+    ends = model.table.offsets.tolist()
+    for sid in range(model.n_states):
+        ref = env.state_actions(bank, chain, model_state(model, sid)).actions
+        assert ref.dtype == np.int64
+        np.testing.assert_array_equal(actions[ends[sid]:ends[sid + 1]], ref)
 
 
 @PROPERTY

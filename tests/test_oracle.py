@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +183,41 @@ class TestPolicyIteration:
         sol = solve_policy_iteration(toy_bank, toy_chain, tol=1e-10)
         _, delta = sol.model.backup(sol.q)
         assert delta <= toy_bank.gamma * sol.residual + 1e-15
+
+
+class TestMemory:
+    # the solve-exact benchmark's (8,8,8) bank, its table built beforehand:
+    # what the solver adds on top is counted in pair-sized float64 vectors
+    @staticmethod
+    def bank_and_vector(chain):
+        bank = make_bank(capacities=(8, 8, 8), ramps=(25, 25, 25),
+                         weights=(0.1, 1.0, 0.5))
+        return bank, len(bank_model(bank, chain).table.rewards) * 8
+
+    @staticmethod
+    def traced(fn):
+        """fn()'s result, with the bytes it left held and its peak."""
+        tracemalloc.start()
+        try:
+            result = fn()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, held, peak
+
+    def test_policy_iteration_peak(self, toy_chain):
+        # the solution's q, a lookahead beside it and their difference
+        bank, vector = self.bank_and_vector(toy_chain)
+        sol, _, peak = self.traced(
+            lambda: solve_policy_iteration(bank, toy_chain, tol=1e-12))
+        assert sol.iterations == 1
+        assert peak <= 4 * vector
+
+    def test_exact_model_holds_no_pair_sized_array(self, toy_chain):
+        bank, vector = self.bank_and_vector(toy_chain)
+        model, held, _ = self.traced(lambda: ExactModel(bank, toy_chain))
+        assert model.n_sa * 8 == vector
+        assert held < vector
 
 
 class TestEvaluatePolicyExact:
