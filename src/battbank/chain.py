@@ -16,7 +16,16 @@ from .core import BackgroundChain
 
 @dataclass(frozen=True)
 class Trajectory:
-    x_path: tuple[int, ...]
+    """A background path: x_path[k] is the chain's state at step k, for
+    k = 0..T.
+
+    x_path is a read-only memoryview in the narrowest unsigned integer type
+    that holds the chain's largest state index: 1 byte a step for up to 256
+    states, 2 bytes up to 65,536. Indexing and iteration give Python ints.
+    np.asarray(x_path) views it in that unsigned dtype, so upcast it before
+    arithmetic whose result could leave that type.
+    """
+    x_path: memoryview
 
 
 def cumulative_transition(chain: BackgroundChain) -> np.ndarray:
@@ -54,15 +63,18 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"seed: must be >= 0, got {seed}")
 
 
-# uniforms drawn per block: at most _BLOCK of them are held at a time
-_BLOCK = 1 << 14
+# uniforms drawn per block: at most _BLOCK of them are held at a time, at
+# about 40 bytes each (a Python float, its list slot and its float64 draw),
+# so a block is the same size as a path of about 320k steps
+_BLOCK = 1 << 13
 
 
 def generate_trajectory(chain: BackgroundChain, x0: int, T: int, seed: int) -> Trajectory:
     """Background path of T steps from x0. PCG64(seed) yields T uniforms,
     the k-th choosing the successor of step k. Uniforms are drawn a block
     at a time; each step finds its successor by bisect_right over the
-    current state's cumulative row, as learner.train does."""
+    current state's cumulative row, as learner.train does. The path is
+    stored as Trajectory describes, without a list or tuple of it."""
     check_x0(chain, x0)
     check_length(T)
     check_seed(seed)
@@ -74,4 +86,8 @@ def generate_trajectory(chain: BackgroundChain, x0: int, T: int, seed: int) -> T
     path = itertools.accumulate(
         uniforms, lambda x, u: bisect.bisect_right(cum_rows[x], u),
         initial=int(x0))
-    return Trajectory(x_path=tuple(path))
+    # exactly T + 1 entries, in the narrowest type that holds every state
+    x_path = np.fromiter(path, np.min_scalar_type(chain.n_states - 1),
+                         count=T + 1)
+    x_path.flags.writeable = False
+    return Trajectory(x_path=x_path.data)

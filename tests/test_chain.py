@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,14 @@ def two_state_alternator():
     return BackgroundChain(labels=("lo", "hi"),
                            transition=np.array([[0.0, 1.0], [1.0, 0.0]]),
                            net_gen=(-1, 1))
+
+
+def cycle(n_states):
+    """The chain that steps x -> x + 1 mod n_states, so a path of
+    n_states steps from 0 visits every state in order."""
+    return BackgroundChain(labels=range(n_states),
+                           transition=np.roll(np.eye(n_states), 1, axis=1),
+                           net_gen=[0] * n_states)
 
 
 class TestCumulativeTransition:
@@ -44,7 +54,7 @@ class TestCumulativeTransition:
 class TestGenerateTrajectory:
     def test_zero_length(self, toy_chain):
         traj = generate_trajectory(toy_chain, x0=2, T=0, seed=5)
-        assert traj.x_path == (2,)
+        assert tuple(traj.x_path) == (2,)
 
     def test_negative_length_rejected(self, toy_chain):
         with pytest.raises(ValueError, match="T: must be >= 0"):
@@ -68,7 +78,7 @@ class TestGenerateTrajectory:
 
     def test_alternating_chain(self):
         traj = generate_trajectory(two_state_alternator(), 0, 4, seed=0)
-        assert traj.x_path == (0, 1, 0, 1, 0)
+        assert tuple(traj.x_path) == (0, 1, 0, 1, 0)
 
     def test_steps_follow_support(self, toy_chain):
         traj = generate_trajectory(toy_chain, 0, 2000, seed=4)
@@ -85,6 +95,46 @@ class TestGenerateTrajectory:
         pi = np.real(evecs[:, np.argmin(np.abs(evals - 1))])
         pi /= pi.sum()
         np.testing.assert_allclose(counts, pi, atol=0.01)
+
+
+class TestPathStorage:
+    @pytest.mark.parametrize("n_states, itemsize", [(2, 1), (256, 1), (257, 2)])
+    def test_narrowest_unsigned_type(self, n_states, itemsize):
+        traj = generate_trajectory(cycle(n_states), 0, n_states, seed=0)
+        assert traj.x_path.itemsize == itemsize
+        # the largest state index is stored and read back whole, as an int
+        assert list(traj.x_path) == [*range(n_states), 0]
+        assert type(traj.x_path[n_states - 1]) is int
+        assert all(type(x) is int for x in traj.x_path)
+
+    def test_read_only(self, toy_chain):
+        traj = generate_trajectory(toy_chain, 0, 10, seed=0)
+        with pytest.raises(TypeError, match="read-only"):
+            traj.x_path[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            np.asarray(traj.x_path)[0] = 1
+        assert traj.x_path[0] == 0
+
+    @pytest.mark.parametrize("n_states", [4, 257])
+    def test_numpy_view(self, n_states):
+        traj = generate_trajectory(cycle(n_states), 1, 600, seed=0)
+        path = np.array(traj.x_path)
+        assert path.ndim == 1 and path.dtype.kind == "u"
+        assert path.dtype.itemsize == traj.x_path.itemsize
+        np.testing.assert_array_equal(path, (1 + np.arange(601)) % n_states)
+
+    def test_peak_memory(self, toy_chain):
+        # the path at one byte a step plus one block of uniforms; a tuple of
+        # the path alone takes 8 bytes a step
+        generate_trajectory(toy_chain, 0, 1000, seed=0)
+        tracemalloc.start()
+        try:
+            traj = generate_trajectory(toy_chain, 0, 400_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj.x_path) == 400_001
+        assert peak < 1 << 20
 
 
 def test_net_generation_labels(toy_chain):

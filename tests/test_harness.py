@@ -5,12 +5,12 @@ import pytest
 
 from battbank import harness
 from battbank.chain import generate_trajectory
-from battbank.core import State
+from battbank.core import BackgroundChain, State
 from battbank.env import apply_action, bank_model, reward
 from battbank.harness import (TRAIN_SEED_OFFSET, compare_policies,
                               coupled_rollout, resize_bank)
 from battbank.learner import LearnSchedule, train
-from battbank.policies import make_policy, naive_action
+from battbank.policies import greedy_action, make_policy, naive_action
 
 from conftest import make_bank, make_chain
 
@@ -52,6 +52,36 @@ class TestCoupledRollout:
             b = apply_action(toy_bank, b, a)
         assert rep["naive"].total_reward == total
         assert rep["naive"].penalty_events == events
+
+    def test_matches_manual_loop_on_two_byte_path(self):
+        # 257 background states do not fit in a byte, so the path is stored
+        # two bytes a step
+        rng = np.random.default_rng(0)
+        P = rng.random((257, 257))
+        chain = BackgroundChain(labels=range(257),
+                                transition=P / P.sum(axis=1, keepdims=True),
+                                net_gen=rng.integers(-2, 3, 257))
+        bank = make_bank(capacities=(1,), ramps=(1,), weights=(1.0,))
+        traj = generate_trajectory(chain, 0, 3000, seed=5)
+        assert traj.x_path.itemsize == 2 and max(traj.x_path) >= 256
+        spec = {"greedy": greedy_action, "naive": naive_action}
+        rep = coupled_rollout(bank, chain,
+                              [(n, make_policy(n, bank, chain)) for n in spec],
+                              traj, bank.start_occupancy())
+        for name, action in spec.items():
+            total = 0.0
+            events = 0
+            b = bank.start_occupancy()
+            for k in range(3000):
+                s = State(x=traj.x_path[k], b=b)
+                a = action(bank, chain, s)
+                r = reward(bank, s, a)
+                total += r
+                events += r < 0
+                b = apply_action(bank, b, a)
+            assert rep[name].total_reward == total
+            assert rep[name].penalty_events == events
+            assert events > 0
 
     @pytest.mark.parametrize("pick, match", [
         (lambda counts: counts, r"policy bad: .* state 0's row of {n} actions"),

@@ -430,5 +430,5 @@ def test_trajectory_matches_per_step_sampling(inst, T):
     for _ in range(T):
         x = int(np.searchsorted(cum[x], rng.random(), side="right"))
         expect.append(x)
-    assert generate_trajectory(chain, x0, T, seed).x_path == tuple(expect)
+    assert tuple(generate_trajectory(chain, x0, T, seed).x_path) == tuple(expect)
 
