@@ -87,14 +87,16 @@ def apply_action(bank: BankConfig, b: tuple[int, ...], a: Action) -> tuple[int, 
 @dataclass(slots=True, eq=False)
 class StateActions:
     """One state's feasible set, in feasible_actions (lexicographic) order.
-    `next_bid[i]` is the occupancy id action i leads to; `kmat`, the kernel
-    features of b + a, is filled in BankModel.rows, not by state_actions."""
+    `next_bid[i]` is the occupancy id action i leads to. `kernels[i]` holds
+    the 2N kernel features of b + a_i as a tuple of Python floats, the one
+    tuple of that post-action occupancy, which every pair reaching it
+    shares; BankModel.rows fills it, state_actions does not."""
 
     actions: np.ndarray   # (n_actions, N) int
     # Python numbers: the learner's step works in Python floats and ints
     rewards: list[float]
     next_bid: list[int]
-    kmat: np.ndarray | None = None
+    kernels: list[tuple[float, ...]] | None = None
 
 
 class Table(NamedTuple):
@@ -247,18 +249,27 @@ class BankModel:
     def rows(self) -> list[StateActions]:
         """Every state's row, in state-id order, built on first use beside
         the table: views of its actions, lists of its rewards and successor
-        ids, and as `kmat` views of one kernel_matrix call over all b + a."""
+        ids, and a list of its kernel tuples. One kernel_matrix call over
+        every occupancy makes num_b tuples, and a pair's entry is the tuple
+        of its post-action occupancy b + a, so a pair costs one pointer."""
         from .features import kernel_matrix  # features imports this module
         t, ends = self.table, self.table.offsets.tolist()
-        posts = np.repeat(self.decode(np.arange(self.n_states))[1],
-                          np.diff(t.offsets), axis=0)
-        posts += t.actions
-        kmat = kernel_matrix(self.bank, posts)
-        del posts   # not held while the rows' lists are built
+        shared = np.fromiter(
+            map(tuple, kernel_matrix(
+                self.bank, self.decode(np.arange(self.num_b))[1]).tolist()),
+            dtype=object, count=self.num_b)
+        # each pair's post-action occupancy id: id(b) + id(a), as ids are linear
+        post = np.repeat(np.arange(self.n_states) % self.num_b,
+                         np.diff(t.offsets))
+        post += t.actions.dot(self.strides)
+        pair_kernels = shared[post]
+        del post
+        kernels = [pair_kernels[lo:hi].tolist() for lo, hi in zip(ends, ends[1:])]
+        del pair_kernels   # not held while the rows' other lists are built
         rewards, next_bid = t.rewards.tolist(), t.next_bid.tolist()
         return [StateActions(t.actions[lo:hi], rewards[lo:hi],
-                             next_bid[lo:hi], kmat[lo:hi])
-                for lo, hi in zip(ends, ends[1:])]
+                             next_bid[lo:hi], ks)
+                for lo, hi, ks in zip(ends, ends[1:], kernels)]
 
     def pairs(self, policy: np.ndarray, name: str = "policy") -> np.ndarray:
         """Flat table index of each state's chosen pair under a policy

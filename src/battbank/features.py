@@ -6,14 +6,19 @@
 #                        if x == j, else all zeros,
 # where y_i is the normalised post-action occupancy of battery i.
 #
-# The linear estimate Q-hat = phi . w has one home: q_row over a feasible set,
-# the scalar q_from_kernels for one action, and q_rows over a model's rows.
+# The linear estimate Q-hat = phi . w has one home, here: phi . w summed left
+# to right over phi's support, w0*r + bias + k_0*w_0 + ... + k_{2N-1}*w_{2N-1},
+# in Python floats. Each operation rounds as float64 does, in the same order
+# on every machine, so no BLAS kernel enters it. q_value values one action,
+# q_row a feasible set and q_rows a model's rows; width_forms picks the forms
+# for a kernel width.
 
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,11 +40,17 @@ def block_slice(x: int, n_batteries: int) -> slice:
 
 
 def split_weights(w: np.ndarray, n_batteries: int, n_bg_states: int
-                  ) -> tuple[float, list[float], list[np.ndarray]]:
-    """w's reward weight and each block's bias weight as Python floats, and
-    each block's kernel weights as a view into w."""
-    blocks = [w[block_slice(x, n_batteries)] for x in range(n_bg_states)]
-    return float(w[0]), [float(blk[0]) for blk in blocks], [blk[1:] for blk in blocks]
+                  ) -> tuple[float, list[float], list[list[float]]]:
+    """w's reward weight, each block's bias weight and each block's kernel
+    weights, as Python floats; join_weights puts them back."""
+    blocks = w[1:].reshape(n_bg_states, 2 * n_batteries + 1).tolist()
+    return float(w[0]), [blk[0] for blk in blocks], [blk[1:] for blk in blocks]
+
+
+def join_weights(w0: float, bias: list[float],
+                 kernel_ws: list[list[float]]) -> np.ndarray:
+    """The weight vector that split_weights splits into these parts."""
+    return np.append(w0, [[b, *kw] for b, kw in zip(bias, kernel_ws)])
 
 
 def kernel_matrix(bank: BankConfig, posts: np.ndarray) -> np.ndarray:
@@ -70,39 +81,73 @@ def feature_vector(bank: BankConfig, chain: BackgroundChain, s: State,
     return phi
 
 
-def kernel_product(kmat: np.ndarray, kernel_w: np.ndarray) -> np.ndarray:
-    """Kernel part of every action's Q estimate; kernel_w is the state's
-    weight block without its leading bias entry. ndarray.dot gives the
-    values of `kmat @ kernel_w` (both run BLAS gemv) with less dispatch
-    per call."""
-    return kmat.dot(kernel_w)
+def q_value(w0: float, reward: float, bias: float, kernels: Sequence[float],
+            kernel_w: Sequence[float]) -> float:
+    """Q-hat of one action: phi . w summed left to right over phi's support.
+    w0 is the reward weight, bias and kernel_w its block's bias and kernel
+    weights, and kernels the action's 2N kernel features."""
+    q = w0 * reward + bias
+    for k, v in zip(kernels, kernel_w):
+        q += k * v
+    return q
 
 
-def q_from_kernels(w0: float, reward: float, bias: float, kv: float) -> float:
-    """One action's Q estimate from the reward weight w0, its reward, the
-    block's bias weight and its kernel product kv: the expression q_row
-    takes entry by entry, so it equals that action's q_row entry bit for
-    bit."""
-    return w0 * reward + bias + kv
+def q_row(w0: float, rewards: Sequence[float], bias: float,
+          kernels: Sequence[Sequence[float]],
+          kernel_w: Sequence[float]) -> list[float]:
+    """q_value of every action of a feasible set, whose rewards and kernel
+    features are its row's."""
+    return [q_value(w0, r, bias, ks, kernel_w) for r, ks in zip(rewards, kernels)]
 
 
-def q_row(w0: float, rewards: list[float], bias: float,
-          kv: list[float]) -> list[float]:
-    """Q estimates of a whole feasible set in Python floats: rewards are
-    its row's rewards and kv its kernel_product, taken out as a list. The
-    learner's step and the rl policy use it, where a list of a few entries
-    costs less than numpy's dispatch."""
-    return [w0 * r + bias + k for r, k in zip(rewards, kv)]
+def add_scaled(kernel_w: Sequence[float], scale: float,
+               kernels: Sequence[float]) -> list[float]:
+    """kernel_w + scale * kernels, entry by entry: the kernel part of the
+    update w + scale * phi."""
+    return [v + scale * k for v, k in zip(kernel_w, kernels)]
+
+
+def _q_value_2(w0, reward, bias, kernels, kernel_w):
+    k0, k1, k2, k3 = kernels
+    v0, v1, v2, v3 = kernel_w
+    return w0 * reward + bias + k0 * v0 + k1 * v1 + k2 * v2 + k3 * v3
+
+
+def _q_row_2(w0, rewards, bias, kernels, kernel_w):
+    v0, v1, v2, v3 = kernel_w
+    return [w0 * r + bias + k0 * v0 + k1 * v1 + k2 * v2 + k3 * v3
+            for r, (k0, k1, k2, k3) in zip(rewards, kernels)]
+
+
+def _add_scaled_2(kernel_w, scale, kernels):
+    v0, v1, v2, v3 = kernel_w
+    k0, k1, k2, k3 = kernels
+    return [v0 + scale * k0, v1 + scale * k1, v2 + scale * k2, v3 + scale * k3]
+
+
+class WidthForms(NamedTuple):
+    value: Callable[..., float]       # q_value
+    row: Callable[..., list[float]]   # q_row
+    step: Callable[..., list[float]]  # add_scaled
+
+
+def width_forms(n_batteries: int) -> WidthForms:
+    """q_value, q_row and add_scaled for N batteries, picked once, outside a
+    loop. For N = 2 they are unrolled: the same operations in the same
+    order, so the same bits, without the loops' cost per entry."""
+    if n_batteries == 2:
+        return WidthForms(_q_value_2, _q_row_2, _add_scaled_2)
+    return WidthForms(q_value, q_row, add_scaled)
 
 
 def q_rows(model: BankModel, w: np.ndarray) -> Iterator[list[float]]:
     """Each state's q_row under weights w, in state-id order, one row at a
     time as the learner's step takes them."""
     w0, bias, kernel_ws = split_weights(w, model.bank.n, model.chain.n_states)
+    row_q = width_forms(model.bank.n).row
     for sid, row in enumerate(model.rows):
         x = sid // model.num_b
-        yield q_row(w0, row.rewards, bias[x],
-                    kernel_product(row.kmat, kernel_ws[x]).tolist())
+        yield row_q(w0, row.rewards, bias[x], row.kernels, kernel_ws[x])
 
 
 def q_max(q: list[float]) -> float:

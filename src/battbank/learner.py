@@ -12,8 +12,8 @@ import numpy as np
 from .chain import check_x0, cumulative_transition
 from .core import BankConfig, BackgroundChain
 from .env import bank_model, check_b0
-from .features import (block_slice, feature_dim, kernel_product, q_argmax,
-                       q_from_kernels, q_max, q_row, q_rows, split_weights)
+from .features import (feature_dim, join_weights, q_argmax, q_max, q_rows,
+                       split_weights, width_forms)
 
 
 @dataclass(frozen=True)
@@ -160,8 +160,9 @@ def update_weights(w: np.ndarray, phi: np.ndarray, delta: float,
     return w + beta * delta * phi
 
 
-# a diverging run overflows before its TD error turns non-finite; the check
-# below then reports it, whatever the warning filters say
+# a diverging run overflows before its TD error turns non-finite, in q_max's
+# numpy fallback and check_q_bound's sums; the check reports it, whatever the
+# warning filters say
 @np.errstate(over="ignore", invalid="ignore")
 def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
           x0: int = 0, b0: tuple[int, ...] | None = None,
@@ -176,16 +177,19 @@ def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
     it relies on numpy's Lemire method on 32-bit halves of a word and on
     PCG64's cached high half.
 
-    Besides the update of the kernel weights it visits, a step makes one
-    numpy call: the BLAS product of the next state's kernel rows with that
-    block's kernel weights, taken out as a list. The rest is Python-float
-    arithmetic, which rounds each operation as float64 numpy does: w[0] and
-    each block's bias weight are carried as Python floats and written into
-    w at the end, and a state's Q row is features.q_row. Its max and first
-    argmax fall back to numpy for a zero maximum or a row holding a NaN or
-    an infinity (features.q_max), so a divergence is raised at the same
-    step. A run that diverges without a non-finite TD error fails after its
-    last step, when its Q estimate leaves the range Q* can take.
+    The step is Python-float arithmetic, which rounds each operation as
+    float64 numpy does, and makes no BLAS call, so the weights are the same
+    bits on every CPU. w[0], each block's bias weight and each block's
+    kernel weights are carried as Python floats and lists
+    (features.split_weights) and written into w at the end. Q-hat and the
+    update are features.width_forms' for the bank's width: an exploring step
+    values only the drawn action, and the next state's whole row is valued
+    for its max. That max and an exploiting step's first argmax fall back
+    to numpy only for a zero maximum or a row holding a NaN or an infinity
+    (features.q_max), so a divergence is raised at the step where its TD
+    error turns non-finite. A run that diverges without a non-finite TD
+    error fails after its last step, when its Q estimate leaves the range
+    Q* can take.
     """
     check_x0(chain, x0)
     if log_every < 1:
@@ -196,16 +200,15 @@ def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
     draws = RawDraws(schedule.seed)
     uniform, integers = draws.random, draws.integers
     gamma = bank.gamma
-    w = np.zeros(feature_dim(bank.n, chain.n_states))
     log = TrainLog()
 
     cum_rows = cumulative_transition(chain).tolist()
     model = bank_model(bank, chain)
     rows = model.rows
     num_b = model.num_b
-    # kernel_ws are views into w; w[0] and the blocks' bias weights live in
-    # w0 and bias until training ends
-    w0, bias, kernel_ws = split_weights(w, bank.n, chain.n_states)
+    w0, bias, kernel_ws = split_weights(
+        np.zeros(feature_dim(bank.n, chain.n_states)), bank.n, chain.n_states)
+    q_value, q_row, add_scaled = width_forms(bank.n)
 
     # schedule.eps and schedule.beta, hoisted: eps stays at eps_min when
     # eps0 <= eps_min, and beta is LearnSchedule.beta's expression
@@ -216,7 +219,6 @@ def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
 
     x = x0
     e = rows[x0 * num_b + model.occupancy_id(tuple(b0))]
-    kv = kernel_product(e.kmat, kernel_ws[x]).tolist()
     cum_reward = 0.0
     abs_td_acc = 0.0
 
@@ -225,12 +227,13 @@ def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
             eps = schedule.eps(k)
         beta = beta_num / (beta_tau + k)
         rewards = e.rewards
+        kernel_w = kernel_ws[x]
 
         if uniform() < eps:
             a_idx = integers(len(rewards))
-            q_a = q_from_kernels(w0, rewards[a_idx], bias[x], kv[a_idx])
+            q_a = q_value(w0, rewards[a_idx], bias[x], e.kernels[a_idx], kernel_w)
         else:
-            q = q_row(w0, rewards, bias[x], kv)
+            q = q_row(w0, rewards, bias[x], e.kernels, kernel_w)
             a_idx = q_argmax(q)
             q_a = q[a_idx]
 
@@ -238,8 +241,8 @@ def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
         # bisect_right is searchsorted(side="right") on a Python list
         x_next = bisect.bisect_right(cum_rows[x], uniform())
         e_next = rows[x_next * num_b + e.next_bid[a_idx]]
-        kv_next = kernel_product(e_next.kmat, kernel_ws[x_next]).tolist()
-        q_next = q_row(w0, e_next.rewards, bias[x_next], kv_next)
+        q_next = q_row(w0, e_next.rewards, bias[x_next], e_next.kernels,
+                       kernel_ws[x_next])
 
         delta = r + gamma * q_max(q_next) - q_a
         if not math.isfinite(delta):
@@ -250,21 +253,15 @@ def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
         scale = beta * delta
         w0 += scale * r
         bias[x] += scale
-        kernel_ws[x] += scale * e.kmat[a_idx]
+        kernel_ws[x] = add_scaled(kernel_w, scale, e.kernels[a_idx])
 
         cum_reward += r
         abs_td_acc += abs(delta)
         if (k + 1) % log_every == 0:
             log.rows.append((k + 1, eps, beta, abs_td_acc / log_every, cum_reward))
             abs_td_acc = 0.0
+        x, e = x_next, e_next
 
-        if x_next == x:
-            # the update just changed this block: the carried product is stale
-            kv_next = kernel_product(e_next.kmat, kernel_ws[x]).tolist()
-        x, e, kv = x_next, e_next, kv_next
-
-    w[0] = w0
-    for x, b in enumerate(bias):
-        w[block_slice(x, bank.n).start] = b
+    w = join_weights(w0, bias, kernel_ws)
     check_q_bound(bank, chain, w, schedule)
     return w, log

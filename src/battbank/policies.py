@@ -14,8 +14,8 @@ import numpy as np
 
 from .core import Action, BankConfig, BackgroundChain, State
 from .env import bank_model, first_argmax, state_actions
-from .features import (block_slice, feature_dim, kernel_matrix,
-                       kernel_product, q_argmax, q_row, q_rows)
+from .features import (block_slice, feature_dim, kernel_matrix, q_argmax,
+                       q_rows, width_forms)
 
 POLICY_NAMES = ("greedy", "naive", "rl")
 
@@ -51,9 +51,10 @@ def naive_action(bank: BankConfig, chain: BackgroundChain, s: State) -> Action:
 def rl_action(bank: BankConfig, chain: BackgroundChain, s: State,
               w: np.ndarray) -> Action:
     row = state_actions(bank, chain, s)
-    blk = w[block_slice(s.x, bank.n)]
-    kv = kernel_product(kernel_matrix(bank, row.actions + s.b), blk[1:])
-    q = q_row(float(w[0]), row.rewards, float(blk[0]), kv.tolist())
+    blk = w[block_slice(s.x, bank.n)].tolist()
+    kernels = kernel_matrix(bank, row.actions + s.b).tolist()
+    q = width_forms(bank.n).row(float(w[0]), row.rewards, blk[0], kernels,
+                                blk[1:])
     return tuple(row.actions[q_argmax(q)].tolist())
 
 

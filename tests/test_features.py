@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from battbank.core import BackgroundChain, State
 from battbank.env import (BankModel, bank_model, feasible_actions, reward,
                           state_actions)
-from battbank.features import (block_slice, feature_dim, feature_vector,
-                               kernel_matrix, kernel_product, load_weights,
-                               q_argmax, q_from_kernels, q_max, q_row, q_rows,
-                               save_weights, split_weights)
+from battbank.features import (add_scaled, block_slice, feature_dim,
+                               feature_vector, join_weights, kernel_matrix,
+                               load_weights, q_argmax, q_max, q_row, q_rows,
+                               q_value, save_weights, split_weights,
+                               width_forms)
 
 from conftest import make_bank, make_chain
 
@@ -56,14 +57,10 @@ class TestDimensions:
             for x in range(m):
                 blk = w[block_slice(x, n)]
                 assert type(bias[x]) is float and bias[x] == blk[0]
-                np.testing.assert_array_equal(kernel_ws[x], blk[1:])
-            # an update through a kernel view lands in w
-            x = int(rng.integers(m))
-            before = w.copy()
-            kernel_ws[x] += 1.0
-            changed = np.flatnonzero(w != before)
-            sl = block_slice(x, n)
-            assert changed.tolist() == list(range(sl.start + 1, sl.stop))
+                assert type(kernel_ws[x]) is list
+                assert kernel_ws[x] == blk[1:].tolist()
+            # join_weights puts the parts back where block_slice says
+            assert join_weights(w0, bias, kernel_ws).tobytes() == w.tobytes()
 
 
 class TestNormalizedOccupancy:
@@ -182,15 +179,34 @@ class TestFeatureVector:
 
 
 def q_block(bank, chain, s, w):
-    """q_row over s's feasible set, from a fresh state_actions table."""
+    """Q-hat of s's feasible set, from a fresh state_actions table."""
     ent = state_actions(bank, chain, s)
-    blk = w[block_slice(s.x, bank.n)]
-    kv = kernel_product(kernel_matrix(bank, ent.actions + s.b), blk[1:])
-    return q_row(float(w[0]), ent.rewards, float(blk[0]), kv.tolist())
+    blk = w[block_slice(s.x, bank.n)].tolist()
+    kernels = kernel_matrix(bank, ent.actions + s.b).tolist()
+    return width_forms(bank.n).row(float(w[0]), ent.rewards, blk[0], kernels,
+                                   blk[1:])
+
+
+def q_reference(w0, rewards, bias, kmat, kernel_w):
+    """Q-hat of a row in numpy, with no BLAS call: w0 * r + bias, then each
+    kernel column times its weight, added in column order."""
+    q = w0 * np.asarray(rewards) + bias
+    for j in range(kmat.shape[1]):
+        q = q + kmat[:, j] * kernel_w[j]
+    return q
+
+
+def random_bank(rng, n):
+    return make_bank(
+        capacities=tuple(rng.integers(1, 9, size=n).tolist()),
+        ramps=tuple(rng.integers(1, 10, size=n).tolist()),
+        weights=tuple(rng.uniform(0.0, 2.0, size=n).tolist()),
+        dissipation=tuple(rng.choice([0.8, 0.95, 1.0], size=n).tolist()))
 
 
 class TestQHat:
-    # q_row is the one home of the linear estimate Q-hat(s, a) = phi . w
+    # q_value and q_row, in the forms width_forms picks, are the one home of
+    # the linear estimate Q-hat(s, a) = phi . w
     def test_zero_weights(self, toy_bank, toy_chain):
         w = np.zeros(feature_dim(toy_bank.n, toy_chain.n_states))
         q = q_block(toy_bank, toy_chain, State(x=0, b=(1, 1)), w)
@@ -220,37 +236,44 @@ class TestQHat:
                                            rtol=1e-12, atol=1e-12)
 
     def test_single_action_equals_set_entry(self):
-        # the learner's one-action value and q_row share the expression and
-        # kernel_product; each entry must agree bit for bit
-        bank = make_bank(capacities=(6, 9), ramps=(2, 3),
-                         dissipation=(0.9, 0.95))
+        # the learner's one-action value, its row and its update against
+        # numpy's elementwise operations, bit for bit. N = 2 takes the
+        # unrolled forms, N = 1 and 3 the loops
         chain = make_chain()
         rng = np.random.default_rng(3)
-        for _ in range(20):
-            w = rng.normal(size=feature_dim(2, 4)) * 10.0 ** rng.integers(-3, 4)
+        for i in range(60):
+            n = i % 3 + 1
+            forms = width_forms(n)
+            bank = random_bank(rng, n)
+            w = (rng.normal(size=feature_dim(n, chain.n_states))
+                 * 10.0 ** rng.integers(-3, 4))
             s = State(x=int(rng.integers(4)),
-                      b=(int(rng.integers(7)), int(rng.integers(10))))
+                      b=tuple(int(rng.integers(B + 1))
+                              for B in bank.capacities))
             ent = state_actions(bank, chain, s)
-            q = q_block(bank, chain, s, w)
-            blk = w[block_slice(s.x, bank.n)]
-            kv = kernel_product(kernel_matrix(bank, ent.actions + s.b), blk[1:])
-            for a in range(len(q)):
-                assert q_from_kernels(w[0], ent.rewards[a], blk[0],
-                                      kv[a]) == q[a]
+            kmat = kernel_matrix(bank, ent.actions + s.b)
+            blk = w[block_slice(s.x, n)]
+            args = (float(w[0]), ent.rewards, float(blk[0]),
+                    list(map(tuple, kmat.tolist())), blk[1:].tolist())
+            ref = q_reference(w[0], ent.rewards, blk[0], kmat, blk[1:])
+            q = forms.row(*args)
+            assert q == q_row(*args) == ref.tolist()
+            for a, (r, ks) in enumerate(zip(args[1], args[3])):
+                one = (args[0], r, args[2], ks, args[4])
+                assert forms.value(*one) == q_value(*one) == q[a]
+                scale = float(rng.normal())
+                step = (blk[1:].tolist(), scale, ks)
+                assert (forms.step(*step) == add_scaled(*step)
+                        == (blk[1:] + scale * kmat[a]).tolist())
 
     def test_q_row_equals_q_values(self):
         # the list form of a row's estimates, its max and its first argmax,
-        # against the same expression in numpy arrays on compiled rows
+        # against the in-order numpy sum on compiled rows
         rng = np.random.default_rng(8)
         chain = make_chain()
-        for _ in range(60):
-            n = int(rng.integers(1, 4))
-            bank = make_bank(
-                capacities=tuple(rng.integers(1, 9, size=n).tolist()),
-                ramps=tuple(rng.integers(1, 10, size=n).tolist()),
-                weights=tuple(rng.uniform(0.0, 2.0, size=n).tolist()),
-                dissipation=tuple(
-                    rng.choice([0.8, 0.95, 1.0], size=n).tolist()))
+        for i in range(60):
+            n = i % 3 + 1
+            bank = random_bank(rng, n)
             w = (rng.normal(size=feature_dim(n, chain.n_states))
                  * 10.0 ** rng.integers(-3, 4))
             model = bank_model(bank, chain)
@@ -258,9 +281,10 @@ class TestQHat:
             assert len(rows) == model.n_states
             for sid in rng.integers(model.n_states, size=5).tolist():
                 row, x = model.rows[sid], sid // model.num_b
+                b = model.decode(np.array([sid]))[1]
                 blk = w[block_slice(x, n)]
-                q = (w[0] * np.asarray(row.rewards) + blk[0]
-                     + row.kmat.dot(blk[1:]))
+                q = q_reference(w[0], row.rewards, blk[0],
+                                kernel_matrix(bank, row.actions + b), blk[1:])
                 got = rows[sid]
                 assert [v.hex() for v in got] == [float(v).hex() for v in q]
                 assert q_max(got).hex() == float(np.maximum.reduce(q)).hex()

@@ -261,8 +261,8 @@ def test_block_rows_match_scalar_spec(inst):
         assert row.rewards == [reward(bank, s, a) for a in acts]
         assert row.next_bid == [model.occupancy_id(apply_action(bank, s.b, a))
                                 for a in acts]
-        np.testing.assert_array_equal(
-            row.kmat, kernel_matrix(bank, np.add(acts, s.b)))
+        assert row.kernels == list(map(
+            tuple, kernel_matrix(bank, np.add(acts, s.b)).tolist()))
 
 
 @PROPERTY
@@ -279,7 +279,7 @@ def test_rows_are_the_tables_slices(inst):
         assert row.next_bid == t.next_bid[lo:hi].tolist()
         b = model.decode(np.array([sid]))[1]
         np.testing.assert_array_equal(
-            row.kmat, kernel_matrix(bank, row.actions + b))
+            row.kernels, kernel_matrix(bank, row.actions + b))
 
 
 @PROPERTY
@@ -287,15 +287,20 @@ def test_rows_are_the_tables_slices(inst):
 def test_rows_are_views_of_their_block(inst):
     bank, chain, _ = inst
     model = env.BankModel(bank.batteries, chain)
-    kernels = model.rows[0].kmat.base
-    assert kernels is not None and len(kernels) == len(model.table.actions)
-    for row in model.rows:
+    shared = {}   # post-action occupancy id -> the first row entry seen
+    for sid, row in enumerate(model.rows):
         assert np.shares_memory(row.actions, model.table.actions)
-        # one kernel_matrix array holds every row's kernels
-        assert row.kmat.base is kernels
         # rewards and successor ids are lists, read one entry at a time by
-        # the learner's step
+        # the learner's step, and so are the kernels, tuples of floats
         assert type(row.rewards) is list and type(row.next_bid) is list
+        assert type(row.kernels) is list
+        posts = row.actions + model.decode(np.array([sid]))[1]
+        kmat = kernel_matrix(bank, posts)
+        for ks, k, post in zip(row.kernels, kmat.tolist(), posts.tolist()):
+            assert type(ks) is tuple and ks == tuple(k)
+            # one tuple per post-action occupancy, which every pair that
+            # reaches it shares
+            assert shared.setdefault(model.occupancy_id(post), ks) is ks
 
 
 @PROPERTY
