@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BackgroundChain
+from .core import BackgroundChain, is_index
 
 
 @dataclass(frozen=True)
@@ -45,10 +45,11 @@ def cumulative_transition(chain: BackgroundChain) -> np.ndarray:
 
 
 def check_x0(chain: BackgroundChain, x0: int) -> None:
-    """Reject a start state that is not one of the chain's state indices."""
-    if not 0 <= x0 < chain.n_states:
-        raise ValueError(f"x0: must be in [0, {chain.n_states}) for a "
-                         f"{chain.n_states}-state chain, got {x0}")
+    """Reject a start state that is not one of the chain's state indices,
+    a float or bool among them, which would be truncated or read as 0/1."""
+    if not is_index(x0) or not 0 <= x0 < chain.n_states:
+        raise ValueError(f"x0: must be in [0, {chain.n_states}), an integer "
+                         f"state of the {chain.n_states}-state chain, got {x0}")
 
 
 def check_length(T: int) -> None:

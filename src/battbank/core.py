@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,6 +182,11 @@ def clip(y: int, m: int, M: int) -> int:
     if m > M:
         raise ValueError(f"empty interval: [{m}, {M}]")
     return min(max(y, m), M)
+
+
+def is_index(v) -> bool:
+    """True for an integer, Python's or numpy's, that is not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Action, BankConfig, BackgroundChain, State, clip
+from .core import Action, BankConfig, BackgroundChain, State, clip, is_index
 
 
 @dataclass(frozen=True)
@@ -123,10 +123,12 @@ def state_count(bank: BankConfig, chain: BackgroundChain) -> int:
 
 
 def check_b0(bank: BankConfig, b0: tuple[int, ...]) -> None:
-    """Reject a start occupancy that is not one of the bank's."""
-    if len(b0) != bank.n or not all(0 <= v <= B for v, B in zip(b0, bank.capacities)):
-        raise ValueError(f"b0: must be {bank.n} occupancies in [0, B_i] for "
-                         f"capacities {bank.capacities}, got {tuple(b0)}")
+    """Reject a start occupancy that is not one of the bank's, a float or
+    bool entry among them."""
+    if len(b0) != bank.n or not all(is_index(v) and 0 <= v <= B
+                                    for v, B in zip(b0, bank.capacities)):
+        raise ValueError(f"b0: must be {bank.n} occupancies, integers in [0, B_i] "
+                         f"for capacities {bank.capacities}, got {tuple(b0)}")
 
 
 def _action_dtype(bank: BankConfig) -> np.dtype:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import itertools
 import statistics
 from dataclasses import dataclass, field
 
@@ -20,17 +19,12 @@ from .policies import make_policy
 TRAIN_SEED_OFFSET = 0x5EED
 
 
-@dataclass
-class PolicyStats:
-    total_reward: float
-    penalty_events: int
-
-
 def coupled_rollout(bank: BankConfig, chain: BackgroundChain,
                     policies: list[tuple[str, object]], traj: Trajectory,
-                    b0: tuple[int, ...]) -> dict[str, PolicyStats]:
+                    b0: tuple[int, ...]) -> dict[str, float]:
     """Evaluate each deterministic policy on the identical x-path, starting
-    from the same occupancy vector; returns each policy's stats by name.
+    from the same occupancy vector; returns each policy's total reward by
+    name.
 
     Each policy is an array as policies.make_policy returns. The reward and
     next occupancy id of every state's choice are gathered from the compiled
@@ -40,23 +34,19 @@ def coupled_rollout(bank: BankConfig, chain: BackgroundChain,
     check_b0(bank, b0)
     model = bank_model(bank, chain)
     num_b = model.num_b
-    T = len(traj.x_path) - 1
-    stats = {}
+    totals = {}
     for name, policy in policies:
         pairs = model.pairs(policy, f"policy {name}")
         rewards = model.table.rewards[pairs].tolist()
         next_bid = model.table.next_bid[pairs].tolist()
         total = 0.0
-        events = 0
         bid = model.occupancy_id(b0)
-        for x in itertools.islice(traj.x_path, T):
+        for x in traj.x_path[:-1]:
             sid = x * num_b + bid
-            r, bid = rewards[sid], next_bid[sid]
-            total += r
-            if r < 0:
-                events += 1
-        stats[name] = PolicyStats(total_reward=total, penalty_events=events)
-    return stats
+            total += rewards[sid]
+            bid = next_bid[sid]
+        totals[name] = total
+    return totals
 
 
 @dataclass
@@ -143,18 +133,17 @@ def compare_policies(bank: BankConfig, chain: BackgroundChain,
             if not report.passed:
                 raise ValueError("; ".join(report.violations))
             b0 = sized.start_occupancy()
+            # greedy and naive do not depend on the seed; rl is trained per seed
+            fixed = [(name, make_policy(name, sized, chain))
+                     for name in ("greedy", "naive")]
             for seed in seeds:
                 sched = dataclasses.replace(schedule, seed=seed + TRAIN_SEED_OFFSET)
                 w, _ = train(sized, chain, sched, x0=x0)
                 traj = generate_trajectory(chain, x0, T, seed)
-                stats = coupled_rollout(
-                    sized, chain,
-                    [(name, make_policy(name, sized, chain,
-                                        weights=w if name == "rl" else None))
-                     for name in ("greedy", "naive", "rl")],
-                    traj, b0)
-                for name, st in stats.items():
-                    totals[name].append(st.total_reward)
+                rl = make_policy("rl", sized, chain, weights=w)
+                for name, total in coupled_rollout(
+                        sized, chain, [*fixed, ("rl", rl)], traj, b0).items():
+                    totals[name].append(total)
         except (ValueError, FloatingPointError) as exc:
             # a size or ramp the bank cannot take, an x0, T or seed out of
             # range, or diverged training: record the row and keep the rest;

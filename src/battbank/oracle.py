@@ -214,11 +214,16 @@ def evaluate_policy_exact(bank: BankConfig, chain: BackgroundChain, policy,
     indexed by state id. `policy` is an array as policies.make_policy
     returns: entry sid indexes state sid's compiled row. Pass the `model`
     of an earlier solve of this bank and chain to reuse it, and with it the
-    value of the greedy rule, which policy iteration's first step holds.
-    The result is read-only."""
+    value of the greedy rule, which policy iteration's first step holds;
+    a model of other batteries, another gamma or another chain object is
+    rejected. The result is read-only."""
     check_tol(tol)
     if model is None:
         model = ExactModel(bank, chain)
+    elif (model.bank.batteries != bank.batteries or model.bank.gamma != bank.gamma
+          or model.chain is not chain):
+        raise ValueError("model: built for another bank or chain than the "
+                         "one given")
     return model.evaluate_from_zero(model.compiled.pairs(policy), tol)
 
 

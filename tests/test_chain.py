@@ -64,7 +64,7 @@ class TestGenerateTrajectory:
         with pytest.raises(ValueError, match="seed: must be >= 0, got -1"):
             generate_trajectory(toy_chain, 0, 10, seed=-1)
 
-    @pytest.mark.parametrize("x0", [-1, 4, 9])
+    @pytest.mark.parametrize("x0", [-1, 4, 9, 1.7, True])
     def test_start_state_outside_chain_rejected(self, toy_chain, x0):
         with pytest.raises(ValueError, match=r"x0: must be in \[0, 4\)"):
             generate_trajectory(toy_chain, x0, 10, seed=0)

@@ -22,7 +22,7 @@ class TestCoupledRollout:
             toy_bank, toy_chain,
             [("greedy", make_policy("greedy", toy_bank, toy_chain))],
             traj, toy_bank.start_occupancy())
-        assert rep["greedy"].total_reward == 0.0
+        assert rep["greedy"] == 0.0
 
     def test_zero_penalty_config(self, toy_chain):
         bank = make_bank(weights=(0.0, 0.0))
@@ -31,9 +31,7 @@ class TestCoupledRollout:
             bank, toy_chain,
             [(n, make_policy(n, bank, toy_chain)) for n in ("greedy", "naive")],
             traj, bank.start_occupancy())
-        for st in rep.values():
-            assert st.total_reward == 0.0
-            assert st.penalty_events == 0
+        assert rep == {"greedy": 0.0, "naive": 0.0}
 
     def test_matches_manual_loop(self, toy_bank, toy_chain):
         traj = generate_trajectory(toy_chain, 0, 400, seed=3)
@@ -41,17 +39,13 @@ class TestCoupledRollout:
         rep = coupled_rollout(toy_bank, toy_chain, [("naive", pol)], traj,
                               toy_bank.start_occupancy())
         total = 0.0
-        events = 0
         b = toy_bank.start_occupancy()
         for k in range(400):
             s = State(x=traj.x_path[k], b=b)
             a = naive_action(toy_bank, toy_chain, s)
-            r = reward(toy_bank, s, a)
-            total += r
-            events += r < 0
+            total += reward(toy_bank, s, a)
             b = apply_action(toy_bank, b, a)
-        assert rep["naive"].total_reward == total
-        assert rep["naive"].penalty_events == events
+        assert rep["naive"] == total
 
     def test_matches_manual_loop_on_two_byte_path(self):
         # 257 background states do not fit in a byte, so the path is stored
@@ -70,18 +64,14 @@ class TestCoupledRollout:
                               traj, bank.start_occupancy())
         for name, action in spec.items():
             total = 0.0
-            events = 0
             b = bank.start_occupancy()
             for k in range(3000):
                 s = State(x=traj.x_path[k], b=b)
                 a = action(bank, chain, s)
-                r = reward(bank, s, a)
-                total += r
-                events += r < 0
+                total += reward(bank, s, a)
                 b = apply_action(bank, b, a)
-            assert rep[name].total_reward == total
-            assert rep[name].penalty_events == events
-            assert events > 0
+            assert rep[name] == total
+            assert total < 0
 
     @pytest.mark.parametrize("pick, match", [
         (lambda counts: counts, r"policy bad: .* state 0's row of {n} actions"),
@@ -100,7 +90,7 @@ class TestCoupledRollout:
             coupled_rollout(toy_bank, toy_chain, [("bad", pick(counts))], traj,
                             toy_bank.start_occupancy())
 
-    @pytest.mark.parametrize("b0", [(0, 4), (-1, 0), (1,)])
+    @pytest.mark.parametrize("b0", [(0, 4), (-1, 0), (1,), (1.0, 2), (True, 2)])
     def test_start_occupancy_outside_bank_rejected(self, toy_bank, toy_chain, b0):
         # each of these used to map onto another state's id and roll out
         traj = generate_trajectory(toy_chain, 0, 10, seed=0)
@@ -131,9 +121,7 @@ class TestCoupledRollout:
             [("greedy", make_policy("greedy", toy_bank, toy_chain)),
              ("rl", make_policy("rl", toy_bank, toy_chain, weights=w))],
             traj, toy_bank.start_occupancy())
-        g = rep["greedy"].total_reward
-        r = rep["rl"].total_reward
-        assert r == pytest.approx(g, rel=1e-9, abs=1e-9)
+        assert rep["rl"] == pytest.approx(rep["greedy"], rel=1e-9, abs=1e-9)
 
 
 class TestResizeBank:

@@ -365,7 +365,7 @@ class TestTrain:
             train(toy_bank, toy_chain, LearnSchedule(t_train=10),
                   log_every=log_every)
 
-    @pytest.mark.parametrize("b0", [(9, 9), (-1, 0), (1,)])
+    @pytest.mark.parametrize("b0", [(9, 9), (-1, 0), (1,), (1.5, 1), (1, True)])
     def test_occupancy_outside_bank_rejected(self, b0, toy_bank, toy_chain):
         # each used to decode as some other state and train silently
         with pytest.raises(ValueError, match="b0"):

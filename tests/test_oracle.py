@@ -292,6 +292,23 @@ class TestEvaluatePolicyExact:
                               tol=1e-12, model=sol.model)
         assert len(sweeps) == 2
 
+    @pytest.mark.parametrize("other", [
+        lambda bank, chain: (dataclasses.replace(bank, gamma=0.5), chain),
+        lambda bank, chain: (dataclasses.replace(
+            bank, batteries=make_bank(weights=(0.1, 2.0)).batteries), chain),
+        lambda bank, chain: (bank, load_config(TOY_CONFIG)[1])],
+        ids=["gamma", "batteries", "reloaded-chain"])
+    def test_model_of_another_config_rejected(self, other):
+        # the model's values used to be returned for the arguments' config:
+        # at gamma 0.5 the first states read -4.74, where the right value is
+        # -1.11
+        bank, chain = load_config(TOY_CONFIG)
+        model = ExactModel(bank, chain)
+        bank, chain = other(bank, chain)
+        policy = make_policy("greedy", bank, chain)
+        with pytest.raises(ValueError, match="model: built for another bank"):
+            evaluate_policy_exact(bank, chain, policy, model=model)
+
 
 def test_solution_csv_export(tmp_path, toy_bank, toy_chain):
     sol = solve_q_iteration(toy_bank, toy_chain, tol=1e-9)
