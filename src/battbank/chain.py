@@ -52,16 +52,14 @@ def check_x0(chain: BackgroundChain, x0: int) -> None:
                          f"state of the {chain.n_states}-state chain, got {x0}")
 
 
-def check_length(T: int) -> None:
-    """Reject a negative trajectory length."""
-    if T < 0:
-        raise ValueError(f"T: must be >= 0, got {T}")
-
-
-def check_seed(seed: int) -> None:
-    """Reject a negative trajectory seed, which PCG64 cannot take."""
-    if seed < 0:
-        raise ValueError(f"seed: must be >= 0, got {seed}")
+def check_count(v, name: str) -> None:
+    """Reject a length or seed, named name, that is not an integer, a
+    float or bool among them, or that is negative, which PCG64 cannot take
+    as a seed."""
+    if not is_index(v):
+        raise ValueError(f"{name}: expected an integer, got {v!r}")
+    if v < 0:
+        raise ValueError(f"{name}: must be >= 0, got {v}")
 
 
 # uniforms drawn per block: at most _BLOCK of them are held at a time, at
@@ -77,8 +75,8 @@ def generate_trajectory(chain: BackgroundChain, x0: int, T: int, seed: int) -> T
     current state's cumulative row, as learner.train does. The path is
     stored as Trajectory describes, without a list or tuple of it."""
     check_x0(chain, x0)
-    check_length(T)
-    check_seed(seed)
+    check_count(T, "T")
+    check_count(seed, "seed")
     rng = np.random.default_rng(seed)
     cum_rows = cumulative_transition(chain).tolist()
     uniforms = itertools.chain.from_iterable(

@@ -50,16 +50,12 @@ def cmd_validate(args) -> int:
 
 
 def _schedule_from_args(args) -> learner.LearnSchedule:
-    sched = learner.LearnSchedule()
-    overrides = {}
-    for flag, fld in [("steps", "t_train"), ("seed", "seed"),
-                      ("beta0", "beta0"), ("beta_tau", "beta_tau"),
-                      ("eps0", "eps0"), ("eps_min", "eps_min"),
-                      ("eps_decay", "eps_decay")]:
-        val = getattr(args, flag, None)
-        if val is not None:
-            overrides[fld] = val
-    return dataclasses.replace(sched, **overrides)
+    """LearnSchedule's defaults, with each field whose flag was given; a
+    flag's dest is its field's name."""
+    names = (f.name for f in dataclasses.fields(learner.LearnSchedule))
+    return learner.LearnSchedule(**{
+        name: getattr(args, name) for name in names
+        if getattr(args, name, None) is not None})
 
 
 def cmd_train(args) -> int:
@@ -159,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # learning-schedule flags shared by train and compare
     sched = argparse.ArgumentParser(add_help=False)
-    sched.add_argument("--steps", type=int,
+    sched.add_argument("--steps", dest="t_train", metavar="STEPS", type=int,
                        help="training steps per run (default 100000)")
     sched.add_argument("--beta0", type=float)
     sched.add_argument("--beta-tau", dest="beta_tau", type=float)

@@ -6,7 +6,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -47,10 +47,22 @@ class BankConfig:
         return tuple(bat.ramp for bat in self.batteries)
 
     def start_occupancy(self) -> tuple[int, ...]:
-        """Resolve the 'half' sentinel to floor(capacity / 2) per battery."""
+        """Resolve the 'half' sentinel to floor(capacity / 2) per battery;
+        an explicit initial_occupancy must be one of the bank's."""
         if self.initial_occupancy == "half":
             return tuple(bat.capacity // 2 for bat in self.batteries)
-        return tuple(self.initial_occupancy)
+        occ = tuple(self.initial_occupancy)
+        self.check_occupancy(occ, "initial_occupancy")
+        return occ
+
+    def check_occupancy(self, b: tuple[int, ...], name: str) -> None:
+        """Reject occupancies b, named name, that are not one of the
+        bank's, a float or bool entry among them."""
+        if len(b) != self.n or not all(is_index(v) and 0 <= v <= B
+                                       for v, B in zip(b, self.capacities)):
+            raise ValueError(f"{name}: must be {self.n} occupancies, integers "
+                             f"in [0, B_i] for capacities {self.capacities}, "
+                             f"got {tuple(b)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,17 +206,7 @@ def is_index(v) -> bool:
 
 def config_to_dict(bank: BankConfig, chain: BackgroundChain) -> dict:
     return {
-        "batteries": [
-            {
-                "capacity": bat.capacity,
-                "ramp": bat.ramp,
-                "dissipation": bat.dissipation,
-                "penalty_weight": bat.penalty_weight,
-                "lower_frac": bat.lower_frac,
-                "upper_frac": bat.upper_frac,
-            }
-            for bat in bank.batteries
-        ],
+        "batteries": [asdict(bat) for bat in bank.batteries],
         "chain": {
             "labels": list(chain.labels),
             "transition": [list(row) for row in chain.transition],

@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Action, BankConfig, BackgroundChain, State, clip, is_index
+from .core import Action, BankConfig, BackgroundChain, State, clip
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,8 @@ class Table(NamedTuple):
     next_bid: np.ndarray  # (n_pairs,) int
 
 
-@functools.lru_cache(maxsize=16)   # _post_tables asks once per table
+# _post_tables asks once per table, and once per state_actions row
+@functools.lru_cache(maxsize=16)
 def occupancy_strides(capacities: tuple[int, ...]) -> tuple[int, ...]:
     """Place values of the mixed-radix occupancy id, first battery slowest:
     the id of b is sum(b_i * stride_i)."""
@@ -120,15 +121,6 @@ def occupancy_strides(capacities: tuple[int, ...]) -> tuple[int, ...]:
 def state_count(bank: BankConfig, chain: BackgroundChain) -> int:
     """Number of states (x, b): background states times occupancy vectors."""
     return chain.n_states * math.prod(B + 1 for B in bank.capacities)
-
-
-def check_b0(bank: BankConfig, b0: tuple[int, ...]) -> None:
-    """Reject a start occupancy that is not one of the bank's, a float or
-    bool entry among them."""
-    if len(b0) != bank.n or not all(is_index(v) and 0 <= v <= B
-                                    for v, B in zip(b0, bank.capacities)):
-        raise ValueError(f"b0: must be {bank.n} occupancies, integers in [0, B_i] "
-                         f"for capacities {bank.capacities}, got {tuple(b0)}")
 
 
 def _action_dtype(bank: BankConfig) -> np.dtype:

@@ -8,9 +8,9 @@ import dataclasses
 import statistics
 from dataclasses import dataclass, field
 
-from .chain import Trajectory, check_length, check_seed, generate_trajectory
-from .core import BankConfig, BackgroundChain, validate_config
-from .env import bank_model, check_b0
+from .chain import Trajectory, check_count, generate_trajectory
+from .core import BankConfig, BackgroundChain, is_index, validate_config
+from .env import bank_model
 from .learner import LearnSchedule, train
 from .policies import make_policy
 
@@ -31,7 +31,7 @@ def coupled_rollout(bank: BankConfig, chain: BackgroundChain,
     table once, so a step reads two lists, and the totals equal the
     step-by-step loop over env.reward and env.apply_action bit for bit.
     """
-    check_b0(bank, b0)
+    bank.check_occupancy(b0, "b0")
     model = bank_model(bank, chain)
     num_b = model.num_b
     totals = {}
@@ -92,17 +92,16 @@ class ComparisonTable:
 def resize_bank(bank: BankConfig, sizes: tuple[int, ...],
                 ramps: tuple[int, ...] | None = None) -> BankConfig:
     """Same bank with capacities (and optionally ramps) replaced; the
-    initial occupancy reverts to the half-full default."""
-    if len(sizes) != bank.n:
-        raise ValueError(f"{len(sizes)} sizes for {bank.n} batteries")
-    if ramps is not None and len(ramps) != bank.n:
-        raise ValueError(f"{len(ramps)} ramps for {bank.n} batteries")
-    batteries = tuple(
-        dataclasses.replace(
-            bat, capacity=int(B),
-            ramp=int(ramps[i]) if ramps is not None else bat.ramp)
-        for i, (bat, B) in enumerate(zip(bank.batteries, sizes))
-    )
+    initial occupancy reverts to the half-full default. A float or bool
+    size or ramp is rejected, not truncated."""
+    ramps = bank.ramps if ramps is None else ramps
+    for name, vals in (("sizes", sizes), ("ramps", ramps)):
+        if len(vals) != bank.n:
+            raise ValueError(f"{len(vals)} {name} for {bank.n} batteries")
+        if not all(map(is_index, vals)):
+            raise ValueError(f"{name}: expected integers, got {tuple(vals)}")
+    batteries = tuple(dataclasses.replace(bat, capacity=int(B), ramp=int(c))
+                      for bat, B, c in zip(bank.batteries, sizes, ramps))
     return dataclasses.replace(bank, batteries=batteries, initial_occupancy="half")
 
 
@@ -119,15 +118,15 @@ def compare_policies(bank: BankConfig, chain: BackgroundChain,
     table = ComparisonTable()
 
     for size in sizes:
-        size = tuple(int(v) for v in size)
+        size = tuple(size)
         totals: dict[str, list[float]] = {"greedy": [], "naive": [], "rl": []}
         try:
             # before any training, so a bad T or seed fails the row at once
-            check_length(T)
+            check_count(T, "T")
             if not seeds:
                 raise ValueError("seeds: must name at least one seed, got []")
             for seed in seeds:
-                check_seed(seed)
+                check_count(seed, "seed")
             sized = resize_bank(bank, size, ramps)
             report = validate_config(sized, chain)
             if not report.passed:

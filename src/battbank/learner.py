@@ -9,9 +9,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import check_x0, cumulative_transition
+from .chain import check_count, check_x0, cumulative_transition
 from .core import BankConfig, BackgroundChain
-from .env import bank_model, check_b0
+from .env import bank_model
 from .features import (feature_dim, join_weights, q_argmax, q_max, q_rows,
                        split_weights, width_forms)
 
@@ -38,10 +38,11 @@ class LearnSchedule:
 
     def __post_init__(self):
         bad = []
-        if self.t_train < 0:
-            bad.append(f"t_train: must be >= 0, got {self.t_train}")
-        if self.seed < 0:
-            bad.append(f"seed: must be >= 0, got {self.seed}")
+        for name in ("t_train", "seed"):
+            try:
+                check_count(getattr(self, name), name)
+            except ValueError as exc:
+                bad.append(str(exc))
         for name in ("beta0", "beta_tau", "eps_decay"):
             val = getattr(self, name)
             if not (0.0 < val < math.inf):
@@ -65,7 +66,7 @@ class TrainLog:
     rows: list[tuple] = field(default_factory=list)  # (step, eps, beta, mean_abs_td, cum_reward)
 
     HEADER = ("step", "epsilon", "beta", "mean_abs_td", "cum_reward")
-    EVERY = 1000   # steps per row, unless train is given log_every
+    EVERY = 1000   # steps per row, read by train at each call
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -140,7 +141,9 @@ def check_q_bound(bank: BankConfig, chain: BackgroundChain, w: np.ndarray,
     bound = Q_BOUND_FACTOR * -min_r / (1.0 - bank.gamma)
     # kernels lie in [-1, 0], so |Q-hat| <= |w0| * -min r plus the sum of
     # |weights| of one background block: when that is within the bound, no
-    # row need be valued (the margin covers the rounding of both sums)
+    # row need be valued (the margin covers the rounding of both sums). It
+    # pays on short runs over large banks: a one-step training on a (30,30)
+    # bank took 0.2 ms with it and 31 ms with every row valued
     blocks = np.abs(w[1:]).reshape(chain.n_states, -1).sum(axis=1)
     if (abs(w[0]) * -min_r + blocks.max()) * (1 + 1e-9) <= bound:
         return
@@ -165,9 +168,10 @@ def update_weights(w: np.ndarray, phi: np.ndarray, delta: float,
 # warning filters say
 @np.errstate(over="ignore", invalid="ignore")
 def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
-          x0: int = 0, b0: tuple[int, ...] | None = None,
-          log_every: int = TrainLog.EVERY) -> tuple[np.ndarray, TrainLog]:
-    """Run the online learning loop for schedule.t_train steps.
+          x0: int = 0) -> tuple[np.ndarray, TrainLog]:
+    """Run the online learning loop for schedule.t_train steps, from
+    background state x0 and occupancy bank.start_occupancy(), logging a
+    row every TrainLog.EVERY steps.
 
     Behavior is epsilon-greedy in the current estimate; chain transitions are
     drawn fresh each step. Fully reproducible from schedule.seed: per step the
@@ -192,11 +196,8 @@ def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
     Q* can take.
     """
     check_x0(chain, x0)
-    if log_every < 1:
-        raise ValueError(f"log_every: must be >= 1, got {log_every}")
-    if b0 is None:
-        b0 = bank.start_occupancy()
-    check_b0(bank, b0)
+    b0 = bank.start_occupancy()
+    log_every = TrainLog.EVERY
     draws = RawDraws(schedule.seed)
     uniform, integers = draws.random, draws.integers
     gamma = bank.gamma
@@ -218,7 +219,7 @@ def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
     beta_tau = schedule.beta_tau
 
     x = x0
-    e = rows[x0 * num_b + model.occupancy_id(tuple(b0))]
+    e = rows[x0 * num_b + model.occupancy_id(b0)]
     cum_reward = 0.0
     abs_td_acc = 0.0
 

@@ -23,7 +23,7 @@ from .env import bank_model, first_argmax, state_count
 
 STATE_CAP = 10**6
 DEFAULT_TOL = 1e-9
-DEFAULT_MAX_SWEEPS = 10**5
+MAX_SWEEPS = 10**5   # per Q iteration, and per policy evaluation
 MAX_PI_STEPS = 1000
 # states per solution-CSV write: at most this many rows are held as text
 _CSV_BLOCK = 1 << 14
@@ -48,13 +48,14 @@ def check_tol(tol: float) -> None:
         raise ValueError(f"tol: must be finite and >= 0, got {tol}")
 
 
-def _fixed_point(sweep, v: np.ndarray, tol: float, max_sweeps: int):
-    """Iterate v, change = sweep(v) until change <= tol; returns (v, change, sweeps)."""
-    for n in range(1, max_sweeps + 1):
+def _fixed_point(sweep, v: np.ndarray, tol: float):
+    """Iterate v, change = sweep(v) until change <= tol, for at most
+    MAX_SWEEPS sweeps; returns (v, change, sweeps)."""
+    for n in range(1, MAX_SWEEPS + 1):
         v, delta = sweep(v)
         if delta <= tol:
             return v, delta, n
-    raise IterationLimitExceeded(delta, max_sweeps)
+    raise IterationLimitExceeded(delta, MAX_SWEEPS)
 
 
 class ExactModel:
@@ -147,13 +148,10 @@ class ExactSolution:
 
 
 def solve_q_iteration(bank: BankConfig, chain: BackgroundChain,
-                      tol: float = DEFAULT_TOL,
-                      max_sweeps: int = DEFAULT_MAX_SWEEPS) -> ExactSolution:
+                      tol: float = DEFAULT_TOL) -> ExactSolution:
     check_tol(tol)
-    if max_sweeps < 1:
-        raise ValueError(f"max_sweeps: must be >= 1, got {max_sweeps}")
     model = ExactModel(bank, chain)
-    q, delta, sweeps = _fixed_point(model.backup, np.zeros(model.n_sa), tol, max_sweeps)
+    q, delta, sweeps = _fixed_point(model.backup, np.zeros(model.n_sa), tol)
     return ExactSolution(q=q, residual=delta, iterations=sweeps, model=model)
 
 
@@ -171,7 +169,7 @@ def _evaluate(model: ExactModel, sa: np.ndarray, V: np.ndarray,
         V_new = r_pi + gamma * PV.take(nxt)
         return V_new, float(np.abs(V_new - V).max())
 
-    return _fixed_point(sweep, V, tol, DEFAULT_MAX_SWEEPS)[0]
+    return _fixed_point(sweep, V, tol)[0]
 
 
 def solve_policy_iteration(bank: BankConfig, chain: BackgroundChain,

@@ -64,6 +64,18 @@ class TestGenerateTrajectory:
         with pytest.raises(ValueError, match="seed: must be >= 0, got -1"):
             generate_trajectory(toy_chain, 0, 10, seed=-1)
 
+    @pytest.mark.parametrize("T, seed, match", [
+        (2.5, 0, "T: expected an integer, got 2.5"),
+        (True, 0, "T: expected an integer, got True"),
+        (10, 1.5, "seed: expected an integer, got 1.5"),
+        (10, True, "seed: expected an integer, got True")])
+    def test_non_integer_length_or_seed_rejected(self, toy_chain, T, seed,
+                                                 match):
+        # a float used to fail inside numpy without naming the field, and
+        # T = True drew a one-step path
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            generate_trajectory(toy_chain, 0, T, seed)
+
     @pytest.mark.parametrize("x0", [-1, 4, 9, 1.7, True])
     def test_start_state_outside_chain_rejected(self, toy_chain, x0):
         with pytest.raises(ValueError, match=r"x0: must be in \[0, 4\)"):

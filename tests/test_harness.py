@@ -143,6 +143,15 @@ class TestResizeBank:
         with pytest.raises(ValueError, match="1 ramps for 2 batteries"):
             resize_bank(toy_bank, (2, 3), ramps=(2,))
 
+    @pytest.mark.parametrize("sizes, ramps, match", [
+        ((2.5, 3), None, r"sizes: expected integers, got \(2.5, 3\)"),
+        ((True, 3), None, r"sizes: expected integers, got \(True, 3\)"),
+        ((2, 3), (2.7, 3), r"ramps: expected integers, got \(2.7, 3\)")])
+    def test_non_integer_rejected(self, toy_bank, sizes, ramps, match):
+        # each used to be truncated by int()
+        with pytest.raises(ValueError, match=match):
+            resize_bank(toy_bank, sizes, ramps)
+
 
 @pytest.fixture(scope="module")
 def small_table():
@@ -232,6 +241,24 @@ class TestComparePolicies:
         assert table.failures == [
             f"sizes {size}: ValueError: seed: must be >= 0, got -1"
             for size in [(2, 3), (3, 3)]]
+
+    @pytest.mark.parametrize("sizes, seeds, failure", [
+        ([(2.5, 3)], [0],
+         "sizes (2.5, 3): ValueError: sizes: expected integers, got (2.5, 3)"),
+        ([(2, 3)], [1.5],
+         "sizes (2, 3): ValueError: seed: expected an integer, got 1.5")])
+    def test_non_integer_row_fails_before_training(self, monkeypatch, toy_bank,
+                                                   toy_chain, sizes, seeds,
+                                                   failure):
+        # (2.5, 3) used to run as (2, 3), and seed 1.5 raised TypeError from
+        # training out of the whole table
+        def no_training(*args, **kwargs):
+            raise AssertionError("train called for a row with a non-integer")
+
+        monkeypatch.setattr(harness, "train", no_training)
+        table = compare_policies(toy_bank, toy_chain, sizes, seeds=seeds, T=50)
+        assert table.rows == []
+        assert table.failures == [failure]
 
     def test_empty_seed_list_fails_each_row(self, toy_bank, toy_chain):
         # used to raise statistics.StatisticsError from fmean, out of the table

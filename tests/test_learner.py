@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import re
 from pathlib import Path
@@ -10,7 +11,7 @@ from battbank.core import BackgroundChain, State, load_config
 from battbank.env import apply_action, bank_model, feasible_actions, reward
 from battbank.features import feature_dim, feature_vector
 from battbank.harness import resize_bank
-from battbank.learner import (RAW_BLOCK, LearnSchedule, RawDraws,
+from battbank.learner import (RAW_BLOCK, LearnSchedule, RawDraws, TrainLog,
                               check_q_bound, train, update_weights)
 
 from conftest import TOY_LABELS, make_bank, make_chain
@@ -67,9 +68,9 @@ SELF_SCHEDULE = LearnSchedule(t_train=20_000, seed=0, eps0=0.8, eps_min=0.2,
                               eps_decay=1000)
 
 # weights and log of train(make_lossy_bank(), make_self_chain(),
-# SELF_SCHEDULE, log_every=4000), recorded with PINNED_WEIGHTS_SEED0_5000 and
-# under the same cores; log rows are (step, eps, beta, mean_abs_td,
-# cum_reward)
+# SELF_SCHEDULE) with TrainLog.EVERY = 4000, recorded with
+# PINNED_WEIGHTS_SEED0_5000 and under the same cores; log rows are (step,
+# eps, beta, mean_abs_td, cum_reward)
 PINNED_SELF_WEIGHTS = [
     "-0x1.152fda16b2dcap+0",
     "-0x1.5f4c5b9c67f31p+4",
@@ -120,6 +121,7 @@ class TestSchedule:
 
     @pytest.mark.parametrize("field, value", [
         ("t_train", -3), ("seed", -1),
+        ("t_train", 2.5), ("t_train", True), ("seed", 1.5),
         ("beta0", 0.0), ("beta0", -0.1), ("beta0", float("nan")),
         ("beta0", float("inf")),
         ("beta_tau", 0.0), ("beta_tau", float("nan")),
@@ -209,10 +211,11 @@ REPLAY_CASES = {
 class TestTrainReplay:
     # train()'s compiled, block-sparse loop against the dense reference
     @pytest.mark.parametrize("case", sorted(REPLAY_CASES))
-    def test_matches_dense_reference(self, case):
+    def test_matches_dense_reference(self, case, monkeypatch):
         bank, chain, sched = REPLAY_CASES[case]
+        monkeypatch.setattr(TrainLog, "EVERY", 100)
         # bit for bit: both sum Q-hat in the same order
-        w, log = train(bank, chain, sched, log_every=100)
+        w, log = train(bank, chain, sched)
         w_ref, rows_ref = replay_train(bank, chain, sched, log_every=100)
         np.testing.assert_array_equal(w, w_ref)
         # step, mean |TD error| and cumulative reward of every logged block
@@ -220,10 +223,11 @@ class TestTrainReplay:
 
 
 class TestTdError:
-    def test_zero_weights_give_reward(self, toy_bank, toy_chain):
+    def test_zero_weights_give_reward(self, toy_bank, toy_chain, monkeypatch):
         # train starts from w = 0, where both Q-hat terms of its first TD
         # error vanish: delta_0 = R(s_0, a_0)
-        _, log = train(toy_bank, toy_chain, LearnSchedule(t_train=1), log_every=1)
+        monkeypatch.setattr(TrainLog, "EVERY", 1)
+        _, log = train(toy_bank, toy_chain, LearnSchedule(t_train=1))
         (_, _, _, mean_abs_td, cum_reward), = log.rows
         assert cum_reward < 0
         assert mean_abs_td == abs(cum_reward)
@@ -334,11 +338,11 @@ class TestTrain:
         w, _ = train(toy_bank, toy_chain, LearnSchedule(seed=0, t_train=5000))
         assert [float(v).hex() for v in w] == PINNED_WEIGHTS_SEED0_5000
 
-    def test_self_transitions_pinned_bit_for_bit(self):
+    def test_self_transitions_pinned_bit_for_bit(self, monkeypatch):
         # x' == x values the next step's row with the block just updated,
         # and eps < 1 takes the exploiting branch
-        w, log = train(make_lossy_bank(), make_self_chain(), SELF_SCHEDULE,
-                       log_every=4000)
+        monkeypatch.setattr(TrainLog, "EVERY", 4000)
+        w, log = train(make_lossy_bank(), make_self_chain(), SELF_SCHEDULE)
         assert [float(v).hex() for v in w] == PINNED_SELF_WEIGHTS
         assert [(row[0], *(float(v).hex() for v in row[1:]))
                 for row in log.rows] == PINNED_SELF_LOG
@@ -349,36 +353,32 @@ class TestTrain:
                       eps_decay=700, beta0=0.2, beta_tau=500.0),
     ], ids=["default", "annealed"])
     def test_logged_schedule_is_learn_schedule(self, sched, toy_bank,
-                                               toy_chain):
+                                               toy_chain, monkeypatch):
         # the loop's hoisted eps and beta against LearnSchedule, the spec;
         # a row logged at step k + 1 carries the values used at step k
-        _, log = train(toy_bank, toy_chain, sched, log_every=97)
+        monkeypatch.setattr(TrainLog, "EVERY", 97)
+        _, log = train(toy_bank, toy_chain, sched)
         assert len(log.rows) == 3000 // 97
         for step, eps, beta, *_ in log.rows:
             assert eps == sched.eps(step - 1)
             assert beta == sched.beta(step - 1)
 
-    @pytest.mark.parametrize("log_every", [0, -1])
-    def test_log_every_below_one_rejected(self, log_every, toy_bank,
-                                          toy_chain):
-        with pytest.raises(ValueError, match="log_every"):
-            train(toy_bank, toy_chain, LearnSchedule(t_train=10),
-                  log_every=log_every)
-
     @pytest.mark.parametrize("b0", [(9, 9), (-1, 0), (1,), (1.5, 1), (1, True)])
     def test_occupancy_outside_bank_rejected(self, b0, toy_bank, toy_chain):
         # each used to decode as some other state and train silently
-        with pytest.raises(ValueError, match="b0"):
-            train(toy_bank, toy_chain, LearnSchedule(t_train=100), b0=b0)
+        bank = dataclasses.replace(toy_bank, initial_occupancy=b0)
+        with pytest.raises(ValueError, match="initial_occupancy: must be 2 "):
+            train(bank, toy_chain, LearnSchedule(t_train=100))
 
     def test_td_errors_shrink(self, toy_bank, toy_chain):
         _, log = train(toy_bank, toy_chain, LearnSchedule(t_train=30_000))
         td = [row[3] for row in log.rows]
         assert np.mean(td[-5:]) < np.mean(td[:5])
 
-    def test_weights_finite_and_log_shape(self, toy_bank, toy_chain):
-        w, log = train(toy_bank, toy_chain,
-                       LearnSchedule(t_train=4000), log_every=500)
+    def test_weights_finite_and_log_shape(self, toy_bank, toy_chain,
+                                          monkeypatch):
+        monkeypatch.setattr(TrainLog, "EVERY", 500)
+        w, log = train(toy_bank, toy_chain, LearnSchedule(t_train=4000))
         assert np.isfinite(w).all()
         assert len(log.rows) == 8
         steps = [row[0] for row in log.rows]

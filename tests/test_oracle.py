@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from battbank import oracle
+from battbank import cli, oracle
 from battbank.core import (BackgroundChain, BankConfig, BatteryConfig,
                            load_config, validate_config)
 from battbank.env import bank_model, first_argmax, reward
@@ -109,23 +109,12 @@ class TestSolveQIteration:
         sol = solve_q_iteration(bank, toy_chain, tol=1e-12)
         np.testing.assert_allclose(sol.q, 0.0, atol=1e-15)
 
-    def test_iteration_cap_raises(self, toy_bank, toy_chain):
-        with pytest.raises(IterationLimitExceeded):
-            solve_q_iteration(toy_bank, toy_chain, tol=1e-12, max_sweeps=3)
-        with pytest.raises(IterationLimitExceeded):
-            solve_q_iteration(toy_bank, toy_chain, tol=1e-12, max_sweeps=1)
-
-    @pytest.mark.parametrize("max_sweeps", [0, -1])
-    def test_sweep_cap_below_one_rejected_before_build(self, max_sweeps,
-                                                       monkeypatch, toy_bank,
-                                                       toy_chain):
-        # 0 used to raise UnboundLocalError from the sweep loop
-        def no_model(*args):
-            raise AssertionError("a model was built before the cap check")
-
-        monkeypatch.setattr(oracle, "bank_model", no_model)
-        with pytest.raises(ValueError, match="max_sweeps: must be >= 1"):
-            solve_q_iteration(toy_bank, toy_chain, max_sweeps=max_sweeps)
+    def test_iteration_cap_raises(self, monkeypatch, toy_bank, toy_chain):
+        for cap in (3, 1):
+            monkeypatch.setattr(oracle, "MAX_SWEEPS", cap)
+            with pytest.raises(IterationLimitExceeded,
+                               match=f"^no convergence after {cap} sweeps; "):
+                solve_q_iteration(toy_bank, toy_chain, tol=1e-12)
 
     @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
     def test_bad_tolerance_rejected_before_build(self, tol, monkeypatch,
@@ -252,6 +241,18 @@ class TestEvaluatePolicyExact:
         counts = np.diff(bank_model(toy_bank, toy_chain).table.offsets)
         with pytest.raises(ValueError, match=match.format(n=counts[0])):
             evaluate_policy_exact(toy_bank, toy_chain, pick(counts))
+
+    def test_sweep_cap_raises(self, monkeypatch, capsys, toy_bank, toy_chain):
+        # every evaluation stops at MAX_SWEEPS, solve-exact's among them
+        monkeypatch.setattr(oracle, "MAX_SWEEPS", 1)
+        with pytest.raises(IterationLimitExceeded,
+                           match="^no convergence after 1 sweeps; "):
+            evaluate_policy_exact(toy_bank, toy_chain,
+                                  make_policy("greedy", toy_bank, toy_chain),
+                                  tol=0)
+        assert cli.main(["solve-exact", str(TOY_CONFIG)]) == cli.EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith(
+            "error: no convergence after 1 sweeps; residual ")
 
     def test_policy_value_below_optimal(self, toy_bank, toy_chain):
         sol = solve_q_iteration(toy_bank, toy_chain, tol=1e-12)
