@@ -124,10 +124,12 @@ def validate_config(bank: BankConfig, chain: BackgroundChain) -> ValidationRepor
         bad.append("batteries: at least one battery required")
     for i, bat in enumerate(bank.batteries):
         path = f"batteries[{i}]"
-        if bat.capacity < 1:
-            bad.append(f"{path}.capacity: must be >= 1, got {bat.capacity}")
-        if bat.ramp < 1:
-            bad.append(f"{path}.ramp: must be >= 1, got {bat.ramp}")
+        for name in ("capacity", "ramp"):
+            val = getattr(bat, name)
+            if not is_index(val):
+                bad.append(f"{path}.{name}: expected an integer, got {val!r}")
+            elif val < 1:
+                bad.append(f"{path}.{name}: must be >= 1, got {val}")
         if not (0.0 < bat.dissipation <= 1.0):
             bad.append(f"{path}.dissipation: must be in (0, 1], got {bat.dissipation}")
         if not (0.0 <= bat.penalty_weight < math.inf):
@@ -148,7 +150,10 @@ def validate_config(bank: BankConfig, chain: BackgroundChain) -> ValidationRepor
             bad.append(f"initial_occupancy: length {len(occ)} != {bank.n} batteries")
         else:
             for i, (o, bat) in enumerate(zip(occ, bank.batteries)):
-                if not (0 <= o <= bat.capacity):
+                if not is_index(o):
+                    bad.append(f"initial_occupancy[{i}]: expected an integer, "
+                               f"got {o!r}")
+                elif not (0 <= o <= bat.capacity):
                     bad.append(f"initial_occupancy[{i}]: {o} outside [0, {bat.capacity}]")
 
     P = chain.transition

@@ -10,8 +10,8 @@
 # to right over phi's support, w0*r + bias + k_0*w_0 + ... + k_{2N-1}*w_{2N-1},
 # in Python floats. Each operation rounds as float64 does, in the same order
 # on every machine, so no BLAS kernel enters it. q_value values one action,
-# q_row a feasible set and q_rows a model's rows; width_forms picks the forms
-# for a kernel width.
+# q_row a feasible set, q_top a feasible set's max (the learner's TD target)
+# and q_rows a model's rows; width_forms picks the forms for a kernel width.
 
 from __future__ import annotations
 
@@ -100,6 +100,14 @@ def q_row(w0: float, rewards: Sequence[float], bias: float,
     return [q_value(w0, r, bias, ks, kernel_w) for r, ks in zip(rewards, kernels)]
 
 
+def q_top(w0: float, rewards: Sequence[float], bias: float,
+          kernels: Sequence[Sequence[float]],
+          kernel_w: Sequence[float]) -> float:
+    """q_max(q_row(...)): the largest Q-hat of a feasible set, the learner's
+    TD target."""
+    return q_max(q_row(w0, rewards, bias, kernels, kernel_w))
+
+
 def add_scaled(kernel_w: Sequence[float], scale: float,
                kernels: Sequence[float]) -> list[float]:
     """kernel_w + scale * kernels, entry by entry: the kernel part of the
@@ -119,6 +127,21 @@ def _q_row_2(w0, rewards, bias, kernels, kernel_w):
             for r, (k0, k1, k2, k3) in zip(rewards, kernels)]
 
 
+def _q_top_2(w0, rewards, bias, kernels, kernel_w):
+    # q_max(_q_row_2(...)) in one pass with no list: the first largest value
+    # and a running sum, the pair _numpy_reduces reads.
+    v0, v1, v2, v3 = kernel_w
+    top, total = -math.inf, 0.0
+    for r, (k0, k1, k2, k3) in zip(rewards, kernels):
+        q = w0 * r + bias + k0 * v0 + k1 * v1 + k2 * v2 + k3 * v3
+        total += q
+        if q > top:
+            top = q
+    if _numpy_reduces(top, total):
+        return float(np.maximum.reduce(_q_row_2(w0, rewards, bias, kernels, kernel_w)))
+    return top
+
+
 def _add_scaled_2(kernel_w, scale, kernels):
     v0, v1, v2, v3 = kernel_w
     k0, k1, k2, k3 = kernels
@@ -129,15 +152,16 @@ class WidthForms(NamedTuple):
     value: Callable[..., float]       # q_value
     row: Callable[..., list[float]]   # q_row
     step: Callable[..., list[float]]  # add_scaled
+    top: Callable[..., float]         # q_top
 
 
 def width_forms(n_batteries: int) -> WidthForms:
-    """q_value, q_row and add_scaled for N batteries, picked once, outside a
-    loop. For N = 2 they are unrolled: the same operations in the same
-    order, so the same bits, without the loops' cost per entry."""
+    """q_value, q_row, add_scaled and q_top for N batteries, picked once,
+    outside a loop. For N = 2 they are unrolled: the same operations in the
+    same order, so the same bits, without the loops' cost per entry."""
     if n_batteries == 2:
-        return WidthForms(_q_value_2, _q_row_2, _add_scaled_2)
-    return WidthForms(q_value, q_row, add_scaled)
+        return WidthForms(_q_value_2, _q_row_2, _add_scaled_2, _q_top_2)
+    return WidthForms(q_value, q_row, add_scaled, q_top)
 
 
 def q_rows(model: BankModel, w: np.ndarray) -> Iterator[list[float]]:
@@ -150,14 +174,19 @@ def q_rows(model: BankModel, w: np.ndarray) -> Iterator[list[float]]:
         yield row_q(w0, row.rewards, bias[x], row.kernels, kernel_ws[x])
 
 
+def _numpy_reduces(top: float, total: float) -> bool:
+    """Whether np.maximum.reduce must reduce a row whose first largest value
+    is top and whose left-to-right sum is total. Python's max gives numpy's
+    value unless the row holds a NaN, which max may pass over, or the largest
+    value is a zero, whose sign max takes from the first zero and numpy need
+    not. A NaN or an infinity makes the sum non-finite."""
+    return top == 0.0 or not math.isfinite(total)
+
+
 def q_max(q: list[float]) -> float:
-    """np.maximum.reduce(q) for a q_row list. Python's max gives the same
-    value unless the row holds a NaN, which max may pass over, or the
-    largest value is a zero, whose sign max takes from the first zero and
-    numpy need not. A NaN or an infinity makes the row's sum non-finite, so
-    such rows and zero maxima are reduced by numpy."""
+    """np.maximum.reduce(q) for a q_row list."""
     m = max(q)
-    if m == 0.0 or not math.isfinite(sum(q)):
+    if _numpy_reduces(m, sum(q)):
         return float(np.maximum.reduce(q))
     return m
 

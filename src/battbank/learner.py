@@ -80,12 +80,13 @@ RAW_BLOCK = 512
 
 
 class RawDraws:
-    """default_rng(seed).random() and .integers(n) for 1 <= n <= 2**32,
-    decoded from PCG64(seed).random_raw blocks: the same values in the same
-    order, without a Generator call's dispatch cost. A uniform is a word's
-    top 53 bits; integers is Lemire's method on 32-bit draws, each a fresh
-    word's low half, then its high half, which stays cached across random()
-    calls and refills."""
+    """The draws of a training step, decoded from PCG64(seed).random_raw
+    blocks: the same values in the same order as the default_rng(seed)
+    calls of the stream contract, without a Generator call's dispatch cost.
+    A uniform (Generator.random) is a word's top 53 bits; an action index
+    (Generator.integers(n), 1 <= n <= 2**32) is Lemire's method on 32-bit
+    draws, each a fresh word's low half, then its high half, which stays
+    cached across uniforms and refills."""
 
     def __init__(self, seed: int):
         self._bits = np.random.PCG64(seed)
@@ -98,30 +99,41 @@ class RawDraws:
         self._highs = (raw >> np.uint64(32)).tolist()
         return 0   # the index of the block's first word
 
-    def random(self) -> float:
-        i = self._i if self._i < RAW_BLOCK else self._refill()
+    def step(self, n: int, eps: float) -> tuple[int | None, float]:
+        """One step's draws for a feasible set of n actions: the exploration
+        coin, then, only when it is below eps, the action index, which is
+        returned (None when the coin is not below eps), then the chain
+        uniform, returned second."""
+        i = self._i
+        if i == RAW_BLOCK:
+            i = self._refill()
+        explore = self._floats[i] < eps
+        i += 1
+        a_idx = None
+        if explore:
+            # n = 1 draws nothing. numpy skips computing threshold when the
+            # low half is >= n; as threshold < n, the loop alone rejects the
+            # same draws
+            a_idx = 0
+            if n > 1:
+                threshold = (0x100000000 - n) % n
+                high = self._high
+                while True:
+                    if high is None:
+                        if i == RAW_BLOCK:
+                            i = self._refill()
+                        m, high = self._lows[i] * n, self._highs[i]
+                        i += 1
+                    else:
+                        m, high = high * n, None
+                    if m & 0xFFFFFFFF >= threshold:
+                        break
+                self._high = high
+                a_idx = m >> 32
+        if i == RAW_BLOCK:
+            i = self._refill()
         self._i = i + 1
-        return self._floats[i]
-
-    def _uint32(self) -> int:
-        high, self._high = self._high, None
-        if high is not None:
-            return high
-        i = self._i if self._i < RAW_BLOCK else self._refill()
-        self._i = i + 1
-        self._high = self._highs[i]
-        return self._lows[i]
-
-    def integers(self, n: int) -> int:
-        # n = 1 draws nothing. numpy skips computing threshold when the low
-        # half is >= n; as threshold < n, the loop alone rejects the same draws
-        if n == 1:
-            return 0
-        threshold = (0x100000000 - n) % n
-        m = self._uint32() * n
-        while m & 0xFFFFFFFF < threshold:
-            m = self._uint32() * n
-        return m >> 32
+        return a_idx, self._floats[i]
 
 
 # Rewards are <= 0, so Q* lies in [min r / (1 - gamma), 0]. A trained Q
@@ -176,10 +188,10 @@ def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
     Behavior is epsilon-greedy in the current estimate; chain transitions are
     drawn fresh each step. Fully reproducible from schedule.seed: per step the
     exploration coin, then (only when exploring) the uniform action index,
-    then the chain-transition uniform. RawDraws decodes them from
-    PCG64.random_raw, equal to the np.random.default_rng calls they replace;
-    it relies on numpy's Lemire method on 32-bit halves of a word and on
-    PCG64's cached high half.
+    then the chain-transition uniform. One RawDraws.step call takes them,
+    decoded from PCG64.random_raw, equal to the np.random.default_rng calls
+    they replace; it relies on numpy's Lemire method on 32-bit halves of a
+    word and on PCG64's cached high half.
 
     The step is Python-float arithmetic, which rounds each operation as
     float64 numpy does, and makes no BLAS call, so the weights are the same
@@ -187,19 +199,18 @@ def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
     kernel weights are carried as Python floats and lists
     (features.split_weights) and written into w at the end. Q-hat and the
     update are features.width_forms' for the bank's width: an exploring step
-    values only the drawn action, and the next state's whole row is valued
-    for its max. That max and an exploiting step's first argmax fall back
-    to numpy only for a zero maximum or a row holding a NaN or an infinity
-    (features.q_max), so a divergence is raised at the step where its TD
-    error turns non-finite. A run that diverges without a non-finite TD
-    error fails after its last step, when its Q estimate leaves the range
-    Q* can take.
+    values only the drawn action, and the TD target is the next state's
+    row max, the forms' top (for N = 2 in one pass, with no list). That
+    max and an exploiting step's first argmax fall back to numpy only for a
+    zero maximum or a row holding a NaN or an infinity (features.q_max), so a
+    divergence is raised at the step where its TD error turns non-finite.
+    A run that diverges without a non-finite TD error fails after its last
+    step, when its Q estimate leaves the range Q* can take.
     """
     check_x0(chain, x0)
     b0 = bank.start_occupancy()
     log_every = TrainLog.EVERY
-    draws = RawDraws(schedule.seed)
-    uniform, integers = draws.random, draws.integers
+    draws = RawDraws(schedule.seed).step
     gamma = bank.gamma
     log = TrainLog()
 
@@ -209,7 +220,7 @@ def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
     num_b = model.num_b
     w0, bias, kernel_ws = split_weights(
         np.zeros(feature_dim(bank.n, chain.n_states)), bank.n, chain.n_states)
-    q_value, q_row, add_scaled = width_forms(bank.n)
+    q_value, q_row, add_scaled, top = width_forms(bank.n)
 
     # schedule.eps and schedule.beta, hoisted: eps stays at eps_min when
     # eps0 <= eps_min, and beta is LearnSchedule.beta's expression
@@ -230,22 +241,21 @@ def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
         rewards = e.rewards
         kernel_w = kernel_ws[x]
 
-        if uniform() < eps:
-            a_idx = integers(len(rewards))
-            q_a = q_value(w0, rewards[a_idx], bias[x], e.kernels[a_idx], kernel_w)
-        else:
+        a_idx, u = draws(len(rewards), eps)
+        if a_idx is None:
             q = q_row(w0, rewards, bias[x], e.kernels, kernel_w)
             a_idx = q_argmax(q)
             q_a = q[a_idx]
+        else:
+            q_a = q_value(w0, rewards[a_idx], bias[x], e.kernels[a_idx], kernel_w)
 
         r = rewards[a_idx]
         # bisect_right is searchsorted(side="right") on a Python list
-        x_next = bisect.bisect_right(cum_rows[x], uniform())
+        x_next = bisect.bisect_right(cum_rows[x], u)
         e_next = rows[x_next * num_b + e.next_bid[a_idx]]
-        q_next = q_row(w0, e_next.rewards, bias[x_next], e_next.kernels,
-                       kernel_ws[x_next])
 
-        delta = r + gamma * q_max(q_next) - q_a
+        delta = r + gamma * top(w0, e_next.rewards, bias[x_next],
+                                e_next.kernels, kernel_ws[x_next]) - q_a
         if not math.isfinite(delta):
             raise FloatingPointError(f"non-finite TD error at step {k}, "
                                      f"training seed {schedule.seed}")

@@ -150,6 +150,22 @@ class TestValidateConfig:
         assert any("dissipation" in v
                    for v in validate_config(bank, toy_chain).violations)
 
+    @pytest.mark.parametrize("bank, field", [
+        (make_bank(capacities=(2.5, 3)), "batteries[0].capacity"),
+        (make_bank(capacities=(2, True)), "batteries[1].capacity"),
+        (make_bank(ramps=(25, 2.5)), "batteries[1].ramp"),
+        (make_bank(ramps=(True, 25)), "batteries[0].ramp"),
+        (make_bank(occupancy=(1.5, 1)), "initial_occupancy[0]"),
+        (make_bank(occupancy=(1, True)), "initial_occupancy[1]"),
+    ], ids=["float-capacity", "bool-capacity", "float-ramp", "bool-ramp",
+            "float-occupancy", "bool-occupancy"])
+    def test_non_integer_count_named(self, bank, field, toy_chain):
+        # a BankConfig built in code skips JSON ingestion's type checks
+        report = validate_config(bank, toy_chain)
+        assert len(report.violations) == 1
+        assert report.violations[0].startswith(
+            f"{field}: expected an integer, got ")
+
 
 class TestStartOccupancy:
     def test_half_sentinel_floors(self):

@@ -13,7 +13,7 @@ from battbank.env import (BankModel, bank_model, feasible_actions, reward,
 from battbank.features import (add_scaled, block_slice, feature_dim,
                                feature_vector, join_weights, kernel_matrix,
                                load_weights, q_argmax, q_max, q_row, q_rows,
-                               q_value, save_weights, split_weights,
+                               q_top, q_value, save_weights, split_weights,
                                width_forms)
 
 from conftest import make_bank, make_chain
@@ -236,9 +236,9 @@ class TestQHat:
                                            rtol=1e-12, atol=1e-12)
 
     def test_single_action_equals_set_entry(self):
-        # the learner's one-action value, its row and its update against
-        # numpy's elementwise operations, bit for bit. N = 2 takes the
-        # unrolled forms, N = 1 and 3 the loops
+        # the learner's one-action value, its row, its max and its update
+        # against numpy's elementwise operations, bit for bit. N = 2 takes
+        # the unrolled forms, N = 1 and 3 the loops
         chain = make_chain()
         rng = np.random.default_rng(3)
         for i in range(60):
@@ -258,6 +258,8 @@ class TestQHat:
             ref = q_reference(w[0], ent.rewards, blk[0], kmat, blk[1:])
             q = forms.row(*args)
             assert q == q_row(*args) == ref.tolist()
+            assert (forms.top(*args).hex() == q_top(*args).hex()
+                    == q_max(q).hex())
             for a, (r, ks) in enumerate(zip(args[1], args[3])):
                 one = (args[0], r, args[2], ks, args[4])
                 assert forms.value(*one) == q_value(*one) == q[a]
@@ -312,6 +314,48 @@ def test_q_max_and_argmax_follow_numpy(q):
     arr = np.array(q)
     assert np.float64(q_max(q)).tobytes() == np.maximum.reduce(arr).tobytes()
     assert q_argmax(q) == int(np.argmax(arr))
+
+
+# weights where the row max can meet a NaN, an infinity, a zero of either
+# sign or an overflowing sum
+SPECIAL_W = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.7e308, -1.7e308]
+
+
+@st.composite
+def top_args(draw):
+    """A kernel width N in 1-3 and q_top's arguments for a row of 1-8
+    actions: rewards <= 0, kernels in [-1, 0] and weights among SPECIAL_W
+    and ordinary floats."""
+    n = draw(st.integers(1, 3))
+    size = draw(st.integers(1, 8))
+    weight = st.one_of(st.sampled_from(SPECIAL_W), st.floats(-1e3, 1e3))
+    rewards = draw(st.lists(st.floats(-10.0, 0.0), min_size=size,
+                            max_size=size))
+    kernels = draw(st.lists(st.tuples(*[st.floats(-1.0, 0.0)] * (2 * n)),
+                            min_size=size, max_size=size))
+    kernel_w = draw(st.lists(weight, min_size=2 * n, max_size=2 * n))
+    return n, (draw(weight), rewards, draw(weight), kernels, kernel_w)
+
+
+@settings(max_examples=500, deadline=None)
+@given(top_args())
+# all-zero rows: 0.0 throughout, then -0.0 and 0.0 in one row
+@example((2, (0.0, [-1.0, -2.0], 0.0, [(-0.5,) * 4] * 2, [0.0] * 4)))
+@example((1, (0.0, [-1.0, 0.0], -0.0, [(-0.0, -0.0)] * 2, [0.0, 0.0])))
+# mixed-sign infinities: entries that overflow to -inf and +inf, and
+# weights of inf and -inf, which make each entry a NaN
+@example((1, (1.7e308, [-2.0, 0.0], 0.0, [(0.0, 0.0), (-1.0, -1.0)],
+              [-1.7e308, -1.7e308])))
+@example((3, (1.0, [-1.0, -1.0], 0.0, [(-1.0,) + (0.0,) * 5, (-0.5,) * 6],
+              [math.inf, -math.inf, 1.0, 1.0, 1.0, 1.0])))
+def test_top_is_numpy_max_of_row(case):
+    # bit for bit, the fallback included: a NaN, an infinity and a zero's
+    # sign reach the TD target as np.maximum.reduce of the row gives them
+    n, args = case
+    forms = width_forms(n)
+    row = np.array(forms.row(*args))
+    assert (np.float64(forms.top(*args)).tobytes()
+            == np.maximum.reduce(row).tobytes())
 
 
 class TestWeightPersistence:

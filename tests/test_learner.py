@@ -6,13 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from battbank import learner
 from battbank.chain import cumulative_transition
 from battbank.core import BackgroundChain, State, load_config
 from battbank.env import apply_action, bank_model, feasible_actions, reward
 from battbank.features import feature_dim, feature_vector
 from battbank.harness import resize_bank
-from battbank.learner import (RAW_BLOCK, LearnSchedule, RawDraws, TrainLog,
-                              check_q_bound, train, update_weights)
+from battbank.learner import (LearnSchedule, RawDraws, TrainLog, check_q_bound,
+                              train, update_weights)
 
 from conftest import TOY_LABELS, make_bank, make_chain
 
@@ -205,6 +206,17 @@ REPLAY_CASES = {
     "self-transitions": (make_lossy_bank(), make_self_chain(),
                          LearnSchedule(t_train=3000, seed=0, eps0=0.8,
                                        eps_min=0.2, eps_decay=1000)),
+    # the generic forms' loops, at widths other than the unrolled N = 2
+    "one-battery": (make_bank(capacities=(5,), ramps=(2,), weights=(0.5,)),
+                    make_self_chain(),
+                    LearnSchedule(t_train=3000, seed=3, eps0=0.8,
+                                  eps_min=0.2, eps_decay=1000)),
+    "three-batteries": (make_bank(capacities=(2, 3, 2), ramps=(2, 25, 1),
+                                  weights=(0.1, 1.0, 0.5),
+                                  dissipation=(1.0, 0.95, 0.9)),
+                        make_chain(),
+                        LearnSchedule(t_train=3000, seed=4, eps0=0.8,
+                                      eps_min=0.2, eps_decay=1000)),
 }
 
 
@@ -252,36 +264,28 @@ class TestUpdateWeights:
             update_weights(np.zeros(3), np.zeros(4), 1.0, 0.1)
 
 
-def assert_same_draws(seed, ops):
-    """RawDraws(seed) against np.random.default_rng(seed) over one script of
-    draws: "r" is random(), an int n is integers(n)."""
+def assert_same_draws(seed, script):
+    """RawDraws(seed).step against np.random.default_rng(seed) over a script
+    of (n, eps) steps: the coin, then integers(n) only when the coin is
+    below eps, then the chain uniform."""
     gen, draws = np.random.default_rng(seed), RawDraws(seed)
-    for k, op in enumerate(ops):
-        if op == "r":
-            assert draws.random() == gen.random(), (k, op)
-        else:
-            assert draws.integers(op) == gen.integers(op), (k, op)
+    for k, (n, eps) in enumerate(script):
+        a_idx = int(gen.integers(n)) if gen.random() < eps else None
+        assert draws.step(n, eps) == (a_idx, gen.random()), (k, n, eps)
 
 
 def training_ops(seed, steps, ns, eps):
-    """The draws of `steps` training steps: the coin, an action count from ns
-    only when the coin (read from the Generator stream) is below eps, then
-    the chain uniform."""
-    gen, pick = np.random.default_rng(seed), np.random.default_rng(seed + 99)
-    ops = []
-    for _ in range(steps):
-        ops.append("r")
-        if gen.random() < eps:
-            n = int(pick.choice(ns))
-            ops.append(n)
-            gen.integers(n)
-        ops.append("r")
-        gen.random()
-    return ops
+    """A script of `steps` training steps, each with an action count drawn
+    from ns."""
+    pick = np.random.default_rng(seed + 99)
+    return [(int(n), eps) for n in pick.choice(ns, size=steps)]
 
 
 # 2**31 + 5 and 3e9 reject about 50% and 30% of their 32-bit draws
 LARGE_NS = [2**31 + 5, 3 * 10**9, 2**32 - 1, 2**32]
+
+# eps 1.0 explores at every step
+EXPLORE = (7, 1.0)
 
 
 class TestRawDraws:
@@ -299,21 +303,29 @@ class TestRawDraws:
 
     def test_one_draws_nothing(self):
         # not a word, and not the high half cached by the draw before it
-        ops = [5, 1, 1, 5, "r", 1, "r", 5, 1, 1, 5]
-        assert_same_draws(7, ops)
-        draws = RawDraws(7)
-        assert [draws.integers(1) for _ in range(5)] == [0] * 5
-        assert draws.random() == np.random.default_rng(7).random()
+        assert_same_draws(7, [(5, 1.0), (1, 1.0), (1, 1.0), (5, 1.0),
+                              (1, 0.0), (5, 1.0), (1, 1.0), (5, 1.0)])
+        draws, gen = RawDraws(7), np.random.default_rng(7)
+        assert ([draws.step(1, 1.0) for _ in range(5)]
+                == [(0, u) for u in gen.random(10)[1::2].tolist()])
 
-    @pytest.mark.parametrize("tail", [
-        [7, "r", 7, "r"],   # random() refills before the high half is read
-        [7, 7, 7, "r"],     # the high half, then the third integers refills
-        [3 * 10**9] * 20 + ["r"],
-    ], ids=["refill-by-random", "refill-by-integers", "rejections"])
-    def test_cached_high_half_at_a_refill(self, tail):
-        # the first block's last word serves a low half; its high half goes
-        # to the next 32-bit draw, before or after the next block is drawn
-        assert_same_draws(3, ["r"] * (RAW_BLOCK - 1) + tail)
+    # Words of a run of exploring steps at n = 7 (seed 3 rejects none of
+    # these draws): coin 0, low half 1, chain 2 | coin 3, high half of 1,
+    # chain 4 | coin 5, low half 6, chain 7 | coin 8, high half of 6, chain 9.
+    # A block of RAW_BLOCK words refills at each word index it divides.
+    @pytest.mark.parametrize("block, script", [
+        (2, [EXPLORE] * 4),               # the chain uniform 2, a random()
+                                          # draw of the contract, refills
+        (3, [EXPLORE] * 4),               # the coin 3 refills
+        (6, [EXPLORE] * 4),               # the low half 6 refills
+        (3, [(3 * 10**9, 1.0)] * 300),    # runs of rejections across blocks
+    ], ids=["refill-by-random", "refill-by-coin", "refill-by-integers",
+            "rejections"])
+    def test_cached_high_half_at_a_refill(self, block, script, monkeypatch):
+        # the high half of 1 is read after the refill at 2 or 3, and the
+        # high half of 6 after the refill at 6
+        monkeypatch.setattr(learner, "RAW_BLOCK", block)
+        assert_same_draws(3, script)
 
 
 class TestTrain:
