@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import numbers
@@ -306,6 +305,10 @@ def load_config(path) -> tuple[BankConfig, BackgroundChain]:
 
 def config_fingerprint(bank: BankConfig, chain: BackgroundChain) -> str:
     """Stable hash of the canonicalized config; embedded in weight files and
-    reports so artifacts cannot silently cross configs."""
+    reports so artifacts cannot silently cross configs. hashlib is imported
+    here, not at module level: it maps OpenSSL, which nothing else on the
+    validate or solve-exact path loads."""
+    import hashlib
+
     canon = json.dumps(config_to_dict(bank, chain), sort_keys=True)
     return hashlib.sha256(canon.encode()).hexdigest()[:16]

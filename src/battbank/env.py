@@ -130,12 +130,23 @@ def _action_dtype(bank: BankConfig) -> np.dtype:
     return np.min_scalar_type(-top - 1)   # a type holding -top - 1 holds top
 
 
+# states per first_argmax chunk: its float repeat, equality mask and match
+# list are chunk-sized, not pair-sized
+_ARGMAX_STATES = 256
+
+
 def first_argmax(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Flat index of each state's first largest value, where state i owns
     values[offsets[i]:offsets[i + 1]]."""
-    best = np.flatnonzero(values == np.repeat(
-        np.maximum.reduceat(values, offsets[:-1]), np.diff(offsets)))
-    return best[np.searchsorted(best, offsets[:-1])]
+    out = np.empty(len(offsets) - 1, dtype=np.intp)
+    for lo in range(0, len(out), _ARGMAX_STATES):
+        ends = offsets[lo:lo + _ARGMAX_STATES + 1]
+        vals = values[ends[0]:ends[-1]]
+        starts = ends[:-1] - ends[0]
+        best = np.flatnonzero(vals == np.repeat(
+            np.maximum.reduceat(vals, starts), np.diff(ends)))
+        out[lo:lo + _ARGMAX_STATES] = best[np.searchsorted(best, starts)] + ends[0]
+    return out
 
 
 def _post_tables(bank: BankConfig, posts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -195,7 +206,9 @@ class BankModel:
         every partial action over its component's interval, and the last
         component is the remainder. The post-action occupancy id grows as
         components are fixed; rewards and successors are looked up by it.
-        Actions are stored in the narrowest integer type that holds them."""
+        Actions are stored in the narrowest integer type that holds them,
+        and so is each level's column of fixed components while the levels
+        are spread; what is scaled by a stride stays int64."""
         n = self.bank.n
         # bounds and attainable sums of components i.. of each occupancy;
         # a partial action's occupancy id still holds b_j for j >= i
@@ -207,26 +220,33 @@ class BankModel:
         x, post = np.divmod(np.arange(self.n_states), self.num_b)
         rem = np.clip(self._net_gen[x], sum_lo[post, 0], sum_hi[post, 0])
         first = np.arange(self.n_states)   # each state's first node
-        levels = []
+        dtype = _action_dtype(self.bank)
+        columns = []   # each node's components fixed so far
         for i in range(n - 1):
             a_lo = np.maximum(lo[post, i], rem - sum_hi[post, i + 1])
             counts = np.minimum(hi[post, i], rem - sum_lo[post, i + 1]) - a_lo + 1
             starts = np.cumsum(counts) - counts
             first = starts[first]
-            parent = np.repeat(np.arange(len(counts)), counts)
-            values = np.repeat(a_lo - starts, counts) + np.arange(len(parent))
-            rem = rem[parent] - values
-            post = post[parent] + values * self.strides[i]
-            levels.append((values, parent))
-        post += rem * self.strides[-1]
-        actions = np.empty((len(rem), n), dtype=_action_dtype(self.bank))
+            parent = np.repeat(np.arange(
+                len(counts), dtype=np.min_scalar_type(len(counts) - 1)), counts)
+            value = np.repeat(a_lo - starts, counts)
+            value += np.arange(len(value))
+            del a_lo, counts, starts   # not held beside the pair-sized gathers
+            columns = [c[parent] for c in columns] + [value.astype(dtype)]
+            post = post[parent]
+            value *= self.strides[i]
+            post += value
+            del value
+            rem = rem[parent]
+            rem -= columns[-1]
+            del parent
+        actions = np.empty((len(rem), n), dtype=dtype)
+        for i, c in enumerate(columns):
+            actions[:, i] = c
         actions[:, -1] = rem
-        offsets = np.append(first, len(rem))
-        idx = slice(None)   # each pair's node on the level being written
-        for i in reversed(range(n - 1)):
-            values, parent = levels.pop()
-            actions[:, i] = values[idx]
-            idx = parent[idx] if levels else None
+        post += rem   # the last stride is 1
+        del columns, rem
+        offsets = np.append(first, len(post))
         rewards, next_bid = _post_tables(self.bank, b)
         return Table(offsets, actions, rewards[post], next_bid[post])
 

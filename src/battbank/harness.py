@@ -30,21 +30,24 @@ def coupled_rollout(bank: BankConfig, chain: BackgroundChain,
     next occupancy id of every state's choice are gathered from the compiled
     table once, so a step reads two lists, and the totals equal the
     step-by-step loop over env.reward and env.apply_action bit for bit.
+    The lists are indexed occupancy first, `bid * n_bg + x`, with each
+    successor stored as `bid' * n_bg`, so a step adds x to find its entry.
     """
     bank.check_occupancy(b0, "b0")
     model = bank_model(bank, chain)
-    num_b = model.num_b
+    n_bg = chain.n_states
     totals = {}
     for name, policy in policies:
-        pairs = model.pairs(policy, f"policy {name}")
+        # state ids run x * num_b + bid: the transpose puts bid first
+        pairs = model.pairs(policy, f"policy {name}").reshape(n_bg, -1).T.ravel()
         rewards = model.table.rewards[pairs].tolist()
-        next_bid = model.table.next_bid[pairs].tolist()
+        nxt = (model.table.next_bid[pairs] * n_bg).tolist()
         total = 0.0
-        bid = model.occupancy_id(b0)
+        s = model.occupancy_id(b0) * n_bg
         for x in traj.x_path[:-1]:
-            sid = x * num_b + bid
-            total += rewards[sid]
-            bid = next_bid[sid]
+            s += x
+            total += rewards[s]
+            s = nxt[s]
         totals[name] = total
     return totals
 

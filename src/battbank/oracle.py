@@ -27,6 +27,8 @@ MAX_SWEEPS = 10**5   # per Q iteration, and per policy evaluation
 MAX_PI_STEPS = 1000
 # states per solution-CSV write: at most this many rows are held as text
 _CSV_BLOCK = 1 << 14
+# pairs per piece of a Q lookahead or backup: what a piece allocates
+_PIECE = 1 << 14
 
 
 class StateSpaceTooLarge(ValueError):
@@ -65,8 +67,9 @@ class ExactModel:
     the model adds no pair-sized array of its own. State i owns the pairs
     offsets[i]:offsets[i + 1], in feasible_actions order, as in
     `compiled.rows[i]`. State ids put the background state first, so
-    background state x owns the contiguous pairs of `blocks[x]`, all of
-    whose successors are read from the same row of expected next values.
+    background state x owns contiguous pairs, all of whose successors are
+    read from the same row of expected next values; `blocks` cuts them
+    into pieces `(x, slice)` of at most _PIECE pairs each.
     STATE_CAP bounds the states, not the pairs: a (16,16,16) bank with free
     ramps has 2% of the cap in states and 3.0M pairs."""
 
@@ -82,7 +85,9 @@ class ExactModel:
         table = self.compiled.table
         self.offsets, self.sa_actions, self.sa_rewards, self.next_bid = table
         ends = self.offsets[::self.num_b].tolist()
-        self.blocks = [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]
+        self.blocks = [(x, slice(lo, min(lo + _PIECE, hi)))
+                       for x, (start, hi) in enumerate(zip(ends, ends[1:]))
+                       for lo in range(start, hi, _PIECE)]
         # (pairs, tol, value) of the latest evaluate_from_zero
         self._from_zero = None
 
@@ -99,15 +104,17 @@ class ExactModel:
 
     def lookahead(self, V: np.ndarray) -> np.ndarray:
         """r(s, a) + gamma * E[V(x', b')] for every (state, action) pair,
-        built in one output vector: each background state's block of pairs
-        gathers its successors from its row of PV[x, b'] = sum over x' of
-        P[x, x'] V(x', b')."""
+        built in one output vector: each block of background state x's
+        pairs gathers its successors from row x of PV[x, b'] = sum over x'
+        of P[x, x'] V(x', b')."""
         PV = self.chain.transition @ V.reshape(self.chain.n_states, self.num_b)
         q = np.empty(self.n_sa)
-        for pv, blk in zip(PV, self.blocks):
+        for x, blk in self.blocks:
             # successor ids lie in the row, so "clip" clips nothing; unlike
-            # the default "raise", it writes into `out` without a buffer
-            pv.take(self.next_bid[blk], out=q[blk], mode="clip")
+            # the default "raise", it writes into `out` without a buffer.
+            # take copies a read-only index, as the table's next_bid is, so
+            # that copy is the piece's one temporary
+            PV[x].take(self.next_bid[blk], out=q[blk], mode="clip")
         q *= self.bank.gamma
         q += self.sa_rewards
         return q
@@ -115,8 +122,14 @@ class ExactModel:
     def backup(self, q: np.ndarray) -> tuple[np.ndarray, float]:
         """One synchronous sweep; returns (q', sup-norm change)."""
         q_new = self.lookahead(self.state_values(q))
-        change = q_new - q
-        return q_new, float(np.abs(change, out=change).max())
+        # one block at a time: no pair-sized difference is held beside q
+        # and q_new, and q is not written
+        change = np.empty(len(self.blocks))
+        for j, (_, blk) in enumerate(self.blocks):
+            diff = q_new[blk] - q[blk]
+            change[j] = np.abs(diff, out=diff).max()
+            del diff   # freed before the next block's difference is taken
+        return q_new, float(change.max())
 
     def evaluate_from_zero(self, sa: np.ndarray, tol: float) -> np.ndarray:
         """The value of the policy that takes flat pair sa[i] in state i,

@@ -41,6 +41,25 @@ def test_import_leaves_scipy_out():
     assert out.stdout.strip() == "False"
 
 
+def test_solver_path_leaves_openssl_out():
+    # hashlib maps OpenSSL's libcrypto; only a config fingerprint (weight
+    # files) needs it. In a subprocess, as the test modules import hashlib
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    script = (
+        "import contextlib, io, sys\n"
+        "from battbank import cli, core\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main(['validate', {TOY_CONFIG!r}]) == 0\n"
+        f"    assert cli.main(['solve-exact', {TOY_CONFIG!r}]) == 0\n"
+        "print('_hashlib' in sys.modules)\n"
+        f"print(core.config_fingerprint(*core.load_config({TOY_CONFIG!r})))\n")
+    out = subprocess.run([sys.executable, "-c", script],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    # the fingerprint the shipped config had while hashlib loaded at import
+    assert out.stdout.split() == ["False", "430123282c58b9e5"]
+
+
 class TestValidate:
     def test_shipped_config_passes(self, capsys):
         assert main(["validate", TOY_CONFIG]) == EXIT_OK

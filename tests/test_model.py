@@ -81,6 +81,21 @@ class TestBankModel:
             tracemalloc.stop()
         assert peak - held <= 3 * column
 
+    def test_tabulate_peak_stays_near_the_table(self, toy_chain):
+        # the solve-exact benchmark's (8,8,8) bank: beside the table it
+        # returns, the build holds at most two pair-sized int64 vectors
+        bank = make_bank(capacities=(8, 8, 8), ramps=(25, 25, 25),
+                         weights=(0.1, 1.0, 0.5))
+        model = env.BankModel(bank.batteries, toy_chain)
+        tracemalloc.start()
+        try:
+            table = model.tabulate()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        pairs = len(table.rewards)
+        assert peak <= sum(arr.nbytes for arr in table) + 2 * 8 * pairs
+
 
 def _count_tabulations(monkeypatch) -> Counter:
     """Count, per distinct (batteries, state id), how many whole-table builds
