@@ -132,9 +132,15 @@ def cmd_solve_exact(args) -> int:
         tol=args.tol, model=sol.model)
     gap = float(np.abs(v_greedy - sol.values()).max())
     if lossless and unconstrained:
-        verdict = "PASS" if gap <= 1e-8 else "FAIL"
+        # the solve's own error: V_greedy stops within g * tol / (1 - g) of
+        # its fixed point, and V* is read after the final backup, within
+        # g * residual / (1 - g) of its own
+        g = bank.gamma
+        allowance = g * (args.tol + sol.residual) / (1 - g)
+        verdict = "PASS" if gap <= 1e-8 + allowance else "FAIL"
         print(f"greedy-optimality gap max|V_greedy - V*| = {gap:.3e} "
-              f"[{verdict} at 1e-8; lossless, unconstrained ramps]")
+              f"[{verdict} at 1e-8 + solve error {allowance:.1e}; "
+              "lossless, unconstrained ramps]")
         if verdict == "FAIL":
             return EXIT_RUNTIME
     else:

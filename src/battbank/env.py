@@ -109,8 +109,6 @@ class Table(NamedTuple):
     next_bid: np.ndarray  # (n_pairs,) int
 
 
-# _post_tables asks once per table, and once per state_actions row
-@functools.lru_cache(maxsize=16)
 def occupancy_strides(capacities: tuple[int, ...]) -> tuple[int, ...]:
     """Place values of the mixed-radix occupancy id, first battery slowest:
     the id of b is sum(b_i * stride_i)."""
@@ -149,27 +147,16 @@ def first_argmax(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return out
 
 
-def _post_tables(bank: BankConfig, posts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rewards and successor occupancy ids of post-action occupancies
-    `posts` (n, N): env.reward and env.apply_action, one row per action.
-    The penalty is summed battery by battery, as env.reward does."""
-    caps = np.array(bank.capacities, dtype=float)
-    lo = np.array([bat.lower_frac for bat in bank.batteries]) * caps
-    hi = np.array([bat.upper_frac for bat in bank.batteries]) * caps
-    wts = np.array([bat.penalty_weight for bat in bank.batteries])
-    pen = (np.maximum(lo - posts, 0.0) + np.maximum(posts - hi, 0.0)) * wts
-    rewards = -functools.reduce(operator.add, pen.T)
-    etas = np.array([bat.dissipation for bat in bank.batteries])
-    next_b = np.floor(etas * posts).astype(np.int64)
-    return rewards, next_b.dot(occupancy_strides(bank.capacities))
-
-
 def state_actions(bank: BankConfig, chain: BackgroundChain, s: State) -> StateActions:
-    """One state's row from the scalar spec, feasible_actions: the reference
-    that BankModel's table is tested against."""
-    actions = np.array(feasible_actions(bank, chain, s), dtype=np.int64)
-    rewards, next_bid = _post_tables(bank, actions + s.b)
-    return StateActions(actions, rewards.tolist(), next_bid.tolist())
+    """One state's row from the scalar spec alone (feasible_actions, reward
+    and apply_action): the reference that BankModel's table is tested
+    against."""
+    acts = feasible_actions(bank, chain, s)
+    strides = occupancy_strides(bank.capacities)
+    return StateActions(
+        np.array(acts, dtype=np.int64), [reward(bank, s, a) for a in acts],
+        [sum(map(operator.mul, apply_action(bank, s.b, a), strides))
+         for a in acts])
 
 
 class BankModel:
@@ -247,7 +234,17 @@ class BankModel:
         post += rem   # the last stride is 1
         del columns, rem
         offsets = np.append(first, len(post))
-        rewards, next_bid = _post_tables(self.bank, b)
+        # each occupancy's reward and successor id, as reward and
+        # apply_action give them: the penalty is summed battery by battery
+        bats = self.bank.batteries
+        caps = np.array(self.bank.capacities, dtype=float)
+        low = np.array([bat.lower_frac for bat in bats]) * caps
+        high = np.array([bat.upper_frac for bat in bats]) * caps
+        wts = np.array([bat.penalty_weight for bat in bats])
+        pen = (np.maximum(low - b, 0.0) + np.maximum(b - high, 0.0)) * wts
+        rewards = -functools.reduce(operator.add, pen.T)
+        etas = np.array([bat.dissipation for bat in bats])
+        next_bid = np.floor(etas * b).astype(np.int64).dot(self.strides)
         return Table(offsets, actions, rewards[post], next_bid[post])
 
     @functools.cached_property

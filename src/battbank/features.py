@@ -201,6 +201,13 @@ def q_argmax(q: list[float]) -> int:
 # ---------------------------------------------------------------------------
 # Weight persistence
 
+def check_finite(w: np.ndarray) -> None:
+    """Reject weights holding a NaN or an infinity, naming the first."""
+    bad = np.flatnonzero(~np.isfinite(w))
+    if len(bad):
+        raise ValueError(f"weights[{bad[0]}]: expected a finite number, got {w[bad[0]]}")
+
+
 def save_weights(path, w: np.ndarray, bank: BankConfig, chain: BackgroundChain) -> None:
     doc = {
         "version": WEIGHTS_FORMAT_VERSION,
@@ -233,9 +240,7 @@ def load_weights(path, bank: BankConfig, chain: BackgroundChain) -> np.ndarray:
             f"weights fingerprint {doc['fingerprint']} does not match "
             f"config fingerprint {expect}")
     w = np.array(_numbers(doc["weights"], "weights", float))
-    bad = np.flatnonzero(~np.isfinite(w))
-    if len(bad):
-        raise ValueError(f"weights[{bad[0]}]: expected a finite number, got {w[bad[0]]}")
+    check_finite(w)
     d = feature_dim(bank.n, chain.n_states)
     if len(w) != d or _number(doc["d"], "d", int) != d:
         raise ValueError(f"weights dimension {len(w)} != expected {d}")

@@ -8,6 +8,8 @@ import dataclasses
 import statistics
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .chain import Trajectory, check_count, generate_trajectory
 from .core import BankConfig, BackgroundChain, is_index, validate_config
 from .env import bank_model
@@ -36,6 +38,10 @@ def coupled_rollout(bank: BankConfig, chain: BackgroundChain,
     bank.check_occupancy(b0, "b0")
     model = bank_model(bank, chain)
     n_bg = chain.n_states
+    # a state past the chain's would land in another occupancy's entry
+    top = np.asarray(traj.x_path).max(initial=0)
+    if top >= n_bg:
+        raise ValueError(f"traj: state {top} outside the {n_bg}-state chain")
     totals = {}
     for name, policy in policies:
         # state ids run x * num_b + bid: the transpose puts bid first

@@ -102,12 +102,16 @@ class ExactModel:
     def state_values(self, q: np.ndarray) -> np.ndarray:
         return np.maximum.reduceat(q, self.offsets[:-1])
 
+    def expected_next(self, V: np.ndarray) -> np.ndarray:
+        """PV[x, b'] = sum over x' of P[x, x'] V(x', b'): the expected value
+        of successor occupancy b' from background state x."""
+        return self.chain.transition @ V.reshape(self.chain.n_states, self.num_b)
+
     def lookahead(self, V: np.ndarray) -> np.ndarray:
         """r(s, a) + gamma * E[V(x', b')] for every (state, action) pair,
         built in one output vector: each block of background state x's
-        pairs gathers its successors from row x of PV[x, b'] = sum over x'
-        of P[x, x'] V(x', b')."""
-        PV = self.chain.transition @ V.reshape(self.chain.n_states, self.num_b)
+        pairs gathers its successors from row x of expected_next(V)."""
+        PV = self.expected_next(V)
         q = np.empty(self.n_sa)
         for x, blk in self.blocks:
             # successor ids lie in the row, so "clip" clips nothing; unlike
@@ -173,13 +177,13 @@ def _evaluate(model: ExactModel, sa: np.ndarray, V: np.ndarray,
     """Sweep from V the evaluation operator of the policy that takes flat
     pair sa[i] in state i, until a sweep changes V by at most tol."""
     r_pi = model.sa_rewards[sa]
-    # x * num_b + b' of each state's pair: where PV.take finds its next value
+    # x * num_b + b' of each state's pair: where expected_next(V) holds its
+    # next value
     nxt = np.arange(len(sa)) // model.num_b * model.num_b + model.next_bid[sa]
-    P, gamma = model.chain.transition, model.bank.gamma
+    gamma = model.bank.gamma
 
     def sweep(V):
-        PV = P @ V.reshape(model.chain.n_states, model.num_b)
-        V_new = r_pi + gamma * PV.take(nxt)
+        V_new = r_pi + gamma * model.expected_next(V).take(nxt)
         return V_new, float(np.abs(V_new - V).max())
 
     return _fixed_point(sweep, V, tol)[0]

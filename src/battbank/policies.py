@@ -14,8 +14,8 @@ import numpy as np
 
 from .core import Action, BankConfig, BackgroundChain, State
 from .env import bank_model, first_argmax, state_actions
-from .features import (block_slice, feature_dim, kernel_matrix, q_argmax,
-                       q_rows, width_forms)
+from .features import (block_slice, check_finite, feature_dim, kernel_matrix,
+                       q_argmax, q_rows, width_forms)
 
 POLICY_NAMES = ("greedy", "naive", "rl")
 
@@ -72,11 +72,13 @@ def make_policy(name: str, bank: BankConfig, chain: BackgroundChain,
     """
     if name not in POLICY_NAMES:
         raise ValueError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
-    if name == "rl" and weights is None:
-        raise ValueError("rl policy needs a weight vector")
-    d = feature_dim(bank.n, chain.n_states)
-    if name == "rl" and np.shape(weights) != (d,):
-        raise ValueError(f"weights: expected shape ({d},), got {np.shape(weights)}")
+    if name == "rl":
+        if weights is None:
+            raise ValueError("rl policy needs a weight vector")
+        d = feature_dim(bank.n, chain.n_states)
+        if np.shape(weights) != (d,):
+            raise ValueError(f"weights: expected shape ({d},), got {np.shape(weights)}")
+        check_finite(np.asarray(weights))
 
     model = bank_model(bank, chain)
     t = model.table

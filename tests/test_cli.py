@@ -294,6 +294,27 @@ class TestSolveExact:
         assert "PASS" in out
         assert "greedy-optimality gap" in out
 
+    @pytest.mark.parametrize("tol", ["1e-8", "1e-7"])
+    def test_loose_tolerance_passes(self, tol, capsys):
+        # the gap is the solve's own error (1.573e-08 and 1.597e-07), which
+        # used to read as a FAIL against a bare 1e-8
+        assert main(["solve-exact", TOY_CONFIG, "--tol", tol]) == EXIT_OK
+        assert "[PASS at 1e-8 + solve error " in capsys.readouterr().out
+
+    def test_suboptimal_greedy_fails(self, tmp_path, capsys, monkeypatch):
+        # naive handed over as greedy: its gap on this bank is 4.82
+        from battbank import policies
+        make = policies.make_policy
+        monkeypatch.setattr(policies, "make_policy",
+                            lambda name, *args, **kw: make(
+                                "naive" if name == "greedy" else name, *args, **kw))
+        path = write_config(tmp_path, capacities=(6, 10), ramps=(25, 25),
+                            gamma=0.9)
+        assert main(["solve-exact", path]) == EXIT_RUNTIME
+        out = capsys.readouterr().out
+        assert "[FAIL at 1e-8 + solve error " in out
+        assert "PASS" not in out
+
     def test_premises_unmet_no_claim(self, tmp_path, capsys):
         path = write_config(tmp_path, ramps=(2, 2))
         assert main(["solve-exact", path]) == EXIT_OK

@@ -178,6 +178,6 @@ def test_state_actions_tables_consistent(toy_chain):
     assert ent.actions.tolist() == [list(a) for a in acts]
     for i, a in enumerate(acts):
         assert (ent.actions[i] + s.b).tolist() == [bi + ai for bi, ai in zip(s.b, a)]
-        assert ent.rewards[i] == pytest.approx(reward(bank, s, a), abs=1e-12)
+        assert ent.rewards[i] == reward(bank, s, a)
         nb = apply_action(bank, s.b, a)
         assert ent.next_bid[i] == nb[0] * 6 + nb[1]   # mixed radix (4, 6)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from battbank import harness
-from battbank.chain import generate_trajectory
+from battbank.chain import Trajectory, generate_trajectory
 from battbank.core import BackgroundChain, State
 from battbank.env import apply_action, bank_model, reward
 from battbank.harness import (TRAIN_SEED_OFFSET, compare_policies,
@@ -98,6 +98,17 @@ class TestCoupledRollout:
             coupled_rollout(toy_bank, toy_chain,
                             [("greedy", make_policy("greedy", toy_bank, toy_chain))],
                             traj, b0)
+
+    @pytest.mark.parametrize("path, top", [([0, 4, 0, 1], 4), ([0, 1, 250], 250)])
+    def test_path_outside_chain_rejected(self, toy_bank, toy_chain, path, top):
+        # state 4 of the 4-state chain read another occupancy's entry; a
+        # state past the last entry raised a bare IndexError
+        traj = Trajectory(x_path=np.array(path, dtype=np.uint8).data)
+        with pytest.raises(ValueError,
+                           match=rf"traj: state {top} outside the 4-state chain"):
+            coupled_rollout(toy_bank, toy_chain,
+                            [("greedy", make_policy("greedy", toy_bank, toy_chain))],
+                            traj, toy_bank.start_occupancy())
 
     def test_deterministic_repeat(self, toy_bank, toy_chain):
         traj = generate_trajectory(toy_chain, 0, 1000, seed=4)

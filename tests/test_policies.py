@@ -202,6 +202,17 @@ class TestMakePolicy:
         with pytest.raises(ValueError, match=r"weights: expected shape \(21,\)"):
             make_policy("rl", toy_bank, toy_chain, weights=np.zeros(shape))
 
+    @pytest.mark.parametrize("bad, match", [
+        (np.full(21, np.nan), r"weights\[0\]: expected a finite number, got nan"),
+        (np.r_[np.zeros(3), np.inf, np.zeros(17)],
+         r"weights\[3\]: expected a finite number, got inf")],
+        ids=["nan", "inf"])
+    def test_rl_weights_not_finite_rejected(self, bad, match, toy_bank,
+                                            toy_chain):
+        # NaN weights used to give a policy of first actions
+        with pytest.raises(ValueError, match=match):
+            make_policy("rl", toy_bank, toy_chain, weights=bad)
+
     # sha256 of the int64 bytes of make_policy's arrays, recorded before
     # naive and rl read the table through their current code paths
     @pytest.mark.parametrize("sizes, ramp, naive_sha, rl_sha", [
