@@ -64,6 +64,8 @@ def cmd_train(args) -> int:
     try:
         w, log = learner.train(bank, chain, sched, x0=args.x0)
     except FloatingPointError as exc:
+        if args.debug:
+            raise
         print(f"error: training diverged: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     try:
@@ -109,11 +111,7 @@ def cmd_compare(args) -> int:
 
 def cmd_solve_exact(args) -> int:
     bank, chain = _load(args.config)
-    try:
-        sol = oracle.solve_policy_iteration(bank, chain, tol=args.tol)
-    except (oracle.StateSpaceTooLarge, oracle.IterationLimitExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    sol = oracle.solve_policy_iteration(bank, chain, tol=args.tol)
     print(f"solved in {sol.iterations} policy-iteration steps; "
           f"residual {sol.residual:.3e}; "
           f"greedy-in-q suboptimality bound {sol.suboptimality_bound():.3e}")

@@ -101,12 +101,15 @@ class StateActions:
 
 class Table(NamedTuple):
     """Every state's row, flattened: state sid owns the pairs
-    offsets[sid]:offsets[sid + 1], in feasible_actions order."""
+    offsets[sid]:offsets[sid + 1], in feasible_actions order. A pair acts
+    on the rest of the MDP only through its post-action occupancy b + a,
+    whose id `post` holds; `post_next[post]` is the pair's successor id."""
 
-    offsets: np.ndarray   # (n_states + 1,) int
-    actions: np.ndarray   # (n_pairs, N) int, of _action_dtype
-    rewards: np.ndarray   # (n_pairs,)
-    next_bid: np.ndarray  # (n_pairs,) int
+    offsets: np.ndarray    # (n_states + 1,) int
+    actions: np.ndarray    # (n_pairs, N) int, of _action_dtype
+    rewards: np.ndarray    # (n_pairs,)
+    post: np.ndarray       # (n_pairs,) unsigned, the narrowest for num_b ids
+    post_next: np.ndarray  # (num_b,) int64, floor(eta * b) of each occupancy
 
 
 def occupancy_strides(capacities: tuple[int, ...]) -> tuple[int, ...]:
@@ -164,9 +167,10 @@ class BankModel:
 
     This is the one definition of the state space: state id
     `x * num_b + occupancy_id(b)`, for ids in `range(n_states)`. `table`
-    holds every state's feasible actions, rewards and successor occupancy
-    ids as one set of flat arrays, which every caller shares: the exact
-    solver's arrays and the actions of each of `rows` are views of it.
+    holds every state's feasible actions, rewards and post-action occupancy
+    ids, and each occupancy's successor id, as one set of flat arrays, which
+    every caller shares: the exact solver's arrays and the actions of each
+    of `rows` are views of it.
     """
 
     def __init__(self, batteries, chain: BackgroundChain):
@@ -192,10 +196,11 @@ class BankModel:
         recursion on all states at once. Each of the first N-1 levels spreads
         every partial action over its component's interval, and the last
         component is the remainder. The post-action occupancy id grows as
-        components are fixed; rewards and successors are looked up by it.
-        Actions are stored in the narrowest integer type that holds them,
-        and so is each level's column of fixed components while the levels
-        are spread; what is scaled by a stride stays int64."""
+        components are fixed; rewards are looked up by it, and it is kept,
+        beside each occupancy's successor id. Actions and post-action ids
+        are stored in the narrowest integer types that hold them, and so is
+        each level's column of fixed components while the levels are
+        spread; what is scaled by a stride stays int64."""
         n = self.bank.n
         # bounds and attainable sums of components i.. of each occupancy;
         # a partial action's occupancy id still holds b_j for j >= i
@@ -244,8 +249,9 @@ class BankModel:
         pen = (np.maximum(low - b, 0.0) + np.maximum(b - high, 0.0)) * wts
         rewards = -functools.reduce(operator.add, pen.T)
         etas = np.array([bat.dissipation for bat in bats])
-        next_bid = np.floor(etas * b).astype(np.int64).dot(self.strides)
-        return Table(offsets, actions, rewards[post], next_bid[post])
+        post_next = np.floor(etas * b).astype(np.int64).dot(self.strides)
+        return Table(offsets, actions, rewards[post],
+                     post.astype(np.min_scalar_type(self.num_b - 1)), post_next)
 
     @functools.cached_property
     def table(self) -> Table:
@@ -262,22 +268,18 @@ class BankModel:
         the table: views of its actions, lists of its rewards and successor
         ids, and a list of its kernel tuples. One kernel_matrix call over
         every occupancy makes num_b tuples, and a pair's entry is the tuple
-        of its post-action occupancy b + a, so a pair costs one pointer."""
+        of its post-action occupancy, table.post, so a pair costs one
+        pointer."""
         from .features import kernel_matrix  # features imports this module
         t, ends = self.table, self.table.offsets.tolist()
         shared = np.fromiter(
             map(tuple, kernel_matrix(
                 self.bank, self.decode(np.arange(self.num_b))[1]).tolist()),
             dtype=object, count=self.num_b)
-        # each pair's post-action occupancy id: id(b) + id(a), as ids are linear
-        post = np.repeat(np.arange(self.n_states) % self.num_b,
-                         np.diff(t.offsets))
-        post += t.actions.dot(self.strides)
-        pair_kernels = shared[post]
-        del post
+        pair_kernels = shared[t.post]
         kernels = [pair_kernels[lo:hi].tolist() for lo, hi in zip(ends, ends[1:])]
         del pair_kernels   # not held while the rows' other lists are built
-        rewards, next_bid = t.rewards.tolist(), t.next_bid.tolist()
+        rewards, next_bid = t.rewards.tolist(), t.post_next[t.post].tolist()
         return [StateActions(t.actions[lo:hi], rewards[lo:hi],
                              next_bid[lo:hi], ks)
                 for lo, hi, ks in zip(ends, ends[1:], kernels)]

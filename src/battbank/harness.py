@@ -38,16 +38,17 @@ def coupled_rollout(bank: BankConfig, chain: BackgroundChain,
     bank.check_occupancy(b0, "b0")
     model = bank_model(bank, chain)
     n_bg = chain.n_states
-    # a state past the chain's would land in another occupancy's entry
-    top = np.asarray(traj.x_path).max(initial=0)
-    if top >= n_bg:
-        raise ValueError(f"traj: state {top} outside the {n_bg}-state chain")
+    # a state outside the chain's would land in another occupancy's entry
+    path = np.asarray(traj.x_path)
+    for x in (path.min(initial=0), path.max(initial=0)):
+        if not 0 <= x < n_bg:
+            raise ValueError(f"traj: state {x} outside the {n_bg}-state chain")
     totals = {}
     for name, policy in policies:
         # state ids run x * num_b + bid: the transpose puts bid first
         pairs = model.pairs(policy, f"policy {name}").reshape(n_bg, -1).T.ravel()
         rewards = model.table.rewards[pairs].tolist()
-        nxt = (model.table.next_bid[pairs] * n_bg).tolist()
+        nxt = (model.table.post_next[model.table.post[pairs]] * n_bg).tolist()
         total = 0.0
         s = model.occupancy_id(b0) * n_bg
         for x in traj.x_path[:-1]:

@@ -63,9 +63,9 @@ def _fixed_point(sweep, v: np.ndarray, tol: float):
 class ExactModel:
     """The bank's compiled table (env.bank_model) read as flat (state,
     action) arrays for vectorized Bellman sweeps: `offsets`, `sa_actions`,
-    `sa_rewards` and `next_bid` are the table's own arrays, not copies, and
-    the model adds no pair-sized array of its own. State i owns the pairs
-    offsets[i]:offsets[i + 1], in feasible_actions order, as in
+    `sa_rewards`, `post` and `post_next` are the table's own arrays, not
+    copies, and the model adds no pair-sized array of its own. State i owns
+    the pairs offsets[i]:offsets[i + 1], in feasible_actions order, as in
     `compiled.rows[i]`. State ids put the background state first, so
     background state x owns contiguous pairs, all of whose successors are
     read from the same row of expected next values; `blocks` cuts them
@@ -83,7 +83,8 @@ class ExactModel:
         self.compiled = bank_model(bank, chain)
         self.num_b = self.compiled.num_b
         table = self.compiled.table
-        self.offsets, self.sa_actions, self.sa_rewards, self.next_bid = table
+        (self.offsets, self.sa_actions, self.sa_rewards, self.post,
+         self.post_next) = table
         ends = self.offsets[::self.num_b].tolist()
         self.blocks = [(x, slice(lo, min(lo + _PIECE, hi)))
                        for x, (start, hi) in enumerate(zip(ends, ends[1:]))
@@ -109,16 +110,17 @@ class ExactModel:
 
     def lookahead(self, V: np.ndarray) -> np.ndarray:
         """r(s, a) + gamma * E[V(x', b')] for every (state, action) pair,
-        built in one output vector: each block of background state x's
-        pairs gathers its successors from row x of expected_next(V)."""
-        PV = self.expected_next(V)
+        built in one output vector: expected_next(V) is read once per
+        post-action occupancy, and each block of background state x's
+        pairs gathers from row x of that by its pairs' post-action ids."""
+        PV = self.expected_next(V)[:, self.post_next]
         q = np.empty(self.n_sa)
         for x, blk in self.blocks:
-            # successor ids lie in the row, so "clip" clips nothing; unlike
-            # the default "raise", it writes into `out` without a buffer.
-            # take copies a read-only index, as the table's next_bid is, so
-            # that copy is the piece's one temporary
-            PV[x].take(self.next_bid[blk], out=q[blk], mode="clip")
+            # post-action ids lie in the row, so "clip" clips nothing;
+            # unlike the default "raise", it writes into `out` without a
+            # buffer. take copies a read-only index, as the table's post
+            # is, so that copy is the piece's one temporary
+            PV[x].take(self.post[blk], out=q[blk], mode="clip")
         q *= self.bank.gamma
         q += self.sa_rewards
         return q
@@ -179,7 +181,8 @@ def _evaluate(model: ExactModel, sa: np.ndarray, V: np.ndarray,
     r_pi = model.sa_rewards[sa]
     # x * num_b + b' of each state's pair: where expected_next(V) holds its
     # next value
-    nxt = np.arange(len(sa)) // model.num_b * model.num_b + model.next_bid[sa]
+    nxt = (np.arange(len(sa)) // model.num_b * model.num_b
+           + model.post_next[model.post[sa]])
     gamma = model.bank.gamma
 
     def sweep(V):

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from battbank import features
+from battbank import features, oracle
 from battbank.cli import (EXIT_IO, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION,
                           _schedule_from_args, build_parser, main)
 from battbank.core import config_to_dict, load_config
@@ -141,11 +141,45 @@ class TestDebug:
         err = capsys.readouterr().err
         assert err == "error: --sizes: expected integers, got '2,,3'\n"
 
-    def test_debug_reraises_with_traceback(self, capsys):
-        with pytest.raises(ValueError, match="--sizes: expected integers") as info:
-            main(["--debug", *self.ARGV])
-        assert info.traceback[-1].name == "_parse_int_tuple"
+    # each case: argv after --debug, in which {config} and {out} name an
+    # oversized config and a writable path; the exception; the raising frame
+    @pytest.mark.parametrize("argv, exc, match, frame", [
+        (ARGV, ValueError, "--sizes: expected integers", "_parse_int_tuple"),
+        (["solve-exact", "{config}"], oracle.StateSpaceTooLarge,
+         "exceeding the cap", "__init__"),
+        (["train", TOY_CONFIG, "--steps", "2000", "--beta0", "100",
+          "--out", "{out}"], FloatingPointError, "non-finite TD error", "train"),
+    ], ids=["compare-bad-size", "solve-exact-oversized", "train-diverged"])
+    def test_debug_reraises_with_traceback(self, tmp_path, capsys, argv, exc,
+                                           match, frame):
+        config = write_config(tmp_path, capacities=(200, 200, 200),
+                              ramps=(2, 2, 2), weights=(1.0, 1.0, 1.0))
+        argv = [a.format(config=config, out=tmp_path / "w.json") for a in argv]
+        with pytest.raises(exc, match=match) as info:
+            main(["--debug", *argv])
+        assert info.traceback[-1].name == frame
         assert capsys.readouterr().err == ""
+
+    def test_diverged_training_message_only_by_default(self, tmp_path, capsys):
+        assert main(["train", TOY_CONFIG, "--steps", "2000", "--beta0", "100",
+                     "--out", str(tmp_path / "w.json")]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == (
+            "error: training diverged: non-finite TD error at step 199, "
+            "training seed 0\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", TOY_CONFIG, "--steps", "0", "--out", "{missing}"],
+    ["train", TOY_CONFIG, "--steps", "0", "--out", "{ok}", "--log", "{missing}"],
+    ["compare", TOY_CONFIG, "--sizes", "2,3", "--seeds", "0", "--steps", "0",
+     "--eval-steps", "10", "--out", "{missing}"],
+    ["solve-exact", TOY_CONFIG, "--out", "{missing}"],
+], ids=["train-out", "train-log", "compare-out", "solve-exact-out"])
+def test_unwritable_output_io_exit(tmp_path, capsys, argv):
+    # {missing} lies in a directory that does not exist
+    paths = {"missing": tmp_path / "absent" / "out.csv", "ok": tmp_path / "w.json"}
+    assert main([a.format(**paths) for a in argv]) == EXIT_IO
+    assert capsys.readouterr().err.startswith("error: cannot write")
 
 
 class TestTrain:

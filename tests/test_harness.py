@@ -99,11 +99,14 @@ class TestCoupledRollout:
                             [("greedy", make_policy("greedy", toy_bank, toy_chain))],
                             traj, b0)
 
-    @pytest.mark.parametrize("path, top", [([0, 4, 0, 1], 4), ([0, 1, 250], 250)])
+    @pytest.mark.parametrize("path, top", [([0, 4, 0, 1], 4), ([0, 1, 250], 250),
+                                           ([0, -1, 0, 1], -1)])
     def test_path_outside_chain_rejected(self, toy_bank, toy_chain, path, top):
-        # state 4 of the 4-state chain read another occupancy's entry; a
-        # state past the last entry raised a bare IndexError
-        traj = Trajectory(x_path=np.array(path, dtype=np.uint8).data)
+        # state 4 of the 4-state chain read another occupancy's entry, and
+        # so did state -1 of a path built from a signed array; a state past
+        # the last entry raised a bare IndexError
+        dtype = np.int64 if min(path) < 0 else np.uint8
+        traj = Trajectory(x_path=np.array(path, dtype=dtype).data)
         with pytest.raises(ValueError,
                            match=rf"traj: state {top} outside the 4-state chain"):
             coupled_rollout(toy_bank, toy_chain,

@@ -163,6 +163,7 @@ DEEP_BANKS = {
 def test_deep_tables_match_scalar_spec(name):
     bank, chain = DEEP_BANKS[name], make_chain()
     model = env.BankModel(bank.batteries, chain)
+    t = model.table
     lengths = []
     for sid, s in enumerate(_states(bank, chain)):
         row = model.rows[sid]
@@ -172,13 +173,17 @@ def test_deep_tables_match_scalar_spec(name):
         assert row.rewards == [reward(bank, s, a) for a in acts]
         assert row.next_bid == [model.occupancy_id(apply_action(bank, s.b, a))
                                 for a in acts]
+        post = t.post[t.offsets[sid]:t.offsets[sid + 1]]
+        assert post.tolist() == [model.occupancy_id(np.add(s.b, a).tolist())
+                                 for a in acts]
+        assert t.post_next[post].tolist() == row.next_bid
     np.testing.assert_array_equal(model.table.offsets, np.cumsum([0] + lengths))
 
 
-# sha256 of the table's arrays (offsets, actions, rewards, next_bid, their
-# bytes in that order) and of the `solve-exact --out` CSV at the default
-# tolerance, recorded while the table was still built from a checked grid of
-# candidate actions
+# sha256 of the table's arrays (offsets, actions, rewards and each pair's
+# successor id, their bytes in that order) and of the `solve-exact --out` CSV
+# at the default tolerance, recorded while the table was still built from a
+# checked grid of candidate actions and held successor ids per pair
 @pytest.mark.parametrize("name, table_sha, csv_sha", [
     ("toy",
      "ec999c23f3b6b688139c399c0e0c6727dc8b333363fc105c2e5a21ba11a427b8",
@@ -193,13 +198,14 @@ def test_solve_path_bytes_pinned(name, table_sha, csv_sha, tmp_path, capsys):
     else:
         bank, chain = DEEP_BANKS[name], make_chain()
     table = env.BankModel(bank.batteries, chain).table
-    # actions are held in the narrowest type and hashed as the int64 they
-    # were recorded in
+    # actions and post-action ids are held in the narrowest types; actions
+    # are hashed as the int64 they were recorded in, and each pair's
+    # successor id, post_next[post], as the int64 array it was recorded as
     assert [arr.dtype for arr in table] == [np.int64, np.int8, np.float64,
-                                            np.int64]
+                                            np.uint8, np.int64]
     digest = hashlib.sha256(b"".join(
-        arr.tobytes() for arr in table._replace(
-            actions=table.actions.astype(np.int64))))
+        arr.tobytes() for arr in (table.offsets, table.actions.astype(np.int64),
+                                  table.rewards, table.post_next[table.post])))
     assert digest.hexdigest() == table_sha
     config, out = tmp_path / "bank.json", tmp_path / "sol.csv"
     config.write_text(json.dumps(config_to_dict(bank, chain)))
@@ -214,6 +220,8 @@ def test_exact_model_reads_the_table_without_copying(toy_bank, toy_chain):
     assert np.shares_memory(model.offsets, table.offsets)
     assert np.shares_memory(model.sa_actions, table.actions)
     assert np.shares_memory(model.sa_rewards, table.rewards)
+    assert np.shares_memory(model.post, table.post)
+    assert np.shares_memory(model.post_next, table.post_next)
     # shared, so no caller may write through them
     assert not any(arr.flags.writeable for arr in table)
 
@@ -291,7 +299,7 @@ def test_rows_are_the_tables_slices(inst):
         lo, hi = t.offsets[sid:sid + 2]
         np.testing.assert_array_equal(row.actions, t.actions[lo:hi])
         assert row.rewards == t.rewards[lo:hi].tolist()
-        assert row.next_bid == t.next_bid[lo:hi].tolist()
+        assert row.next_bid == t.post_next[t.post[lo:hi]].tolist()
         b = model.decode(np.array([sid]))[1]
         np.testing.assert_array_equal(
             row.kernels, kernel_matrix(bank, row.actions + b))
@@ -347,9 +355,12 @@ def test_exact_model_flattens_state_actions(inst):
         model.sa_actions, [a for r in rows for a in r.actions])
     np.testing.assert_array_equal(
         model.sa_rewards, np.concatenate([r.rewards for r in rows]))
+    pairs = [(s.b, a) for s, r in zip(states, rows) for a in r.actions.tolist()]
     np.testing.assert_array_equal(
-        model.next_bid, [occ_id[apply_action(bank, s.b, a)]
-                         for s, r in zip(states, rows) for a in r.actions.tolist()])
+        model.post, [occ_id[tuple(np.add(b, a).tolist())] for b, a in pairs])
+    np.testing.assert_array_equal(
+        model.post_next[model.post],
+        [occ_id[apply_action(bank, b, a)] for b, a in pairs])
 
 
 @PROPERTY
