@@ -81,7 +81,9 @@ class BackgroundChain:
         mat.flags.writeable = False
         object.__setattr__(self, "transition", mat)
         object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "net_gen", tuple(int(g) for g in self.net_gen))
+        # integers only: anything else is kept for validate_config to name
+        object.__setattr__(self, "net_gen", tuple(
+            int(g) if is_index(g) else g for g in self.net_gen))
 
     @property
     def n_states(self) -> int:
@@ -171,6 +173,9 @@ def validate_config(bank: BankConfig, chain: BackgroundChain) -> ValidationRepor
             bad.append("chain.transition: chain is not irreducible")
     if len(chain.net_gen) != ns:
         bad.append(f"chain.net_gen: length {len(chain.net_gen)} != {ns} states")
+    for j, g in enumerate(chain.net_gen):
+        if not is_index(g):
+            bad.append(f"chain.net_gen[{j}]: expected an integer, got {g!r}")
 
     return ValidationReport(bad)
 

@@ -179,9 +179,6 @@ class BankModel:
         self.strides = occupancy_strides(self.bank.capacities)
         self.n_states = state_count(self.bank, chain)
         self.num_b = self.n_states // chain.n_states
-        self._caps = np.array(self.bank.capacities, dtype=np.int64)
-        self._ramps = np.array(self.bank.ramps, dtype=np.int64)
-        self._net_gen = np.array(chain.net_gen, dtype=np.int64)
 
     def occupancy_id(self, b: tuple[int, ...]) -> int:
         return sum(v * m for v, m in zip(b, self.strides))
@@ -189,7 +186,8 @@ class BankModel:
     def decode(self, sids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Background states (n,) and occupancies (n, N) of state ids."""
         x, occ = np.divmod(sids, self.num_b)
-        return x, occ[:, None] // np.array(self.strides) % (self._caps + 1)
+        caps = np.array(self.bank.capacities, dtype=np.int64)
+        return x, occ[:, None] // np.array(self.strides) % (caps + 1)
 
     def tabulate(self) -> Table:
         """Every state's row, equal to its state_actions: feasible_actions'
@@ -205,12 +203,14 @@ class BankModel:
         # bounds and attainable sums of components i.. of each occupancy;
         # a partial action's occupancy id still holds b_j for j >= i
         b = self.decode(np.arange(self.num_b))[1]
-        lo = -np.minimum(self._ramps, b)
-        hi = np.minimum(self._ramps, self._caps - b)
+        ramps = np.array(self.bank.ramps, dtype=np.int64)
+        lo = -np.minimum(ramps, b)
+        hi = np.minimum(ramps, np.array(self.bank.capacities) - b)
         sum_lo = np.cumsum(lo[:, ::-1], axis=1)[:, ::-1]
         sum_hi = np.cumsum(hi[:, ::-1], axis=1)[:, ::-1]
         x, post = np.divmod(np.arange(self.n_states), self.num_b)
-        rem = np.clip(self._net_gen[x], sum_lo[post, 0], sum_hi[post, 0])
+        net_gen = np.array(self.chain.net_gen, dtype=np.int64)
+        rem = np.clip(net_gen[x], sum_lo[post, 0], sum_hi[post, 0])
         first = np.arange(self.n_states)   # each state's first node
         dtype = _action_dtype(self.bank)
         columns = []   # each node's components fixed so far

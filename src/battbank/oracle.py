@@ -62,14 +62,14 @@ def _fixed_point(sweep, v: np.ndarray, tol: float):
 
 class ExactModel:
     """The bank's compiled table (env.bank_model) read as flat (state,
-    action) arrays for vectorized Bellman sweeps: `offsets`, `sa_actions`,
-    `sa_rewards`, `post` and `post_next` are the table's own arrays, not
-    copies, and the model adds no pair-sized array of its own. State i owns
-    the pairs offsets[i]:offsets[i + 1], in feasible_actions order, as in
-    `compiled.rows[i]`. State ids put the background state first, so
-    background state x owns contiguous pairs, all of whose successors are
-    read from the same row of expected next values; `blocks` cuts them
-    into pieces `(x, slice)` of at most _PIECE pairs each.
+    action) arrays for vectorized Bellman sweeps: `table` is
+    `compiled.table` itself, and the model adds no pair-sized array of its
+    own. State i owns the pairs table.offsets[i]:offsets[i + 1], in
+    feasible_actions order, as in `compiled.rows[i]`. State ids put the
+    background state first, so background state x owns contiguous pairs,
+    all of whose successors are read from the same row of expected next
+    values; `blocks` cuts them into pieces `(x, slice)` of at most _PIECE
+    pairs each.
     STATE_CAP bounds the states, not the pairs: a (16,16,16) bank with free
     ramps has 2% of the cap in states and 3.0M pairs."""
 
@@ -81,11 +81,8 @@ class ExactModel:
         self.bank = bank
         self.chain = chain
         self.compiled = bank_model(bank, chain)
-        self.num_b = self.compiled.num_b
-        table = self.compiled.table
-        (self.offsets, self.sa_actions, self.sa_rewards, self.post,
-         self.post_next) = table
-        ends = self.offsets[::self.num_b].tolist()
+        self.table = self.compiled.table
+        ends = self.table.offsets[::self.compiled.num_b].tolist()
         self.blocks = [(x, slice(lo, min(lo + _PIECE, hi)))
                        for x, (start, hi) in enumerate(zip(ends, ends[1:]))
                        for lo in range(start, hi, _PIECE)]
@@ -98,31 +95,31 @@ class ExactModel:
 
     @property
     def n_sa(self) -> int:
-        return len(self.sa_rewards)
+        return len(self.table.rewards)
 
     def state_values(self, q: np.ndarray) -> np.ndarray:
-        return np.maximum.reduceat(q, self.offsets[:-1])
+        return np.maximum.reduceat(q, self.table.offsets[:-1])
 
     def expected_next(self, V: np.ndarray) -> np.ndarray:
         """PV[x, b'] = sum over x' of P[x, x'] V(x', b'): the expected value
         of successor occupancy b' from background state x."""
-        return self.chain.transition @ V.reshape(self.chain.n_states, self.num_b)
+        return self.chain.transition @ V.reshape(-1, self.compiled.num_b)
 
     def lookahead(self, V: np.ndarray) -> np.ndarray:
         """r(s, a) + gamma * E[V(x', b')] for every (state, action) pair,
         built in one output vector: expected_next(V) is read once per
         post-action occupancy, and each block of background state x's
         pairs gathers from row x of that by its pairs' post-action ids."""
-        PV = self.expected_next(V)[:, self.post_next]
+        PV = self.expected_next(V)[:, self.table.post_next]
         q = np.empty(self.n_sa)
         for x, blk in self.blocks:
             # post-action ids lie in the row, so "clip" clips nothing;
             # unlike the default "raise", it writes into `out` without a
             # buffer. take copies a read-only index, as the table's post
             # is, so that copy is the piece's one temporary
-            PV[x].take(self.post[blk], out=q[blk], mode="clip")
+            PV[x].take(self.table.post[blk], out=q[blk], mode="clip")
         q *= self.bank.gamma
-        q += self.sa_rewards
+        q += self.table.rewards
         return q
 
     def backup(self, q: np.ndarray) -> tuple[np.ndarray, float]:
@@ -178,11 +175,11 @@ def _evaluate(model: ExactModel, sa: np.ndarray, V: np.ndarray,
               tol: float) -> np.ndarray:
     """Sweep from V the evaluation operator of the policy that takes flat
     pair sa[i] in state i, until a sweep changes V by at most tol."""
-    r_pi = model.sa_rewards[sa]
+    t, num_b = model.table, model.compiled.num_b
+    r_pi = t.rewards[sa]
     # x * num_b + b' of each state's pair: where expected_next(V) holds its
     # next value
-    nxt = (np.arange(len(sa)) // model.num_b * model.num_b
-           + model.post_next[model.post[sa]])
+    nxt = np.arange(len(sa)) // num_b * num_b + t.post_next[t.post[sa]]
     gamma = model.bank.gamma
 
     def sweep(V):
@@ -205,11 +202,12 @@ def solve_policy_iteration(bank: BankConfig, chain: BackgroundChain,
     check_tol(tol)
     model = ExactModel(bank, chain)
     g = bank.gamma
-    sa = first_argmax(model.sa_rewards, model.offsets)   # the improvement of V = 0
+    offsets = model.table.offsets
+    sa = first_argmax(model.table.rewards, offsets)   # the improvement of V = 0
     V = model.evaluate_from_zero(sa, tol)
     for step in range(1, MAX_PI_STEPS + 1):
         q = model.lookahead(V)
-        best = first_argmax(q, model.offsets)
+        best = first_argmax(q, offsets)
         gain = q[best] - q[sa]
         # V is within g * tol / (1 - g) of the policy's value, so q within g
         # times that; rounding is bounded relative to the largest |q|
@@ -251,11 +249,11 @@ def write_solution_csv(sol: ExactSolution, path) -> None:
     occupancies and best action space-joined, and its value in %.12g. Each
     block of states is formatted with one % operation."""
     model = sol.model
-    n, num_b, k = model.n_states, model.num_b, model.bank.n + 4
+    n, num_b, k = model.n_states, model.compiled.num_b, model.bank.n + 4
     ints = " ".join(["%d"] * model.bank.n)
     occ = np.array([ints % tuple(b) for b in
                     model.compiled.decode(np.arange(num_b))[1].tolist()], dtype=object)
-    best = model.sa_actions[first_argmax(sol.q, model.offsets)]
+    best = model.table.actions[first_argmax(sol.q, model.table.offsets)]
     values = sol.values()
     row = "%d,%d,%s," + ints + ",%.12g\r\n"
     with open(path, "w", newline="") as fh:

@@ -75,10 +75,14 @@ def make_policy(name: str, bank: BankConfig, chain: BackgroundChain,
     if name == "rl":
         if weights is None:
             raise ValueError("rl policy needs a weight vector")
+        try:
+            weights = np.asarray(weights, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"weights: expected numbers: {exc}") from exc
         d = feature_dim(bank.n, chain.n_states)
-        if np.shape(weights) != (d,):
-            raise ValueError(f"weights: expected shape ({d},), got {np.shape(weights)}")
-        check_finite(np.asarray(weights))
+        if weights.shape != (d,):
+            raise ValueError(f"weights: expected shape ({d},), got {weights.shape}")
+        check_finite(weights)
 
     model = bank_model(bank, chain)
     t = model.table

@@ -15,8 +15,8 @@ from conftest import make_bank, make_chain
 
 from pathlib import Path
 
-TOY_CONFIG = str(Path(__file__).resolve().parent.parent
-                 / "configs" / "toy_bank.json")
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+TOY_CONFIG = str(CONFIGS / "toy_bank.json")
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -354,6 +354,17 @@ class TestSolveExact:
         assert main(["solve-exact", path]) == EXIT_OK
         out = capsys.readouterr().out
         assert "no optimality claim" in out
+        assert "PASS" not in out
+
+    @pytest.mark.parametrize("name", ["lossy_bank", "three_battery_bank"])
+    def test_shipped_heterogeneous_banks(self, name, capsys):
+        # lossy, ramp-bound banks: valid, solved, and making no greedy claim
+        path = str(CONFIGS / f"{name}.json")
+        assert main(["validate", path]) == EXIT_OK
+        assert "config OK" in capsys.readouterr().out
+        assert main(["solve-exact", path]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "(ramps binding or lossy; no optimality claim)" in out
         assert "PASS" not in out
 
     def test_oversized_instance_refused(self, tmp_path, capsys):

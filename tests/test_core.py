@@ -166,6 +166,18 @@ class TestValidateConfig:
         assert report.violations[0].startswith(
             f"{field}: expected an integer, got ")
 
+    def test_non_integer_net_gen_named(self):
+        # a chain built in code keeps what it was given rather than
+        # truncating it, so the report can name it
+        chain = BackgroundChain(labels=("a", "b"),
+                                transition=[[0.5, 0.5], [0.5, 0.5]],
+                                net_gen=(1.7, True))
+        assert chain.net_gen == (1.7, True)
+        report = validate_config(make_bank(), chain)
+        assert report.violations == [
+            "chain.net_gen[0]: expected an integer, got 1.7",
+            "chain.net_gen[1]: expected an integer, got True"]
+
 
 class TestStartOccupancy:
     def test_half_sentinel_floors(self):

@@ -216,14 +216,9 @@ def test_solve_path_bytes_pinned(name, table_sha, csv_sha, tmp_path, capsys):
 
 def test_exact_model_reads_the_table_without_copying(toy_bank, toy_chain):
     model = oracle.ExactModel(toy_bank, toy_chain)
-    table = model.compiled.table
-    assert np.shares_memory(model.offsets, table.offsets)
-    assert np.shares_memory(model.sa_actions, table.actions)
-    assert np.shares_memory(model.sa_rewards, table.rewards)
-    assert np.shares_memory(model.post, table.post)
-    assert np.shares_memory(model.post_next, table.post_next)
+    assert model.table is model.compiled.table
     # shared, so no caller may write through them
-    assert not any(arr.flags.writeable for arr in table)
+    assert not any(arr.flags.writeable for arr in model.table)
 
 
 # ---------------------------------------------------------------------------
@@ -345,21 +340,21 @@ def test_model_policies_match_scalar_actions_everywhere(inst):
 @given(instances())
 def test_exact_model_flattens_state_actions(inst):
     bank, chain, _ = inst
-    model = oracle.ExactModel(bank, chain)
+    t = oracle.ExactModel(bank, chain).table
     states = _states(bank, chain)
     occ_id = {b: i for i, b in enumerate(dict.fromkeys(s.b for s in states))}
     rows = [env.state_actions(bank, chain, s) for s in states]
     np.testing.assert_array_equal(
-        model.offsets, np.cumsum([0] + [len(r.actions) for r in rows]))
+        t.offsets, np.cumsum([0] + [len(r.actions) for r in rows]))
     np.testing.assert_array_equal(
-        model.sa_actions, [a for r in rows for a in r.actions])
+        t.actions, [a for r in rows for a in r.actions])
     np.testing.assert_array_equal(
-        model.sa_rewards, np.concatenate([r.rewards for r in rows]))
+        t.rewards, np.concatenate([r.rewards for r in rows]))
     pairs = [(s.b, a) for s, r in zip(states, rows) for a in r.actions.tolist()]
     np.testing.assert_array_equal(
-        model.post, [occ_id[tuple(np.add(b, a).tolist())] for b, a in pairs])
+        t.post, [occ_id[tuple(np.add(b, a).tolist())] for b, a in pairs])
     np.testing.assert_array_equal(
-        model.post_next[model.post],
+        t.post_next[t.post],
         [occ_id[apply_action(bank, b, a)] for b, a in pairs])
 
 
@@ -377,7 +372,7 @@ def test_exact_lookahead_matches_scalar_spec(inst):
         for a in env.feasible_actions(bank, chain, s):
             nb = model.compiled.occupancy_id(apply_action(bank, s.b, a))
             expected.append(reward(bank, s, a) + bank.gamma * sum(
-                chain.transition[s.x, x2] * V[x2 * model.num_b + nb]
+                chain.transition[s.x, x2] * V[x2 * model.compiled.num_b + nb]
                 for x2 in range(chain.n_states)))
     np.testing.assert_allclose(q, expected, rtol=1e-12)
 

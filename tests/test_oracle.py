@@ -65,7 +65,7 @@ class TestBellmanBackup:
     def test_first_sweep_is_reward(self, toy_bank, toy_chain):
         model = ExactModel(toy_bank, toy_chain)
         q1, _ = model.backup(np.zeros(model.n_sa))
-        np.testing.assert_allclose(q1, model.sa_rewards, atol=1e-15)
+        np.testing.assert_allclose(q1, model.table.rewards, atol=1e-15)
 
     def test_vanishing_discount_fixed_after_one_sweep(self, toy_chain):
         bank = make_bank(gamma=1e-9)
@@ -142,9 +142,10 @@ class TestPolicyIteration:
     def test_first_argmax_takes_first_of_ties(self, toy_bank, toy_chain):
         model = ExactModel(toy_bank, toy_chain)
         q = np.random.default_rng(0).integers(0, 3, size=model.n_sa).astype(float)
+        offsets = model.table.offsets
         first = [lo + np.argmax(q[lo:hi])
-                 for lo, hi in zip(model.offsets[:-1], model.offsets[1:])]
-        np.testing.assert_array_equal(first_argmax(q, model.offsets), first)
+                 for lo, hi in zip(offsets[:-1], offsets[1:])]
+        np.testing.assert_array_equal(first_argmax(q, offsets), first)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.lists(st.integers(-2, 2), min_size=1, max_size=6),
@@ -347,7 +348,7 @@ def reference_solution_csv(sol, path) -> None:
     byte."""
     model = sol.model
     x, b = model.compiled.decode(np.arange(model.n_states))
-    best = model.sa_actions[first_argmax(sol.q, model.offsets)]
+    best = model.table.actions[first_argmax(sol.q, model.table.offsets)]
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["state_index", "x", "b", "best_action", "optimal_value"])
@@ -445,7 +446,8 @@ def test_policy_iteration_matches_value_iteration(inst):
     pi = solve_policy_iteration(bank, chain, tol=1e-12)
     vi = solve_q_iteration(bank, chain, tol=1e-12)
     assert np.abs(pi.values() - vi.values()).max() <= 1e-8
-    picks = first_argmax(pi.q, pi.model.offsets) - pi.model.offsets[:-1]
+    offsets = pi.model.table.offsets
+    picks = first_argmax(pi.q, offsets) - offsets[:-1]
     V_pi = evaluate_policy_exact(bank, chain, picks, tol=1e-12,
                                  model=pi.model)
     assert np.abs(V_pi - vi.values()).max() <= 1e-8
@@ -459,8 +461,8 @@ def test_policy_iteration_starts_at_greedy(inst):
     # which is the greedy rule on lossy and ramp-bound banks too
     bank, chain, _ = inst
     model = ExactModel(bank, chain)
-    start = (first_argmax(model.sa_rewards, model.offsets)
-             - model.offsets[:-1]).tolist()
+    t = model.table
+    start = (first_argmax(t.rewards, t.offsets) - t.offsets[:-1]).tolist()
     greedy = make_policy("greedy", bank, chain)
     assert start == [greedy[i] for i in range(model.n_states)]
 

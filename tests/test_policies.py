@@ -205,13 +205,21 @@ class TestMakePolicy:
     @pytest.mark.parametrize("bad, match", [
         (np.full(21, np.nan), r"weights\[0\]: expected a finite number, got nan"),
         (np.r_[np.zeros(3), np.inf, np.zeros(17)],
-         r"weights\[3\]: expected a finite number, got inf")],
-        ids=["nan", "inf"])
+         r"weights\[3\]: expected a finite number, got inf"),
+        (np.array(["a"] * 21), "^weights: expected numbers")],
+        ids=["nan", "inf", "not-numeric"])
     def test_rl_weights_not_finite_rejected(self, bad, match, toy_bank,
                                             toy_chain):
-        # NaN weights used to give a policy of first actions
+        # NaN weights used to give a policy of first actions, and strings
+        # a bare TypeError from inside numpy
         with pytest.raises(ValueError, match=match):
             make_policy("rl", toy_bank, toy_chain, weights=bad)
+
+    def test_rl_weights_as_list_accepted(self, toy_bank, toy_chain):
+        w = np.random.default_rng(0).normal(size=21)
+        np.testing.assert_array_equal(
+            make_policy("rl", toy_bank, toy_chain, weights=w.tolist()),
+            make_policy("rl", toy_bank, toy_chain, weights=w))
 
     # sha256 of the int64 bytes of make_policy's arrays, recorded before
     # naive and rl read the table through their current code paths
