@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Action, BankConfig, BackgroundChain, State, clip
+from .core import Action, BankConfig, BackgroundChain, State, clip, is_index
 
 
 @dataclass(frozen=True)
@@ -174,6 +174,10 @@ class BankModel:
     """
 
     def __init__(self, batteries, chain: BackgroundChain):
+        # tabulate takes net_gen as int64: a fraction would be truncated
+        for j, g in enumerate(chain.net_gen):
+            if not is_index(g):
+                raise ValueError(f"chain.net_gen[{j}]: expected an integer, got {g!r}")
         self.bank = BankConfig(batteries=batteries)
         self.chain = chain
         self.strides = occupancy_strides(self.bank.capacities)

@@ -9,15 +9,17 @@
 # The linear estimate Q-hat = phi . w has one home, here: phi . w summed left
 # to right over phi's support, w0*r + bias + k_0*w_0 + ... + k_{2N-1}*w_{2N-1},
 # in Python floats. Each operation rounds as float64 does, in the same order
-# on every machine, so no BLAS kernel enters it. q_value values one action,
-# q_row a feasible set, q_top a feasible set's max (the learner's TD target)
-# and q_rows a model's rows; width_forms picks the forms for a kernel width.
+# on every machine, so no BLAS kernel enters it. width_forms compiles the
+# forms for a kernel width, unrolled from one template: value values one
+# action, row a feasible set, top a feasible set's max (the learner's TD
+# target) and step the update's kernel part; q_rows values a model's rows.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator
 from typing import NamedTuple
 
 import numpy as np
@@ -81,91 +83,73 @@ def feature_vector(bank: BankConfig, chain: BackgroundChain, s: State,
     return phi
 
 
-def q_value(w0: float, reward: float, bias: float, kernels: Sequence[float],
-            kernel_w: Sequence[float]) -> float:
-    """Q-hat of one action: phi . w summed left to right over phi's support.
-    w0 is the reward weight, bias and kernel_w its block's bias and kernel
-    weights, and kernels the action's 2N kernel features."""
-    q = w0 * reward + bias
-    for k, v in zip(kernels, kernel_w):
-        q += k * v
-    return q
+# Q-hat's one source: each form unrolled over the kernel width K = 2N, so
+# every width runs as the same straight-line arithmetic with no loop per
+# entry. {ks} and {vs} are the kernels k0, ..., k{K-1} and their weights
+# v0, ..., v{K-1}, {terms} the sum + k0 * v0 + ... + k{K-1} * v{K-1} and
+# {steps} the update v0 + scale * k0, ..., v{K-1} + scale * k{K-1}
+_FORMS = """\
+def value(w0, reward, bias, kernels, kernel_w):
+    {ks} = kernels
+    {vs} = kernel_w
+    return w0 * reward + bias{terms}
 
 
-def q_row(w0: float, rewards: Sequence[float], bias: float,
-          kernels: Sequence[Sequence[float]],
-          kernel_w: Sequence[float]) -> list[float]:
-    """q_value of every action of a feasible set, whose rewards and kernel
-    features are its row's."""
-    return [q_value(w0, r, bias, ks, kernel_w) for r, ks in zip(rewards, kernels)]
+def row(w0, rewards, bias, kernels, kernel_w):
+    {vs} = kernel_w
+    return [w0 * r + bias{terms}
+            for r, ({ks}) in zip(rewards, kernels)]
 
 
-def q_top(w0: float, rewards: Sequence[float], bias: float,
-          kernels: Sequence[Sequence[float]],
-          kernel_w: Sequence[float]) -> float:
-    """q_max(q_row(...)): the largest Q-hat of a feasible set, the learner's
-    TD target."""
-    return q_max(q_row(w0, rewards, bias, kernels, kernel_w))
-
-
-def add_scaled(kernel_w: Sequence[float], scale: float,
-               kernels: Sequence[float]) -> list[float]:
-    """kernel_w + scale * kernels, entry by entry: the kernel part of the
-    update w + scale * phi."""
-    return [v + scale * k for v, k in zip(kernel_w, kernels)]
-
-
-def _q_value_2(w0, reward, bias, kernels, kernel_w):
-    k0, k1, k2, k3 = kernels
-    v0, v1, v2, v3 = kernel_w
-    return w0 * reward + bias + k0 * v0 + k1 * v1 + k2 * v2 + k3 * v3
-
-
-def _q_row_2(w0, rewards, bias, kernels, kernel_w):
-    v0, v1, v2, v3 = kernel_w
-    return [w0 * r + bias + k0 * v0 + k1 * v1 + k2 * v2 + k3 * v3
-            for r, (k0, k1, k2, k3) in zip(rewards, kernels)]
-
-
-def _q_top_2(w0, rewards, bias, kernels, kernel_w):
-    # q_max(_q_row_2(...)) in one pass with no list: the first largest value
-    # and a running sum, the pair _numpy_reduces reads.
-    v0, v1, v2, v3 = kernel_w
-    top, total = -math.inf, 0.0
-    for r, (k0, k1, k2, k3) in zip(rewards, kernels):
-        q = w0 * r + bias + k0 * v0 + k1 * v1 + k2 * v2 + k3 * v3
+def top(w0, rewards, bias, kernels, kernel_w):
+    # q_max(row(...)) in one pass with no list: the first largest value and
+    # a running sum, the pair _numpy_reduces reads
+    {vs} = kernel_w
+    best, total = -math.inf, 0.0
+    for r, ({ks}) in zip(rewards, kernels):
+        q = w0 * r + bias{terms}
         total += q
-        if q > top:
-            top = q
-    if _numpy_reduces(top, total):
-        return float(np.maximum.reduce(_q_row_2(w0, rewards, bias, kernels, kernel_w)))
-    return top
+        if q > best:
+            best = q
+    if _numpy_reduces(best, total):
+        return float(np.maximum.reduce(row(w0, rewards, bias, kernels, kernel_w)))
+    return best
 
 
-def _add_scaled_2(kernel_w, scale, kernels):
-    v0, v1, v2, v3 = kernel_w
-    k0, k1, k2, k3 = kernels
-    return [v0 + scale * k0, v1 + scale * k1, v2 + scale * k2, v3 + scale * k3]
+def step(kernel_w, scale, kernels):
+    {vs} = kernel_w
+    {ks} = kernels
+    return [{steps}]
+"""
 
 
 class WidthForms(NamedTuple):
-    value: Callable[..., float]       # q_value
-    row: Callable[..., list[float]]   # q_row
-    step: Callable[..., list[float]]  # add_scaled
-    top: Callable[..., float]         # q_top
+    # kernels are an action's 2N kernel features, kernel_w its block's
+    # kernel weights, w0 the reward weight and bias the block's bias weight
+    value: Callable[..., float]       # Q-hat of one action
+    row: Callable[..., list[float]]   # Q-hat of each action of a feasible set
+    step: Callable[..., list[float]]  # kernel_w + scale * kernels: the update
+    top: Callable[..., float]         # q_max(row(...)): the learner's TD target
 
 
+@functools.cache
 def width_forms(n_batteries: int) -> WidthForms:
-    """q_value, q_row, add_scaled and q_top for N batteries, picked once,
-    outside a loop. For N = 2 they are unrolled: the same operations in the
-    same order, so the same bits, without the loops' cost per entry."""
-    if n_batteries == 2:
-        return WidthForms(_q_value_2, _q_row_2, _add_scaled_2, _q_top_2)
-    return WidthForms(q_value, q_row, add_scaled, q_top)
+    """Q-hat's forms for N batteries, compiled once per width from _FORMS:
+    phi . w summed left to right over phi's support, the same operations in
+    the same order at every width, so the same bits."""
+    width = range(2 * n_batteries)
+    src = _FORMS.format(
+        ks=", ".join(f"k{i}" for i in width),
+        vs=", ".join(f"v{i}" for i in width),
+        terms="".join(f" + k{i} * v{i}" for i in width),
+        steps=", ".join(f"v{i} + scale * k{i}" for i in width))
+    space = {"math": math, "np": np, "_numpy_reduces": _numpy_reduces}
+    exec(compile(src, f"<width_forms K={len(width)}>", "exec"), space)
+    return WidthForms(space["value"], space["row"], space["step"], space["top"])
 
 
 def q_rows(model: BankModel, w: np.ndarray) -> Iterator[list[float]]:
-    """Each state's q_row under weights w, in state-id order, one row at a
+    """Each state's Q-hat row under weights w, in state-id order, one row at a
     time as the learner's step takes them."""
     w0, bias, kernel_ws = split_weights(w, model.bank.n, model.chain.n_states)
     row_q = width_forms(model.bank.n).row
@@ -184,7 +168,7 @@ def _numpy_reduces(top: float, total: float) -> bool:
 
 
 def q_max(q: list[float]) -> float:
-    """np.maximum.reduce(q) for a q_row list."""
+    """np.maximum.reduce(q) for a row's list of Q-hat values."""
     m = max(q)
     if _numpy_reduces(m, sum(q)):
         return float(np.maximum.reduce(q))
@@ -192,8 +176,8 @@ def q_max(q: list[float]) -> float:
 
 
 def q_argmax(q: list[float]) -> int:
-    """np.argmax(q) for a q_row list: the first index of its largest value,
-    where a NaN counts as largest."""
+    """np.argmax(q) for a row's list of Q-hat values: the first index of its
+    largest value, where a NaN counts as largest."""
     m = q_max(q)
     return q.index(m) if m == m else int(np.argmax(q))
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import bisect
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,14 +44,15 @@ class LearnSchedule:
                 check_count(getattr(self, name), name)
             except ValueError as exc:
                 bad.append(str(exc))
-        for name in ("beta0", "beta_tau", "eps_decay"):
+        for name in ("beta0", "beta_tau", "eps_decay", "eps0", "eps_min"):
             val = getattr(self, name)
-            if not (0.0 < val < math.inf):
+            if isinstance(val, bool) or not isinstance(val, numbers.Real):
+                bad.append(f"{name}: expected a number, got {val!r}")
+            elif name in ("eps0", "eps_min"):
+                if not (0.0 <= val <= 1.0):
+                    bad.append(f"{name}: must be in [0, 1], got {val}")
+            elif not (0.0 < val < math.inf):
                 bad.append(f"{name}: must be finite and > 0, got {val}")
-        for name in ("eps0", "eps_min"):
-            val = getattr(self, name)
-            if not (0.0 <= val <= 1.0):
-                bad.append(f"{name}: must be in [0, 1], got {val}")
         if bad:
             raise ValueError("; ".join(bad))
 
@@ -200,7 +202,7 @@ def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
     (features.split_weights) and written into w at the end. Q-hat and the
     update are features.width_forms' for the bank's width: an exploring step
     values only the drawn action, and the TD target is the next state's
-    row max, the forms' top (for N = 2 in one pass, with no list). That
+    row max, the forms' top, in one pass with no list. That
     max and an exploiting step's first argmax fall back to numpy only for a
     zero maximum or a row holding a NaN or an infinity (features.q_max), so a
     divergence is raised at the step where its TD error turns non-finite.

@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 from battbank.core import BackgroundChain, State
 from battbank.env import (BankModel, bank_model, feasible_actions, reward,
                           state_actions)
-from battbank.features import (add_scaled, block_slice, feature_dim,
-                               feature_vector, join_weights, kernel_matrix,
-                               load_weights, q_argmax, q_max, q_row, q_rows,
-                               q_top, q_value, save_weights, split_weights,
-                               width_forms)
+from battbank.features import (block_slice, feature_dim, feature_vector,
+                               join_weights, kernel_matrix, load_weights,
+                               q_argmax, q_max, q_rows, save_weights,
+                               split_weights, width_forms)
 
 from conftest import make_bank, make_chain
 
@@ -196,6 +195,12 @@ def q_reference(w0, rewards, bias, kmat, kernel_w):
     return q
 
 
+def hexes(values):
+    """float.hex of each value: equal lists of these tell zeros' signs
+    apart."""
+    return [v.hex() for v in values]
+
+
 def random_bank(rng, n):
     return make_bank(
         capacities=tuple(rng.integers(1, 9, size=n).tolist()),
@@ -205,8 +210,8 @@ def random_bank(rng, n):
 
 
 class TestQHat:
-    # q_value and q_row, in the forms width_forms picks, are the one home of
-    # the linear estimate Q-hat(s, a) = phi . w
+    # the forms width_forms compiles are the one home of the linear estimate
+    # Q-hat(s, a) = phi . w
     def test_zero_weights(self, toy_bank, toy_chain):
         w = np.zeros(feature_dim(toy_bank.n, toy_chain.n_states))
         q = q_block(toy_bank, toy_chain, State(x=0, b=(1, 1)), w)
@@ -237,16 +242,23 @@ class TestQHat:
 
     def test_single_action_equals_set_entry(self):
         # the learner's one-action value, its row, its max and its update
-        # against numpy's elementwise operations, bit for bit. N = 2 takes
-        # the unrolled forms, N = 1 and 3 the loops
+        # against numpy's elementwise operations, bit for bit, at kernel
+        # widths 2 to 8. One case in four has zero weights, each block's bias
+        # and the reward weight of a random sign, so rows of +0.0 and -0.0
+        # (-0.0 where w0 = +0.0, the bias is -0.0 and r < 0) reach the max
         chain = make_chain()
         rng = np.random.default_rng(3)
-        for i in range(60):
-            n = i % 3 + 1
+        for i in range(80):
+            n = i % 4 + 1
             forms = width_forms(n)
             bank = random_bank(rng, n)
-            w = (rng.normal(size=feature_dim(n, chain.n_states))
-                 * 10.0 ** rng.integers(-3, 4))
+            d = feature_dim(n, chain.n_states)
+            if i // 4 % 4 == 3:
+                w = np.zeros(d)
+                w[0] = rng.choice([0.0, -0.0])
+                w[1::2 * n + 1] = rng.choice([0.0, -0.0], size=chain.n_states)
+            else:
+                w = rng.normal(size=d) * 10.0 ** rng.integers(-3, 4)
             s = State(x=int(rng.integers(4)),
                       b=tuple(int(rng.integers(B + 1))
                               for B in bank.capacities))
@@ -257,16 +269,24 @@ class TestQHat:
                     list(map(tuple, kmat.tolist())), blk[1:].tolist())
             ref = q_reference(w[0], ent.rewards, blk[0], kmat, blk[1:])
             q = forms.row(*args)
-            assert q == q_row(*args) == ref.tolist()
-            assert (forms.top(*args).hex() == q_top(*args).hex()
-                    == q_max(q).hex())
+            assert hexes(q) == hexes(ref.tolist())
+            assert (forms.top(*args).hex() == q_max(q).hex()
+                    == float(np.maximum.reduce(ref)).hex())
             for a, (r, ks) in enumerate(zip(args[1], args[3])):
                 one = (args[0], r, args[2], ks, args[4])
-                assert forms.value(*one) == q_value(*one) == q[a]
+                assert forms.value(*one).hex() == q[a].hex()
                 scale = float(rng.normal())
                 step = (blk[1:].tolist(), scale, ks)
-                assert (forms.step(*step) == add_scaled(*step)
-                        == (blk[1:] + scale * kmat[a]).tolist())
+                assert (hexes(forms.step(*step))
+                        == hexes((blk[1:] + scale * kmat[a]).tolist()))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_width_forms_compiled_once_per_width(self, n):
+        # one compile per width, named for the width in a traceback
+        forms = width_forms(n)
+        assert width_forms(n) is forms
+        for form in forms:
+            assert form.__code__.co_filename == f"<width_forms K={2 * n}>"
 
     def test_q_row_equals_q_values(self):
         # the list form of a row's estimates, its max and its first argmax,
@@ -323,10 +343,10 @@ SPECIAL_W = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.7e308, -1.7e308]
 
 @st.composite
 def top_args(draw):
-    """A kernel width N in 1-3 and q_top's arguments for a row of 1-8
+    """A battery count N in 1-4 and top's arguments for a row of 1-8
     actions: rewards <= 0, kernels in [-1, 0] and weights among SPECIAL_W
     and ordinary floats."""
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
     size = draw(st.integers(1, 8))
     weight = st.one_of(st.sampled_from(SPECIAL_W), st.floats(-1e3, 1e3))
     rewards = draw(st.lists(st.floats(-10.0, 0.0), min_size=size,
@@ -342,6 +362,7 @@ def top_args(draw):
 # all-zero rows: 0.0 throughout, then -0.0 and 0.0 in one row
 @example((2, (0.0, [-1.0, -2.0], 0.0, [(-0.5,) * 4] * 2, [0.0] * 4)))
 @example((1, (0.0, [-1.0, 0.0], -0.0, [(-0.0, -0.0)] * 2, [0.0, 0.0])))
+@example((4, (0.0, [-1.0, 0.0], -0.0, [(-0.0,) * 8] * 2, [0.0] * 8)))
 # mixed-sign infinities: entries that overflow to -inf and +inf, and
 # weights of inf and -inf, which make each entry a NaN
 @example((1, (1.7e308, [-2.0, 0.0], 0.0, [(0.0, 0.0), (-1.0, -1.0)],

@@ -134,6 +134,16 @@ class TestSchedule:
         with pytest.raises(ValueError, match=field):
             LearnSchedule(**{field: value})
 
+    @pytest.mark.parametrize("field", ["beta0", "beta_tau", "eps0", "eps_min",
+                                       "eps_decay"])
+    @pytest.mark.parametrize("value", [True, False, "x", None],
+                             ids=["true", "false", "str", "none"])
+    def test_float_field_not_a_number_rejected(self, field, value):
+        # a bool used to pass as 1 or 0, and a string failed in a comparison
+        with pytest.raises(ValueError,
+                           match=f"{field}: expected a number, got {value!r}"):
+            LearnSchedule(**{field: value})
+
     def test_boundary_values_accepted(self):
         LearnSchedule(t_train=0, eps0=0.0, eps_min=0.0)
         LearnSchedule(eps0=1.0, eps_min=1.0)
@@ -206,7 +216,7 @@ REPLAY_CASES = {
     "self-transitions": (make_lossy_bank(), make_self_chain(),
                          LearnSchedule(t_train=3000, seed=0, eps0=0.8,
                                        eps_min=0.2, eps_decay=1000)),
-    # the generic forms' loops, at widths other than the unrolled N = 2
+    # widths other than the toy's N = 2: width_forms' K = 2 and K = 6 forms
     "one-battery": (make_bank(capacities=(5,), ramps=(2,), weights=(0.5,)),
                     make_self_chain(),
                     LearnSchedule(t_train=3000, seed=3, eps0=0.8,

@@ -188,6 +188,14 @@ class TestMakePolicy:
         with pytest.raises(ValueError, match="unknown policy"):
             make_policy("optimal", toy_bank, toy_chain)
 
+    def test_non_integer_net_gen_rejected(self, toy_bank):
+        # the table would take 1.7 as 1 and build greedy on the wrong target
+        chain = BackgroundChain(labels=(0, 1), transition=np.full((2, 2), 0.5),
+                                net_gen=(1.7, -1))
+        with pytest.raises(ValueError,
+                           match=r"chain\.net_gen\[0\]: expected an integer, got 1\.7"):
+            make_policy("greedy", toy_bank, chain)
+
     def test_rl_requires_weights(self, toy_bank, toy_chain):
         with pytest.raises(ValueError, match="weight"):
             make_policy("rl", toy_bank, toy_chain)
