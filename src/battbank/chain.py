@@ -1,17 +1,42 @@
 # Background DTMC simulation and net-generation lookup.
 #
-# All randomness flows through numpy's PCG64 (np.random.default_rng), so a
-# trajectory is reproducible bit-for-bit from (seed, x0, T) on any platform.
+# All randomness flows through numpy's PCG64, so a trajectory is
+# reproducible bit-for-bit from (seed, x0, T) on any platform. numpy_random()
+# is the one way to numpy.random: the trajectory's default_rng and the
+# learner's PCG64 both come from it.
 
 from __future__ import annotations
 
 import bisect
 import itertools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import BackgroundChain, is_index
+
+
+def numpy_random():
+    """numpy.random, imported on the first call, never at module level.
+
+    Its import pulls in secrets, hmac and hashlib, which map OpenSSL's
+    libcrypto (about 3.4 MB resident) for OS entropy that a seeded stream
+    never draws. So while neither numpy.random nor OpenSSL is loaded, the
+    import runs with _hashlib hidden, and hmac and hashlib fall back to
+    CPython's builtin code; the hashlib and hmac it made are then dropped,
+    so a later `import hashlib` (core.config_fingerprint) gets OpenSSL
+    again. The generators are numpy's own either way."""
+    if "numpy.random" not in sys.modules and "_hashlib" not in sys.modules:
+        made = {"hashlib", "hmac"} - sys.modules.keys()
+        sys.modules["_hashlib"] = None
+        try:
+            import numpy.random  # noqa: F401
+        finally:
+            del sys.modules["_hashlib"]
+            for name in made:
+                sys.modules.pop(name, None)
+    return np.random
 
 
 @dataclass(frozen=True)
@@ -77,7 +102,7 @@ def generate_trajectory(chain: BackgroundChain, x0: int, T: int, seed: int) -> T
     check_x0(chain, x0)
     check_count(T, "T")
     check_count(seed, "seed")
-    rng = np.random.default_rng(seed)
+    rng = numpy_random().default_rng(seed)
     cum_rows = cumulative_transition(chain).tolist()
     uniforms = itertools.chain.from_iterable(
         rng.random(min(_BLOCK, T - lo)).tolist() for lo in range(0, T, _BLOCK))

@@ -311,8 +311,8 @@ def load_config(path) -> tuple[BankConfig, BackgroundChain]:
 def config_fingerprint(bank: BankConfig, chain: BackgroundChain) -> str:
     """Stable hash of the canonicalized config; embedded in weight files and
     reports so artifacts cannot silently cross configs. hashlib is imported
-    here, not at module level: it maps OpenSSL, which nothing else on the
-    validate or solve-exact path loads."""
+    here, not at module level: it maps OpenSSL, which only weight files
+    load (chain.numpy_random keeps it out of numpy.random's import)."""
     import hashlib
 
     canon = json.dumps(config_to_dict(bank, chain), sort_keys=True)

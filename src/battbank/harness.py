@@ -135,8 +135,11 @@ def compare_policies(bank: BankConfig, chain: BackgroundChain,
             check_count(T, "T")
             if not seeds:
                 raise ValueError("seeds: must name at least one seed, got []")
-            for seed in seeds:
+            # a repeated seed repeats its run: the mean would count it twice
+            for k, seed in enumerate(seeds):
                 check_count(seed, "seed")
+                if seed in seeds[:k]:
+                    raise ValueError(f"seeds: {seed} given twice")
             sized = resize_bank(bank, size, ramps)
             report = validate_config(sized, chain)
             if not report.passed:

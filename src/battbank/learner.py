@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import check_count, check_x0, cumulative_transition
+from .chain import check_count, check_x0, cumulative_transition, numpy_random
 from .core import BankConfig, BackgroundChain
 from .env import bank_model
 from .features import (feature_dim, join_weights, q_argmax, q_max, q_rows,
@@ -91,7 +91,7 @@ class RawDraws:
     cached across uniforms and refills."""
 
     def __init__(self, seed: int):
-        self._bits = np.random.PCG64(seed)
+        self._bits = numpy_random().PCG64(seed)
         self._i, self._high = RAW_BLOCK, None
 
     def _refill(self) -> int:

@@ -1,9 +1,11 @@
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from battbank.chain import cumulative_transition, generate_trajectory
+from battbank.chain import (cumulative_transition, generate_trajectory,
+                            numpy_random)
 from battbank.core import BackgroundChain, validate_config
 
 from conftest import make_bank
@@ -156,3 +158,13 @@ def test_net_generation_labels(toy_chain):
                             net_gen=np.array([3, -2]))
     assert chain.net_gen == (3, -2)
     assert all(type(g) is int for g in chain.net_gen)
+
+
+def test_numpy_random_leaves_loaded_openssl_alone():
+    # once OpenSSL (pytest's hashlib) and numpy.random are loaded there is
+    # nothing to hide: the same module, and no module added or replaced
+    import _hashlib  # noqa: F401
+    import numpy.random  # noqa: F401
+    before = dict(sys.modules)
+    assert numpy_random() is np.random
+    assert sys.modules == before

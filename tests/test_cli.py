@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -30,34 +32,76 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     return str(path)
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_python(script: str) -> str:
+    """stdout of script run by a fresh interpreter on the package in src/:
+    in a subprocess, as the test modules import hashlib and numpy.random."""
+    return subprocess.run([sys.executable, "-c", script],
+                          env={**os.environ, "PYTHONPATH": SRC},
+                          capture_output=True, text=True, check=True).stdout
+
+
+@functools.cache
+def numpy_import_loads() -> frozenset:
+    """Which of _hashlib and numpy.random `import numpy` alone loads: numpy
+    < 2 imports numpy.random, and with it OpenSSL, eagerly."""
+    return frozenset(run_python(
+        "import sys, numpy\n"
+        "print(*(m for m in ('_hashlib', 'numpy.random') if m in sys.modules))"
+    ).split())
+
+
 def test_import_leaves_scipy_out():
     # the runtime needs numpy alone: no command imports scipy
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, battbank.cli; print('scipy' in sys.modules)"],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
-        check=True)
-    assert out.stdout.strip() == "False"
+    out = run_python("import sys, battbank.cli; print('scipy' in sys.modules)")
+    assert out.strip() == "False"
 
 
 def test_solver_path_leaves_openssl_out():
     # hashlib maps OpenSSL's libcrypto; only a config fingerprint (weight
-    # files) needs it. In a subprocess, as the test modules import hashlib
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    script = (
+    # files) needs it. The solver draws no random number, so numpy.random,
+    # imported only when a stream is drawn, stays out too
+    out = run_python(
         "import contextlib, io, sys\n"
         "from battbank import cli, core\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert cli.main(['validate', {TOY_CONFIG!r}]) == 0\n"
         f"    assert cli.main(['solve-exact', {TOY_CONFIG!r}]) == 0\n"
-        "print('_hashlib' in sys.modules)\n"
+        "print('_hashlib' in sys.modules, 'numpy.random' in sys.modules)\n"
         f"print(core.config_fingerprint(*core.load_config({TOY_CONFIG!r})))\n")
-    out = subprocess.run([sys.executable, "-c", script],
-                         env={**os.environ, "PYTHONPATH": src},
-                         capture_output=True, text=True, check=True)
+    random_loaded = str("numpy.random" in numpy_import_loads())
     # the fingerprint the shipped config had while hashlib loaded at import
-    assert out.stdout.split() == ["False", "430123282c58b9e5"]
+    assert out.split() == ["False", random_loaded, "430123282c58b9e5"]
+
+
+def test_compare_leaves_openssl_out(tmp_path):
+    # compare imports numpy.random (chain.numpy_random) with OpenSSL hidden:
+    # seeded PCG64 streams never draw the OS entropy it serves. A later
+    # import of hashlib, for a fingerprint, gets OpenSSL again
+    if "_hashlib" in numpy_import_loads():
+        pytest.skip("import numpy alone loads OpenSSL (_hashlib): numpy < 2 "
+                    "imports numpy.random eagerly")
+    # CI's compare run, whose CSV is pinned
+    table = tmp_path / "table.csv"
+    argv = ["compare", TOY_CONFIG, "--sizes", "2,3", "4,4", "--ramp", "1,2",
+            "--seeds", "0", "1", "--steps", "2000", "--eval-steps", "1000",
+            "--out", str(table)]
+    out = run_python(
+        "import contextlib, io, sys\n"
+        "from battbank import cli, core\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    rc = cli.main({argv!r})\n"
+        "print(rc, *(m for m in ('_hashlib', 'hashlib', 'hmac')\n"
+        "            if m in sys.modules))\n"
+        "import hashlib, _hashlib\n"
+        "print(hashlib.sha256 is _hashlib.openssl_sha256)\n"
+        f"print(core.config_fingerprint(*core.load_config({TOY_CONFIG!r})))\n")
+    assert out.splitlines() == ["0", "True", "430123282c58b9e5"]
+    # the same bytes as when numpy.random loaded with OpenSSL
+    assert hashlib.sha256(table.read_bytes()).hexdigest() == (
+        "b11d54d9421ca0febe1fbfe52dbe2cadc72d19193e84c5206919e15cae4da4f4")
 
 
 class TestValidate:

@@ -283,6 +283,20 @@ class TestComparePolicies:
             f"sizes {size}: ValueError: seeds: must name at least one seed, got []"
             for size in [(2, 3), (3, 3)]]
 
+    def test_repeated_seed_fails_each_row(self, toy_bank, toy_chain,
+                                          monkeypatch):
+        # used to print one run twice, its stddev reading 0.0; rejected
+        # before any training
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained with a repeated seed")
+        monkeypatch.setattr(harness, "train", no_training)
+        table = compare_policies(toy_bank, toy_chain, [(2, 3), (3, 3)],
+                                 seeds=[0, 1, 0], T=50)
+        assert table.rows == []
+        assert table.failures == [
+            f"sizes {size}: ValueError: seeds: 0 given twice"
+            for size in [(2, 3), (3, 3)]]
+
     def test_csv_export(self, tmp_path, small_table):
         path = tmp_path / "table.csv"
         small_table.write_csv(path)
