@@ -1,6 +1,11 @@
 # Operator entry point.
 #
-# Exit codes: 0 ok, 1 validation failure, 2 runtime failure, 3 I/O failure.
+# `main` is the one place a command fails: it loads and validates the config,
+# runs the command and maps any exception to `error: <message>` on stderr and
+# an exit code. 0 ok; 1 invalid config, its report on stdout for `validate`,
+# on stderr otherwise; 2 runtime failure; 3 a config that cannot be read or
+# ingested, or an output that cannot be written. --debug re-raises every
+# exception instead; an invalid config raises none and prints its report.
 
 from __future__ import annotations
 
@@ -18,35 +23,11 @@ EXIT_RUNTIME = 2
 EXIT_IO = 3
 
 
-def _read(path):
-    try:
-        return core.load_config(path)
-    except (OSError, ValueError) as exc:  # bad JSON and strict ingestion: ValueError
-        print(f"error: cannot read config {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
-
-
-def _load(path):
-    bank, chain = _read(path)
-    report = core.validate_config(bank, chain)
-    if not report.passed:
-        print(report, file=sys.stderr)
-        raise SystemExit(EXIT_VALIDATION)
-    return bank, chain
-
-
 def _parse_int_tuple(text: str, flag: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.replace("x", ",").split(","))
     except ValueError:
         raise ValueError(f"{flag}: expected integers, got {text!r}") from None
-
-
-def cmd_validate(args) -> int:
-    bank, chain = _read(args.config)
-    report = core.validate_config(bank, chain)
-    print(report)
-    return EXIT_OK if report.passed else EXIT_VALIDATION
 
 
 def _schedule_from_args(args) -> learner.LearnSchedule:
@@ -58,23 +39,12 @@ def _schedule_from_args(args) -> learner.LearnSchedule:
         if getattr(args, name, None) is not None})
 
 
-def cmd_train(args) -> int:
-    bank, chain = _load(args.config)
+def cmd_train(args, bank, chain) -> int:
     sched = _schedule_from_args(args)
-    try:
-        w, log = learner.train(bank, chain, sched, x0=args.x0)
-    except FloatingPointError as exc:
-        if args.debug:
-            raise
-        print(f"error: training diverged: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    try:
-        features.save_weights(args.out, w, bank, chain)
-        if args.log:
-            log.write_csv(args.log)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
+    w, log = learner.train(bank, chain, sched, x0=args.x0)
+    features.save_weights(args.out, w, bank, chain)
+    if args.log:
+        log.write_csv(args.log)
     if log.rows:
         tail = log.rows[-min(10, len(log.rows)):]
         mean_tail = sum(r[3] for r in tail) / len(tail)
@@ -90,8 +60,7 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_compare(args) -> int:
-    bank, chain = _load(args.config)
+def cmd_compare(args, bank, chain) -> int:
     sizes = [_parse_int_tuple(s, "--sizes") for s in args.sizes]
     ramps = _parse_int_tuple(args.ramp, "--ramp") if args.ramp else None
     sched = _schedule_from_args(args)
@@ -100,27 +69,18 @@ def cmd_compare(args) -> int:
         schedule=sched, ramps=ramps, x0=args.x0)
     print(table.format())
     if args.out:
-        try:
-            table.write_csv(args.out)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_IO
+        table.write_csv(args.out)
         print(f"table -> {args.out}")
     return EXIT_RUNTIME if table.failures else EXIT_OK
 
 
-def cmd_solve_exact(args) -> int:
-    bank, chain = _load(args.config)
+def cmd_solve_exact(args, bank, chain) -> int:
     sol = oracle.solve_policy_iteration(bank, chain, tol=args.tol)
     print(f"solved in {sol.iterations} policy-iteration steps; "
           f"residual {sol.residual:.3e}; "
           f"greedy-in-q suboptimality bound {sol.suboptimality_bound():.3e}")
     if args.out:
-        try:
-            oracle.write_solution_csv(sol, args.out)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_IO
+        oracle.write_solution_csv(sol, args.out)
         print(f"solution -> {args.out}")
 
     lossless = all(bat.dissipation == 1.0 for bat in bank.batteries)
@@ -170,7 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("validate", help="check a JSON config")
     pv.add_argument("config")
-    pv.set_defaults(fn=cmd_validate)
 
     pt = sub.add_parser("train", parents=[sched], help="learn weights by Q-learning")
     pt.add_argument("config")
@@ -206,15 +165,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    read = False
     try:
-        return args.fn(args)
-    except SystemExit as exc:  # _load signals validation/IO exits this way
-        return int(exc.code)
+        bank, chain = core.load_config(args.config)
+        read = True
+        report = core.validate_config(bank, chain)
+        validate = args.command == "validate"
+        if validate or not report.passed:
+            print(report, file=sys.stdout if validate else sys.stderr)
+            return EXIT_OK if report.passed else EXIT_VALIDATION
+        return args.fn(args, bank, chain)
     except Exception as exc:
         if args.debug:
             raise
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        # bad JSON and strict ingestion raise ValueError; ENOSPC names no file
+        if not read and isinstance(exc, (OSError, ValueError)):
+            code, message = EXIT_IO, f"cannot read config {args.config}: {exc}"
+        elif read and isinstance(exc, OSError):
+            code, message = EXIT_IO, f"cannot write {exc.filename or 'output'}: {exc}"
+        elif isinstance(exc, FloatingPointError):
+            code, message = EXIT_RUNTIME, f"training diverged: {exc}"
+        else:
+            code, message = EXIT_RUNTIME, str(exc)
+        print(f"error: {message}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

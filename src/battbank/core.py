@@ -80,8 +80,11 @@ class BackgroundChain:
         mat = np.array(self.transition, dtype=float)
         mat.flags.writeable = False
         object.__setattr__(self, "transition", mat)
-        object.__setattr__(self, "labels", tuple(self.labels))
-        # integers only: anything else is kept for validate_config to name
+        # numpy integers become int, which json (so config_fingerprint) can
+        # write; a net_gen entry that is not an integer is kept for
+        # validate_config to name
+        object.__setattr__(self, "labels", tuple(
+            int(v) if is_index(v) else v for v in self.labels))
         object.__setattr__(self, "net_gen", tuple(
             int(g) if is_index(g) else g for g in self.net_gen))
 

@@ -1,3 +1,4 @@
+import errno
 import functools
 import hashlib
 import json
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from battbank import features, oracle
+from battbank import core, features, oracle
 from battbank.cli import (EXIT_IO, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION,
                           _schedule_from_args, build_parser, main)
 from battbank.core import config_to_dict, load_config
@@ -186,19 +187,32 @@ class TestDebug:
         assert err == "error: --sizes: expected integers, got '2,,3'\n"
 
     # each case: argv after --debug, in which {config} and {out} name an
-    # oversized config and a writable path; the exception; the raising frame
+    # oversized config and a writable path, {bad} a file that is not JSON and
+    # {missing} a path in a directory that does not exist; the exception; the
+    # raising frame
     @pytest.mark.parametrize("argv, exc, match, frame", [
         (ARGV, ValueError, "--sizes: expected integers", "_parse_int_tuple"),
         (["solve-exact", "{config}"], oracle.StateSpaceTooLarge,
          "exceeding the cap", "__init__"),
         (["train", TOY_CONFIG, "--steps", "2000", "--beta0", "100",
           "--out", "{out}"], FloatingPointError, "non-finite TD error", "train"),
-    ], ids=["compare-bad-size", "solve-exact-oversized", "train-diverged"])
+        # read and write failures, which used to exit 3 under --debug too
+        (["validate", "{missing}"], FileNotFoundError, "No such file",
+         "load_config"),
+        (["validate", "{bad}"], json.JSONDecodeError, "Expecting property name",
+         "raw_decode"),
+        (["solve-exact", TOY_CONFIG, "--out", "{missing}"], FileNotFoundError,
+         "No such file", "write_solution_csv"),
+    ], ids=["compare-bad-size", "solve-exact-oversized", "train-diverged",
+            "missing-config", "malformed-config", "solve-exact-unwritable"])
     def test_debug_reraises_with_traceback(self, tmp_path, capsys, argv, exc,
                                            match, frame):
         config = write_config(tmp_path, capacities=(200, 200, 200),
                               ramps=(2, 2, 2), weights=(1.0, 1.0, 1.0))
-        argv = [a.format(config=config, out=tmp_path / "w.json") for a in argv]
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        argv = [a.format(config=config, out=tmp_path / "w.json", bad=bad,
+                         missing=tmp_path / "absent" / "x.csv") for a in argv]
         with pytest.raises(exc, match=match) as info:
             main(["--debug", *argv])
         assert info.traceback[-1].name == frame
@@ -223,7 +237,50 @@ def test_unwritable_output_io_exit(tmp_path, capsys, argv):
     # {missing} lies in a directory that does not exist
     paths = {"missing": tmp_path / "absent" / "out.csv", "ok": tmp_path / "w.json"}
     assert main([a.format(**paths) for a in argv]) == EXIT_IO
-    assert capsys.readouterr().err.startswith("error: cannot write")
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot write {paths['missing']}: ")
+
+
+def test_write_error_without_filename_names_output(monkeypatch, capsys):
+    # a full disk fails the write itself, with no file named
+    def full(*_):
+        raise OSError(errno.ENOSPC, "No space left on device")
+    monkeypatch.setattr(oracle, "write_solution_csv", full)
+    assert main(["solve-exact", TOY_CONFIG, "--out", "sol.csv"]) == EXIT_IO
+    assert capsys.readouterr().err == (
+        f"error: cannot write output: [Errno {errno.ENOSPC}] "
+        "No space left on device\n")
+
+
+def test_other_load_failure_runtime_exit(monkeypatch, capsys):
+    # only an OSError or ValueError from reading the config is an I/O failure
+    def broken(path):
+        raise TypeError("not a config")
+    monkeypatch.setattr(core, "load_config", broken)
+    assert main(["validate", TOY_CONFIG]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == "error: not a config\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"],
+    ["train", "--out", "{out}"],
+    ["compare", "--sizes", "2,3", "--seeds", "0", "--steps", "0",
+     "--eval-steps", "10", "--out", "{out}"],
+    ["solve-exact", "--out", "{out}"],
+], ids=["validate", "train", "compare", "solve-exact"])
+def test_invalid_config_report_destination(tmp_path, capsys, argv):
+    # validate prints its report on stdout; the other commands print it on
+    # stderr, and nothing else, before any work
+    path = write_config(tmp_path, gamma=1.5)
+    out = tmp_path / "out"
+    command, *flags = argv
+    assert main([command, path, *(f.format(out=out) for f in flags)]
+                ) == EXIT_VALIDATION
+    stdout, stderr = capsys.readouterr()
+    report = stdout if command == "validate" else stderr
+    assert report.startswith("FAIL: gamma")
+    assert (stderr if command == "validate" else stdout) == ""
+    assert not out.exists()
 
 
 class TestTrain:

@@ -213,6 +213,20 @@ class TestConfigSerialization:
         other = dataclasses.replace(toy_bank, gamma=0.5)
         assert config_fingerprint(other, toy_chain) != fp1
 
+    def test_numpy_integer_labels_fingerprinted(self):
+        # labels given as a numpy array used to pass validate_config, then
+        # fail json in config_fingerprint (int64 is not JSON serializable)
+        import pathlib
+        cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / "toy_bank.json"
+        bank, chain = load_config(cfg)
+        built = BackgroundChain(labels=np.array(chain.labels),
+                                transition=chain.transition,
+                                net_gen=np.array(chain.net_gen))
+        assert validate_config(bank, built).passed
+        # the shipped config's fingerprint, which weight files embed
+        assert config_fingerprint(bank, built) == "430123282c58b9e5"
+        assert [type(v) for v in built.labels] == [int] * 4
+
 
 def _edited(edit):
     doc = json.loads(json.dumps(config_to_dict(make_bank(), make_chain())))
