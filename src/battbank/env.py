@@ -102,14 +102,14 @@ class StateActions:
 class Table(NamedTuple):
     """Every state's row, flattened: state sid owns the pairs
     offsets[sid]:offsets[sid + 1], in feasible_actions order. A pair acts
-    on the rest of the MDP only through its post-action occupancy b + a,
-    whose id `post` holds; `post_next[post]` is the pair's successor id."""
+    on the MDP only through its post-action occupancy id, `post`: its
+    reward is post_reward[post] and its successor id post_next[post]."""
 
-    offsets: np.ndarray    # (n_states + 1,) int
-    actions: np.ndarray    # (n_pairs, N) int, of _action_dtype
-    rewards: np.ndarray    # (n_pairs,)
-    post: np.ndarray       # (n_pairs,) unsigned, the narrowest for num_b ids
-    post_next: np.ndarray  # (num_b,) int64, floor(eta * b) of each occupancy
+    offsets: np.ndarray      # (n_states + 1,) int
+    actions: np.ndarray      # (n_pairs, N) int, of _action_dtype
+    post: np.ndarray         # (n_pairs,) unsigned, the narrowest for num_b ids
+    post_reward: np.ndarray  # (num_b,) float64, the reward of each occupancy
+    post_next: np.ndarray    # (num_b,) int64, floor(eta * b) of each occupancy
 
 
 def occupancy_strides(capacities: tuple[int, ...]) -> tuple[int, ...]:
@@ -131,21 +131,22 @@ def _action_dtype(bank: BankConfig) -> np.dtype:
     return np.min_scalar_type(-top - 1)   # a type holding -top - 1 holds top
 
 
-# states per first_argmax chunk: its float repeat, equality mask and match
-# list are chunk-sized, not pair-sized
+# states per first_argmax chunk: its float repeat, masks and match list are
+# chunk-sized, not pair-sized
 _ARGMAX_STATES = 256
 
 
 def first_argmax(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Flat index of each state's first largest value, where state i owns
-    values[offsets[i]:offsets[i + 1]]."""
+    values[offsets[i]:offsets[i + 1]] and a NaN counts as largest."""
     out = np.empty(len(offsets) - 1, dtype=np.intp)
     for lo in range(0, len(out), _ARGMAX_STATES):
         ends = offsets[lo:lo + _ARGMAX_STATES + 1]
         vals = values[ends[0]:ends[-1]]
         starts = ends[:-1] - ends[0]
-        best = np.flatnonzero(vals == np.repeat(
-            np.maximum.reduceat(vals, starts), np.diff(ends)))
+        # a row holding a NaN has a NaN maximum, which equals nothing
+        best = np.flatnonzero(np.isnan(vals) | (vals == np.repeat(
+            np.maximum.reduceat(vals, starts), np.diff(ends))))
         out[lo:lo + _ARGMAX_STATES] = best[np.searchsorted(best, starts)] + ends[0]
     return out
 
@@ -167,8 +168,8 @@ class BankModel:
 
     This is the one definition of the state space: state id
     `x * num_b + occupancy_id(b)`, for ids in `range(n_states)`. `table`
-    holds every state's feasible actions, rewards and post-action occupancy
-    ids, and each occupancy's successor id, as one set of flat arrays, which
+    holds every state's feasible actions and post-action occupancy ids, and
+    each occupancy's reward and successor id, as one set of flat arrays, which
     every caller shares: the exact solver's arrays and the actions of each
     of `rows` are views of it.
     """
@@ -198,8 +199,8 @@ class BankModel:
         recursion on all states at once. Each of the first N-1 levels spreads
         every partial action over its component's interval, and the last
         component is the remainder. The post-action occupancy id grows as
-        components are fixed; rewards are looked up by it, and it is kept,
-        beside each occupancy's successor id. Actions and post-action ids
+        components are fixed, and it is kept, beside each occupancy's
+        reward and successor id. Actions and post-action ids
         are stored in the narrowest integer types that hold them, and so is
         each level's column of fixed components while the levels are
         spread; what is scaled by a stride stays int64."""
@@ -254,8 +255,8 @@ class BankModel:
         rewards = -functools.reduce(operator.add, pen.T)
         etas = np.array([bat.dissipation for bat in bats])
         post_next = np.floor(etas * b).astype(np.int64).dot(self.strides)
-        return Table(offsets, actions, rewards[post],
-                     post.astype(np.min_scalar_type(self.num_b - 1)), post_next)
+        return Table(offsets, actions, post.astype(np.min_scalar_type(
+            self.num_b - 1)), rewards, post_next)
 
     @functools.cached_property
     def table(self) -> Table:
@@ -267,26 +268,28 @@ class BankModel:
         return table
 
     @functools.cached_property
-    def rows(self) -> list[StateActions]:
-        """Every state's row, in state-id order, built on first use beside
-        the table: views of its actions, lists of its rewards and successor
-        ids, and a list of its kernel tuples. One kernel_matrix call over
-        every occupancy makes num_b tuples, and a pair's entry is the tuple
-        of its post-action occupancy, table.post, so a pair costs one
-        pointer."""
+    def post_kernels(self) -> np.ndarray:
+        """Each occupancy's 2N kernel features as a tuple of Python floats,
+        built on first use: a pair's kernels are post_kernels[table.post]."""
         from .features import kernel_matrix  # features imports this module
+        kmat = kernel_matrix(self.bank, self.decode(np.arange(self.num_b))[1])
+        return np.fromiter(map(tuple, kmat.tolist()), object, self.num_b)
+
+    @functools.cached_property
+    def rows(self) -> list[StateActions]:
+        """Every state's row, in state-id order, built on first use: views
+        of the table's actions, and lists of its pairs' post_reward,
+        post_next and post_kernels entries, gathered by table.post."""
         t, ends = self.table, self.table.offsets.tolist()
-        shared = np.fromiter(
-            map(tuple, kernel_matrix(
-                self.bank, self.decode(np.arange(self.num_b))[1]).tolist()),
-            dtype=object, count=self.num_b)
-        pair_kernels = shared[t.post]
-        kernels = [pair_kernels[lo:hi].tolist() for lo, hi in zip(ends, ends[1:])]
-        del pair_kernels   # not held while the rows' other lists are built
-        rewards, next_bid = t.rewards.tolist(), t.post_next[t.post].tolist()
-        return [StateActions(t.actions[lo:hi], rewards[lo:hi],
-                             next_bid[lo:hi], ks)
-                for lo, hi, ks in zip(ends, ends[1:], kernels)]
+
+        def cut(per_occupancy):   # each row's list of its pairs' entries
+            pairs = per_occupancy[t.post].tolist()
+            return [pairs[lo:hi] for lo, hi in zip(ends, ends[1:])]
+
+        return [StateActions(t.actions[lo:hi], rewards, next_bid, kernels)
+                for lo, hi, rewards, next_bid, kernels in zip(
+                    ends, ends[1:], cut(t.post_reward), cut(t.post_next),
+                    cut(self.post_kernels))]
 
     def pairs(self, policy: np.ndarray, name: str = "policy") -> np.ndarray:
         """Flat table index of each state's chosen pair under a policy

@@ -12,14 +12,14 @@
 # on every machine, so no BLAS kernel enters it. width_forms compiles the
 # forms for a kernel width, unrolled from one template: value values one
 # action, row a feasible set, top a feasible set's max (the learner's TD
-# target) and step the update's kernel part; q_rows values a model's rows.
+# target) and step the update's kernel part; q_table values a model's pairs.
 
 from __future__ import annotations
 
 import functools
 import json
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from typing import NamedTuple
 
 import numpy as np
@@ -148,14 +148,19 @@ def width_forms(n_batteries: int) -> WidthForms:
     return WidthForms(space["value"], space["row"], space["step"], space["top"])
 
 
-def q_rows(model: BankModel, w: np.ndarray) -> Iterator[list[float]]:
-    """Each state's Q-hat row under weights w, in state-id order, one row at a
-    time as the learner's step takes them."""
+def q_table(model: BankModel, w: np.ndarray) -> np.ndarray:
+    """Q-hat of every pair of model.table under weights w, in table order.
+    Q-hat depends on a pair only through its post-decision state (x, b + a),
+    so row values the num_b occupancies once per background state x, and
+    the pairs gather those values by x and their post-action ids."""
+    t = model.table
     w0, bias, kernel_ws = split_weights(w, model.bank.n, model.chain.n_states)
-    row_q = width_forms(model.bank.n).row
-    for sid, row in enumerate(model.rows):
-        x = sid // model.num_b
-        yield row_q(w0, row.rewards, bias[x], row.kernels, kernel_ws[x])
+    row = width_forms(model.bank.n).row
+    rewards, kernels = t.post_reward.tolist(), model.post_kernels.tolist()
+    values = np.array([row(w0, rewards, b, kernels, kw)
+                       for b, kw in zip(bias, kernel_ws)])
+    x = np.repeat(np.arange(len(bias)), np.diff(t.offsets[::model.num_b]))
+    return values[x, t.post]
 
 
 def _numpy_reduces(top: float, total: float) -> bool:

@@ -47,7 +47,7 @@ def coupled_rollout(bank: BankConfig, chain: BackgroundChain,
     for name, policy in policies:
         # state ids run x * num_b + bid: the transpose puts bid first
         pairs = model.pairs(policy, f"policy {name}").reshape(n_bg, -1).T.ravel()
-        rewards = model.table.rewards[pairs].tolist()
+        rewards = model.table.post_reward[model.table.post[pairs]].tolist()
         nxt = (model.table.post_next[model.table.post[pairs]] * n_bg).tolist()
         total = 0.0
         s = model.occupancy_id(b0) * n_bg

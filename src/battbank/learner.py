@@ -13,7 +13,7 @@ import numpy as np
 from .chain import check_count, check_x0, cumulative_transition, numpy_random
 from .core import BankConfig, BackgroundChain
 from .env import bank_model
-from .features import (feature_dim, join_weights, q_argmax, q_max, q_rows,
+from .features import (feature_dim, join_weights, q_argmax, q_table,
                        split_weights, width_forms)
 
 
@@ -148,21 +148,14 @@ Q_BOUND_FACTOR = 10
 def check_q_bound(bank: BankConfig, chain: BackgroundChain, w: np.ndarray,
                    schedule: LearnSchedule) -> None:
     """Raise FloatingPointError when the Q estimate of weights w, valued
-    over every state's row with features.q_rows, leaves Q_BOUND_FACTOR times
-    the range Q* can take."""
+    over every pair with features.q_table, leaves Q_BOUND_FACTOR times the
+    range Q* can take. min r is taken over the pairs, as an occupancy no
+    pair reaches can carry a lower reward."""
     model = bank_model(bank, chain)
-    min_r = float(model.table.rewards.min())
+    t = model.table
+    min_r = float(t.post_reward[t.post].min())
     bound = Q_BOUND_FACTOR * -min_r / (1.0 - bank.gamma)
-    # kernels lie in [-1, 0], so |Q-hat| <= |w0| * -min r plus the sum of
-    # |weights| of one background block: when that is within the bound, no
-    # row need be valued (the margin covers the rounding of both sums). It
-    # pays on short runs over large banks: a one-step training on a (30,30)
-    # bank took 0.2 ms with it and 31 ms with every row valued
-    blocks = np.abs(w[1:]).reshape(chain.n_states, -1).sum(axis=1)
-    if (abs(w[0]) * -min_r + blocks.max()) * (1 + 1e-9) <= bound:
-        return
-    # q_max keeps a NaN, and np.max passes it on
-    top = float(np.max([q_max([abs(v) for v in q]) for q in q_rows(model, w)]))
+    top = float(np.abs(q_table(model, w)).max())   # np.max passes a NaN on
     if not top <= bound:
         raise FloatingPointError(
             f"max|Q-hat| = {top:.3g} after {schedule.t_train} training steps "
@@ -178,8 +171,7 @@ def update_weights(w: np.ndarray, phi: np.ndarray, delta: float,
 
 
 # a diverging run overflows before its TD error turns non-finite, in q_max's
-# numpy fallback and check_q_bound's sums; the check reports it, whatever the
-# warning filters say
+# numpy fallback; the check reports it, whatever the warning filters say
 @np.errstate(over="ignore", invalid="ignore")
 def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
           x0: int = 0) -> tuple[np.ndarray, TrainLog]:

@@ -95,7 +95,7 @@ class ExactModel:
 
     @property
     def n_sa(self) -> int:
-        return len(self.table.rewards)
+        return len(self.table.post)
 
     def state_values(self, q: np.ndarray) -> np.ndarray:
         return np.maximum.reduceat(q, self.table.offsets[:-1])
@@ -107,10 +107,12 @@ class ExactModel:
 
     def lookahead(self, V: np.ndarray) -> np.ndarray:
         """r(s, a) + gamma * E[V(x', b')] for every (state, action) pair,
-        built in one output vector: expected_next(V) is read once per
-        post-action occupancy, and each block of background state x's
-        pairs gathers from row x of that by its pairs' post-action ids."""
+        built in one output vector: r + gamma * E[V] is formed once per
+        post-decision state (x, b + a), and each block of background state
+        x's pairs gathers from row x of that by its pairs' post-action ids."""
         PV = self.expected_next(V)[:, self.table.post_next]
+        PV *= self.bank.gamma
+        PV += self.table.post_reward
         q = np.empty(self.n_sa)
         for x, blk in self.blocks:
             # post-action ids lie in the row, so "clip" clips nothing;
@@ -118,8 +120,6 @@ class ExactModel:
             # buffer. take copies a read-only index, as the table's post
             # is, so that copy is the piece's one temporary
             PV[x].take(self.table.post[blk], out=q[blk], mode="clip")
-        q *= self.bank.gamma
-        q += self.table.rewards
         return q
 
     def backup(self, q: np.ndarray) -> tuple[np.ndarray, float]:
@@ -176,7 +176,7 @@ def _evaluate(model: ExactModel, sa: np.ndarray, V: np.ndarray,
     """Sweep from V the evaluation operator of the policy that takes flat
     pair sa[i] in state i, until a sweep changes V by at most tol."""
     t, num_b = model.table, model.compiled.num_b
-    r_pi = t.rewards[sa]
+    r_pi = t.post_reward[t.post[sa]]
     # x * num_b + b' of each state's pair: where expected_next(V) holds its
     # next value
     nxt = np.arange(len(sa)) // num_b * num_b + t.post_next[t.post[sa]]
@@ -202,12 +202,12 @@ def solve_policy_iteration(bank: BankConfig, chain: BackgroundChain,
     check_tol(tol)
     model = ExactModel(bank, chain)
     g = bank.gamma
-    offsets = model.table.offsets
-    sa = first_argmax(model.table.rewards, offsets)   # the improvement of V = 0
+    t = model.table
+    sa = first_argmax(t.post_reward[t.post], t.offsets)   # V = 0 improved
     V = model.evaluate_from_zero(sa, tol)
     for step in range(1, MAX_PI_STEPS + 1):
         q = model.lookahead(V)
-        best = first_argmax(q, offsets)
+        best = first_argmax(q, t.offsets)
         gain = q[best] - q[sa]
         # V is within g * tol / (1 - g) of the policy's value, so q within g
         # times that; rounding is bounded relative to the largest |q|

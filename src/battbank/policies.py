@@ -4,9 +4,9 @@
 # sets are enumerated in lexicographic order, so "first maximizer" does it.
 #
 # A policy is an array: entry sid indexes state sid's row of the compiled
-# table. Each rule is written once: greedy and naive over the whole table, rl
-# as q_argmax of each features.q_rows entry. The *_action functions apply them
-# to a freshly tabulated row and are the reference make_policy is tested on.
+# table. Each rule is written once, over the whole table: greedy and rl are
+# env.first_argmax of the rewards and of features.q_table. The *_action
+# functions apply them to a fresh row: the reference make_policy is tested on.
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import numpy as np
 from .core import Action, BankConfig, BackgroundChain, State
 from .env import bank_model, first_argmax, state_actions
 from .features import (block_slice, check_finite, feature_dim, kernel_matrix,
-                       q_argmax, q_rows, width_forms)
+                       q_argmax, q_table, width_forms)
 
 POLICY_NAMES = ("greedy", "naive", "rl")
 
@@ -67,8 +67,7 @@ def make_policy(name: str, bank: BankConfig, chain: BackgroundChain,
     It reads the bank's shared compiled model (env.bank_model), so a state's
     feasible set is tabulated once for every policy, learner and oracle
     that visits it; each choice equals the matching *_action function's.
-    Greedy and naive read the whole table at once; rl values it with
-    features.q_rows, one state at a time as the learner does.
+    Each rule reads the whole table at once; rl values it with q_table.
     """
     if name not in POLICY_NAMES:
         raise ValueError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
@@ -86,11 +85,11 @@ def make_policy(name: str, bank: BankConfig, chain: BackgroundChain,
 
     model = bank_model(bank, chain)
     t = model.table
-    if name == "greedy":
-        policy = first_argmax(t.rewards, t.offsets) - t.offsets[:-1]
-    elif name == "naive":
+    if name == "naive":
         policy = _naive(bank, t.offsets, t.actions)
     else:
-        policy = np.array([q_argmax(q) for q in q_rows(model, weights)])
+        values = (t.post_reward[t.post] if name == "greedy"
+                  else q_table(model, weights))
+        policy = first_argmax(values, t.offsets) - t.offsets[:-1]
     policy.flags.writeable = False
     return policy

@@ -498,7 +498,7 @@ class TestSolveExact:
 
 
 def test_weights_round_trip_preserves_policy(tmp_path):
-    # train briefly, persist, reload: identical Q-hat on every state and
+    # train briefly, persist, reload: identical Q-hat on every pair and
     # the same rl choice
     from battbank.env import bank_model
     from battbank.learner import LearnSchedule, train
@@ -511,7 +511,7 @@ def test_weights_round_trip_preserves_policy(tmp_path):
     w2 = features.load_weights(path, bank, chain)
     np.testing.assert_array_equal(w, w2)
     model = bank_model(bank, chain)
-    assert (list(features.q_rows(model, w))
-            == list(features.q_rows(model, w2)))
+    np.testing.assert_array_equal(features.q_table(model, w),
+                                  features.q_table(model, w2))
     rl, rl2 = (make_policy("rl", bank, chain, weights=v) for v in (w, w2))
     np.testing.assert_array_equal(rl, rl2)

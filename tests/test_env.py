@@ -1,13 +1,20 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from battbank import env
 from battbank.core import BackgroundChain, State, clip
 from battbank.env import (action_bounds, apply_action, feasible_actions,
-                          reward, state_actions)
+                          first_argmax, reward, state_actions)
 
 from conftest import make_bank, make_chain
+
+# values where a row's largest and np.argmax's pick are hard to get right
+SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0]
 
 
 def brute_force_actions(bank, chain, s):
@@ -181,3 +188,24 @@ def test_state_actions_tables_consistent(toy_chain):
         assert ent.rewards[i] == reward(bank, s, a)
         nb = apply_action(bank, s.b, a)
         assert ent.next_bid[i] == nb[0] * 6 + nb[1]   # mixed radix (4, 6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.one_of(st.integers(-2, 2).map(float),
+                                   st.sampled_from(SPECIAL)),
+                         min_size=1, max_size=6),
+                min_size=1, max_size=40),
+       st.integers(1, 5))
+@example([[1.0, math.nan, 0.5], [2.0, 3.0]], 256)
+def test_first_argmax_matches_argmax_per_state(rows, chunk):
+    # few distinct values, so rows tie often, among NaNs, infinities and
+    # zeros of either sign, where np.argmax counts a NaN as largest; chunks
+    # of a few states, so several chunks run and the last may be short
+    values = np.array([v for row in rows for v in row], dtype=float)
+    offsets = np.cumsum([0] + [len(row) for row in rows])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(env, "_ARGMAX_STATES", chunk)
+        got = first_argmax(values, offsets)
+    first = [lo + np.argmax(values[lo:hi])
+             for lo, hi in zip(offsets[:-1], offsets[1:])]
+    np.testing.assert_array_equal(got, first)

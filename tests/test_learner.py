@@ -8,7 +8,8 @@ import pytest
 
 from battbank import learner
 from battbank.chain import cumulative_transition
-from battbank.core import BackgroundChain, State, load_config
+from battbank.core import (BackgroundChain, BankConfig, BatteryConfig, State,
+                           load_config)
 from battbank.env import apply_action, bank_model, feasible_actions, reward
 from battbank.features import feature_dim, feature_vector
 from battbank.harness import resize_bank
@@ -461,6 +462,25 @@ class TestQBound:
         toy, chain = load_config(TOY_CONFIG)
         return resize_bank(toy, (30, 30), (25, 25)), chain
 
+    def test_min_r_counts_only_the_pairs(self):
+        # net generation 5 and ramp 2 charge the battery by 2 whenever it
+        # has room, so occupancies 0 and 1 (rewards -4 and -3) are never
+        # reached, and over the pairs min r is -2: the bound is
+        # 10 * 2 / (1 - 0.9) = 200, not 400
+        chain = BackgroundChain(labels=(5,), transition=np.array([[1.0]]),
+                                net_gen=(5,))
+        bank = BankConfig(batteries=(BatteryConfig(
+            capacity=10, ramp=2, penalty_weight=1.0, lower_frac=0.4,
+            upper_frac=0.9),), gamma=0.9)
+        rewards = bank_model(bank, chain).table.post_reward
+        assert rewards[:3].tolist() == [-4.0, -3.0, -2.0]
+        w = np.zeros(feature_dim(1, 1))
+        w[1] = 300.0   # the bias: Q-hat is 300 on every pair
+        with pytest.raises(FloatingPointError,
+                           match=r"= 300 after 0 training steps exceeds the "
+                                 r"bound 200 \("):
+            check_q_bound(bank, chain, w, LearnSchedule(t_train=0))
+
     def test_silent_divergence_fails_naming_the_bound(self):
         bank, chain = self.bank_and_chain()
         with pytest.raises(FloatingPointError) as info:
@@ -483,9 +503,10 @@ class TestQBound:
     def test_rows_decide_where_weight_sums_cannot(self, scale):
         # bias and kernel weights all equal: Q-hat = c * (1 + sum of
         # kernels) stays within c on the rows, while a block's weights sum
-        # to 5c, above the bound, so every row is valued
+        # to 5c, above the bound, so only valuing the pairs decides
         bank, chain = make_bank(gamma=0.9), make_chain()
-        bound = 10 * -bank_model(bank, chain).table.rewards.min() / 0.1
+        t = bank_model(bank, chain).table
+        bound = 10 * -t.post_reward[t.post].min() / 0.1
         w = np.zeros(feature_dim(bank.n, chain.n_states))
         w[1:] = 1.0
         top = max(abs(feature_vector(bank, chain, State(x, b), a) @ w)

@@ -68,11 +68,12 @@ class TestBankModel:
         assert bank_model(make_bank(capacities=(3, 3)), toy_chain) is not model
 
     def test_rows_build_peak_stays_near_what_they_hold(self, toy_chain):
-        # beside the rows, the build holds the table's two tolist copies,
-        # one pointer per pair each, but neither b + a nor kernel columns
+        # beside the rows, the build holds one pair-sized gather from the
+        # table and its tolist copy at a time, but neither b + a nor kernel
+        # columns
         bank = make_bank(capacities=(40, 40), ramps=(25, 25))
         model = env.BankModel(bank.batteries, toy_chain)
-        column = len(model.table.rewards) * 8
+        column = len(model.table.post) * 8
         tracemalloc.start()
         try:
             model.rows
@@ -83,7 +84,9 @@ class TestBankModel:
 
     def test_tabulate_peak_stays_near_the_table(self, toy_chain):
         # the solve-exact benchmark's (8,8,8) bank: beside the table it
-        # returns, the build holds at most two pair-sized int64 vectors
+        # returns, the build holds at most three pair-sized int64 vectors.
+        # The bound is the one set when the table still held a float64
+        # reward per pair: that table plus two vectors
         bank = make_bank(capacities=(8, 8, 8), ramps=(25, 25, 25),
                          weights=(0.1, 1.0, 0.5))
         model = env.BankModel(bank.batteries, toy_chain)
@@ -93,8 +96,8 @@ class TestBankModel:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        pairs = len(table.rewards)
-        assert peak <= sum(arr.nbytes for arr in table) + 2 * 8 * pairs
+        pairs = len(table.post)
+        assert peak <= sum(arr.nbytes for arr in table) + 3 * 8 * pairs
 
 
 def _count_tabulations(monkeypatch) -> Counter:
@@ -180,10 +183,11 @@ def test_deep_tables_match_scalar_spec(name):
     np.testing.assert_array_equal(model.table.offsets, np.cumsum([0] + lengths))
 
 
-# sha256 of the table's arrays (offsets, actions, rewards and each pair's
+# sha256 of the table's arrays (offsets, actions and each pair's reward and
 # successor id, their bytes in that order) and of the `solve-exact --out` CSV
 # at the default tolerance, recorded while the table was still built from a
-# checked grid of candidate actions and held successor ids per pair
+# checked grid of candidate actions and held rewards and successor ids per
+# pair
 @pytest.mark.parametrize("name, table_sha, csv_sha", [
     ("toy",
      "ec999c23f3b6b688139c399c0e0c6727dc8b333363fc105c2e5a21ba11a427b8",
@@ -198,14 +202,17 @@ def test_solve_path_bytes_pinned(name, table_sha, csv_sha, tmp_path, capsys):
     else:
         bank, chain = DEEP_BANKS[name], make_chain()
     table = env.BankModel(bank.batteries, chain).table
-    # actions and post-action ids are held in the narrowest types; actions
-    # are hashed as the int64 they were recorded in, and each pair's
-    # successor id, post_next[post], as the int64 array it was recorded as
-    assert [arr.dtype for arr in table] == [np.int64, np.int8, np.float64,
-                                            np.uint8, np.int64]
+    # actions and post-action ids are held in the narrowest types, and
+    # rewards and successor ids per occupancy; actions are hashed as the
+    # int64 they were recorded in, and each pair's reward, post_reward[post],
+    # and successor id, post_next[post], as the float64 and int64 arrays
+    # they were recorded as
+    assert [arr.dtype for arr in table] == [np.int64, np.int8, np.uint8,
+                                            np.float64, np.int64]
     digest = hashlib.sha256(b"".join(
         arr.tobytes() for arr in (table.offsets, table.actions.astype(np.int64),
-                                  table.rewards, table.post_next[table.post])))
+                                  table.post_reward[table.post],
+                                  table.post_next[table.post])))
     assert digest.hexdigest() == table_sha
     config, out = tmp_path / "bank.json", tmp_path / "sol.csv"
     config.write_text(json.dumps(config_to_dict(bank, chain)))
@@ -293,7 +300,7 @@ def test_rows_are_the_tables_slices(inst):
     for sid, row in enumerate(model.rows):
         lo, hi = t.offsets[sid:sid + 2]
         np.testing.assert_array_equal(row.actions, t.actions[lo:hi])
-        assert row.rewards == t.rewards[lo:hi].tolist()
+        assert row.rewards == t.post_reward[t.post[lo:hi]].tolist()
         assert row.next_bid == t.post_next[t.post[lo:hi]].tolist()
         b = model.decode(np.array([sid]))[1]
         np.testing.assert_array_equal(
@@ -326,14 +333,19 @@ def test_rows_are_views_of_their_block(inst):
 def test_model_policies_match_scalar_actions_everywhere(inst):
     bank, chain, seed = inst
     w = _weights(bank, chain, seed)
+    # weights 1e307 times as large overflow Q-hat to infinities on some
+    # pairs, where rl's pick must still be rl_action's
+    huge = w * 1e307
     fast = {name: make_policy(name, bank, chain, weights=w) for name in
             ("greedy", "naive", "rl")}
+    fast["rl huge"] = make_policy("rl", bank, chain, weights=huge)
     model = bank_model(bank, chain)
     for sid, s in enumerate(_states(bank, chain)):
         actions = list(map(tuple, model.rows[sid].actions.tolist()))
         assert actions[fast["greedy"][sid]] == greedy_action(bank, chain, s)
         assert actions[fast["naive"][sid]] == naive_action(bank, chain, s)
         assert actions[fast["rl"][sid]] == rl_action(bank, chain, s, w)
+        assert actions[fast["rl huge"][sid]] == rl_action(bank, chain, s, huge)
 
 
 @PROPERTY
@@ -349,7 +361,7 @@ def test_exact_model_flattens_state_actions(inst):
     np.testing.assert_array_equal(
         t.actions, [a for r in rows for a in r.actions])
     np.testing.assert_array_equal(
-        t.rewards, np.concatenate([r.rewards for r in rows]))
+        t.post_reward[t.post], np.concatenate([r.rewards for r in rows]))
     pairs = [(s.b, a) for s, r in zip(states, rows) for a in r.actions.tolist()]
     np.testing.assert_array_equal(
         t.post, [occ_id[tuple(np.add(b, a).tolist())] for b, a in pairs])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from battbank import cli, env, oracle
+from battbank import cli, oracle
 from battbank.core import (BackgroundChain, BankConfig, BatteryConfig,
                            load_config, validate_config)
 from battbank.env import bank_model, first_argmax, reward
@@ -65,7 +65,8 @@ class TestBellmanBackup:
     def test_first_sweep_is_reward(self, toy_bank, toy_chain):
         model = ExactModel(toy_bank, toy_chain)
         q1, _ = model.backup(np.zeros(model.n_sa))
-        np.testing.assert_allclose(q1, model.table.rewards, atol=1e-15)
+        t = model.table
+        np.testing.assert_allclose(q1, t.post_reward[t.post], atol=1e-15)
 
     def test_vanishing_discount_fixed_after_one_sweep(self, toy_chain):
         bank = make_bank(gamma=1e-9)
@@ -147,22 +148,6 @@ class TestPolicyIteration:
                  for lo, hi in zip(offsets[:-1], offsets[1:])]
         np.testing.assert_array_equal(first_argmax(q, offsets), first)
 
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.lists(st.integers(-2, 2), min_size=1, max_size=6),
-                    min_size=1, max_size=40),
-           st.integers(1, 5))
-    def test_first_argmax_matches_argmax_per_state(self, rows, chunk):
-        # few distinct values, so rows tie often; chunks of a few states, so
-        # several chunks run and the last may be short
-        values = np.array([v for row in rows for v in row], dtype=float)
-        offsets = np.cumsum([0] + [len(row) for row in rows])
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(env, "_ARGMAX_STATES", chunk)
-            got = first_argmax(values, offsets)
-        first = [lo + np.argmax(values[lo:hi])
-                 for lo, hi in zip(offsets[:-1], offsets[1:])]
-        np.testing.assert_array_equal(got, first)
-
     def test_greedy_optimal_toy_one_step(self):
         bank, chain = load_config(TOY_CONFIG)
         sol = solve_policy_iteration(bank, chain, tol=0)
@@ -198,7 +183,7 @@ class TestMemory:
     def bank_and_vector(chain):
         bank = make_bank(capacities=(8, 8, 8), ramps=(25, 25, 25),
                          weights=(0.1, 1.0, 0.5))
-        return bank, len(bank_model(bank, chain).table.rewards) * 8
+        return bank, len(bank_model(bank, chain).table.post) * 8
 
     @staticmethod
     def traced(fn):
@@ -462,7 +447,8 @@ def test_policy_iteration_starts_at_greedy(inst):
     bank, chain, _ = inst
     model = ExactModel(bank, chain)
     t = model.table
-    start = (first_argmax(t.rewards, t.offsets) - t.offsets[:-1]).tolist()
+    start = (first_argmax(t.post_reward[t.post], t.offsets)
+             - t.offsets[:-1]).tolist()
     greedy = make_policy("greedy", bank, chain)
     assert start == [greedy[i] for i in range(model.n_states)]
 
