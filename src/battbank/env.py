@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -131,23 +132,76 @@ def _action_dtype(bank: BankConfig) -> np.dtype:
     return np.min_scalar_type(-top - 1)   # a type holding -top - 1 holds top
 
 
-# states per first_argmax chunk: its float repeat, masks and match list are
-# chunk-sized, not pair-sized
-_ARGMAX_STATES = 256
+# states per chunk of a row argmax or maximum, of the table build and of the
+# reached mask: their gathers, masks and level arrays are chunk-sized, not
+# pair-sized
+_CHUNK_STATES = 256
 
 
-def first_argmax(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Flat index of each state's first largest value, where state i owns
-    values[offsets[i]:offsets[i + 1]] and a NaN counts as largest."""
+def _chunks(offsets: np.ndarray, n_blocks: int):
+    """(block, first state, offsets[first:last + 1]) of each run of at most
+    _CHUNK_STATES states, where the states fall into n_blocks equal blocks
+    and no run crosses one: a run of a background state's block reads one
+    row of values held per post-decision state."""
+    per = (len(offsets) - 1) // n_blocks
+    for j in range(n_blocks):
+        for lo in range(j * per, (j + 1) * per, _CHUNK_STATES):
+            yield j, lo, offsets[lo:min(lo + _CHUNK_STATES, (j + 1) * per) + 1]
+
+
+def _gathered(values: np.ndarray, offsets: np.ndarray, post: np.ndarray | None):
+    """(first state, offsets[first:last + 1], the pairs' values) of each
+    chunk of states, where state i owns the pairs offsets[i]:offsets[i + 1].
+    Without `post`, values holds one value per pair. With the table's
+    post-action ids, values are held per post-decision state: pair p of
+    state i reads values[post[p]] from a (num_b,) array, or values[x,
+    post[p]] from an (n_bg, num_b) one, x being i's background state."""
+    rows = values[None] if post is None else values.reshape(-1, values.shape[-1])
+    for x, lo, ends in _chunks(offsets, len(rows)):
+        pairs = slice(ends[0], ends[-1])
+        # take copies a read-only index, as post is, but only a chunk of it
+        yield lo, ends, rows[x][pairs] if post is None else rows[x].take(post[pairs])
+
+
+def first_argmax(values: np.ndarray, offsets: np.ndarray,
+                 post: np.ndarray | None = None) -> np.ndarray:
+    """Flat index of each state's first largest value, a NaN counting as
+    largest, over the values _gathered reads: nothing pair-sized is formed."""
     out = np.empty(len(offsets) - 1, dtype=np.intp)
-    for lo in range(0, len(out), _ARGMAX_STATES):
-        ends = offsets[lo:lo + _ARGMAX_STATES + 1]
-        vals = values[ends[0]:ends[-1]]
+    for lo, ends, vals in _gathered(values, offsets, post):
         starts = ends[:-1] - ends[0]
         # a row holding a NaN has a NaN maximum, which equals nothing
         best = np.flatnonzero(np.isnan(vals) | (vals == np.repeat(
             np.maximum.reduceat(vals, starts), np.diff(ends))))
-        out[lo:lo + _ARGMAX_STATES] = best[np.searchsorted(best, starts)] + ends[0]
+        out[lo:lo + len(starts)] = best[np.searchsorted(best, starts)] + ends[0]
+    return out
+
+
+def row_max(values: np.ndarray, offsets: np.ndarray,
+            post: np.ndarray | None = None) -> np.ndarray:
+    """Each state's largest value, np.maximum.reduceat over the values
+    _gathered reads."""
+    out = np.empty(len(offsets) - 1)
+    for lo, ends, vals in _gathered(values, offsets, post):
+        out[lo:lo + len(ends) - 1] = np.maximum.reduceat(vals, ends[:-1] - ends[0])
+    return out
+
+
+def _fixed_sum_counts(widths: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """Number of integer vectors a with 0 <= a_i <= widths[:, i] and sum
+    total, per row: stars and bars, C(total + n - 1, n - 1), less the
+    vectors whose components in J exceed their widths, by inclusion and
+    exclusion over the sets J. Written in integer ufuncs the table build
+    runs anyway: an integer matmul or a bool cast would map numpy code that
+    nothing else runs, which raised compare-free's peak RSS by 0.2 MB."""
+    n = widths.shape[1]
+    out = np.zeros(len(total), dtype=np.int64)
+    for J in itertools.product((0, 1), repeat=n):
+        m = total - ((widths + 1) * J).sum(axis=1)
+        c = np.clip(m + 1, 0, 1)   # C(m, 0): 1 for m >= 0, else 0
+        for j in range(1, n):   # C(m + j, j) from C(m + j - 1, j - 1)
+            c = c * (m + j) // j
+        out += (-1) ** sum(J) * c
     return out
 
 
@@ -196,14 +250,17 @@ class BankModel:
 
     def tabulate(self) -> Table:
         """Every state's row, equal to its state_actions: feasible_actions'
-        recursion on all states at once. Each of the first N-1 levels spreads
-        every partial action over its component's interval, and the last
+        recursion on a chunk of states at a time. Each state's pair count
+        is known beforehand (_fixed_sum_counts), so the rows are written
+        into arrays of the table's size, and only a chunk's level arrays
+        are held beside them. Each of the first N-1 levels spreads every
+        partial action over its component's interval, and the last
         component is the remainder. The post-action occupancy id grows as
         components are fixed, and it is kept, beside each occupancy's
-        reward and successor id. Actions and post-action ids
-        are stored in the narrowest integer types that hold them, and so is
-        each level's column of fixed components while the levels are
-        spread; what is scaled by a stride stays int64."""
+        reward and successor id. Actions and post-action ids are stored in
+        the narrowest integer types that hold them, and so is each level's
+        column of fixed components while the levels are spread; what is
+        scaled by a stride stays int64."""
         n = self.bank.n
         # bounds and attainable sums of components i.. of each occupancy;
         # a partial action's occupancy id still holds b_j for j >= i
@@ -213,37 +270,40 @@ class BankModel:
         hi = np.minimum(ramps, np.array(self.bank.capacities) - b)
         sum_lo = np.cumsum(lo[:, ::-1], axis=1)[:, ::-1]
         sum_hi = np.cumsum(hi[:, ::-1], axis=1)[:, ::-1]
-        x, post = np.divmod(np.arange(self.n_states), self.num_b)
+        x, occ = np.divmod(np.arange(self.n_states), self.num_b)
         net_gen = np.array(self.chain.net_gen, dtype=np.int64)
-        rem = np.clip(net_gen[x], sum_lo[post, 0], sum_hi[post, 0])
-        first = np.arange(self.n_states)   # each state's first node
-        dtype = _action_dtype(self.bank)
-        columns = []   # each node's components fixed so far
-        for i in range(n - 1):
-            a_lo = np.maximum(lo[post, i], rem - sum_hi[post, i + 1])
-            counts = np.minimum(hi[post, i], rem - sum_lo[post, i + 1]) - a_lo + 1
-            starts = np.cumsum(counts) - counts
-            first = starts[first]
-            parent = np.repeat(np.arange(
-                len(counts), dtype=np.min_scalar_type(len(counts) - 1)), counts)
-            value = np.repeat(a_lo - starts, counts)
-            value += np.arange(len(value))
-            del a_lo, counts, starts   # not held beside the pair-sized gathers
-            columns = [c[parent] for c in columns] + [value.astype(dtype)]
-            post = post[parent]
-            value *= self.strides[i]
-            post += value
-            del value
-            rem = rem[parent]
-            rem -= columns[-1]
-            del parent
-        actions = np.empty((len(rem), n), dtype=dtype)
-        for i, c in enumerate(columns):
-            actions[:, i] = c
-        actions[:, -1] = rem
-        post += rem   # the last stride is 1
-        del columns, rem
-        offsets = np.append(first, len(post))
+        target = np.clip(net_gen[x], sum_lo[occ, 0], sum_hi[occ, 0])
+        offsets = np.zeros(self.n_states + 1, dtype=np.int64)
+        np.cumsum(_fixed_sum_counts((hi - lo)[occ], target - sum_lo[occ, 0]),
+                  out=offsets[1:])
+        actions = np.empty((offsets[-1], n), dtype=_action_dtype(self.bank))
+        posts = np.empty(offsets[-1], dtype=np.min_scalar_type(self.num_b - 1))
+        for _, first, ends in _chunks(offsets, 1):
+            post = occ[first:first + len(ends) - 1]
+            rem = target[first:first + len(ends) - 1]
+            columns = []   # each node's components fixed so far
+            for i in range(n - 1):
+                a_lo = np.maximum(lo[post, i], rem - sum_hi[post, i + 1])
+                counts = np.minimum(hi[post, i], rem - sum_lo[post, i + 1]) - a_lo + 1
+                starts = np.cumsum(counts) - counts
+                parent = np.repeat(np.arange(
+                    len(counts), dtype=np.min_scalar_type(len(counts) - 1)), counts)
+                value = np.repeat(a_lo - starts, counts)
+                value += np.arange(len(value))
+                del a_lo, counts, starts   # not held beside the chunk's gathers
+                columns = [c[parent] for c in columns] + [value.astype(actions.dtype)]
+                post = post[parent]
+                value *= self.strides[i]
+                post += value
+                del value
+                rem = rem[parent]
+                rem -= columns[-1]
+                del parent
+            pairs = slice(ends[0], ends[-1])
+            for i, c in enumerate(columns):
+                actions[pairs, i] = c
+            actions[pairs, -1] = rem
+            posts[pairs] = post + rem   # the last stride is 1
         # each occupancy's reward and successor id, as reward and
         # apply_action give them: the penalty is summed battery by battery
         bats = self.bank.batteries
@@ -255,8 +315,7 @@ class BankModel:
         rewards = -functools.reduce(operator.add, pen.T)
         etas = np.array([bat.dissipation for bat in bats])
         post_next = np.floor(etas * b).astype(np.int64).dot(self.strides)
-        return Table(offsets, actions, post.astype(np.min_scalar_type(
-            self.num_b - 1)), rewards, post_next)
+        return Table(offsets, actions, posts, rewards, post_next)
 
     @functools.cached_property
     def table(self) -> Table:
@@ -268,12 +327,40 @@ class BankModel:
         return table
 
     @functools.cached_property
+    def reached(self) -> np.ndarray:
+        """(n_bg, num_b) bool, read-only, built on first use: whether some
+        pair of a state in background state x's block leads to occupancy
+        b'. A maximum over the pairs of a value held per (x, b') is its
+        maximum over these entries."""
+        t = self.table
+        out = np.zeros((self.chain.n_states, self.num_b), dtype=bool)
+        for x, _, ends in _chunks(t.offsets, self.chain.n_states):
+            out[x, t.post[ends[0]:ends[-1]]] = True
+        out.flags.writeable = False
+        return out
+
+    @functools.cached_property
+    def min_reward(self) -> float:
+        """The least reward of any pair: over the reached occupancies, as an
+        occupancy no pair reaches can carry a lower reward."""
+        return float(self.table.post_reward.min(
+            where=self.reached.any(axis=0), initial=math.inf))
+
+    @functools.cached_property
+    def post_kernel_matrix(self) -> np.ndarray:
+        """Each occupancy's 2N kernel features, (num_b, 2N) float64 and
+        read-only, built on first use: features.q_table's columns."""
+        from .features import kernel_matrix  # features imports this module
+        kmat = kernel_matrix(self.bank, self.decode(np.arange(self.num_b))[1])
+        kmat.flags.writeable = False
+        return kmat
+
+    @functools.cached_property
     def post_kernels(self) -> np.ndarray:
         """Each occupancy's 2N kernel features as a tuple of Python floats,
         built on first use: a pair's kernels are post_kernels[table.post]."""
-        from .features import kernel_matrix  # features imports this module
-        kmat = kernel_matrix(self.bank, self.decode(np.arange(self.num_b))[1])
-        return np.fromiter(map(tuple, kmat.tolist()), object, self.num_b)
+        return np.fromiter(map(tuple, self.post_kernel_matrix.tolist()),
+                           object, self.num_b)
 
     @functools.cached_property
     def rows(self) -> list[StateActions]:

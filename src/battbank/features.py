@@ -7,12 +7,16 @@
 # where y_i is the normalised post-action occupancy of battery i.
 #
 # The linear estimate Q-hat = phi . w has one home, here: phi . w summed left
-# to right over phi's support, w0*r + bias + k_0*w_0 + ... + k_{2N-1}*w_{2N-1},
-# in Python floats. Each operation rounds as float64 does, in the same order
-# on every machine, so no BLAS kernel enters it. width_forms compiles the
-# forms for a kernel width, unrolled from one template: value values one
-# action, row a feasible set, top a feasible set's max (the learner's TD
-# target) and step the update's kernel part; q_table values a model's pairs.
+# to right over phi's support, w0*r + bias + k_0*w_0 + ... + k_{2N-1}*w_{2N-1}.
+# Each operation rounds once as float64 does, in the same order on every
+# machine, so no BLAS kernel enters it. It is written in two forms that give
+# the same bits:
+#   - the width forms, in Python floats, for the learner's step:
+#     width_forms compiles them for a kernel width, unrolled from one
+#     template: value values one action, row a feasible set, top a feasible
+#     set's max (the learner's TD target) and step the update's kernel part;
+#   - the columns, in numpy, for the table: q_table values every
+#     post-decision state (x, b') at once, one ufunc per term.
 
 from __future__ import annotations
 
@@ -148,19 +152,20 @@ def width_forms(n_batteries: int) -> WidthForms:
     return WidthForms(space["value"], space["row"], space["step"], space["top"])
 
 
+# a diverged estimate overflows to infinities and their NaN differences, as
+# the width forms' Python floats do without a word
+@np.errstate(over="ignore", invalid="ignore")
 def q_table(model: BankModel, w: np.ndarray) -> np.ndarray:
-    """Q-hat of every pair of model.table under weights w, in table order.
-    Q-hat depends on a pair only through its post-decision state (x, b + a),
-    so row values the num_b occupancies once per background state x, and
-    the pairs gather those values by x and their post-action ids."""
-    t = model.table
+    """Q-hat of every post-decision state (x, b') under weights w, as an
+    (n_bg, num_b) array: a pair of background state x leading to occupancy
+    b' is valued at [x, b']. The column form of the width forms' sum:
+    w0 * r + bias, then each kernel column times its weight added in order,
+    one ufunc per operation, so each rounds once as a Python float does."""
     w0, bias, kernel_ws = split_weights(w, model.bank.n, model.chain.n_states)
-    row = width_forms(model.bank.n).row
-    rewards, kernels = t.post_reward.tolist(), model.post_kernels.tolist()
-    values = np.array([row(w0, rewards, b, kernels, kw)
-                       for b, kw in zip(bias, kernel_ws)])
-    x = np.repeat(np.arange(len(bias)), np.diff(t.offsets[::model.num_b]))
-    return values[x, t.post]
+    values = w0 * model.table.post_reward + np.array(bias)[:, None]
+    for k, v in zip(model.post_kernel_matrix.T, np.array(kernel_ws).T):
+        values += k * v[:, None]
+    return values
 
 
 def _numpy_reduces(top: float, total: float) -> bool:

@@ -149,13 +149,13 @@ def check_q_bound(bank: BankConfig, chain: BackgroundChain, w: np.ndarray,
                    schedule: LearnSchedule) -> None:
     """Raise FloatingPointError when the Q estimate of weights w, valued
     over every pair with features.q_table, leaves Q_BOUND_FACTOR times the
-    range Q* can take. min r is taken over the pairs, as an occupancy no
-    pair reaches can carry a lower reward."""
+    range Q* can take. Both the largest |Q-hat| and min r are taken over the
+    post-decision states some pair reaches (BankModel.reached), as an
+    unreached one can hold a larger estimate or a lower reward."""
     model = bank_model(bank, chain)
-    t = model.table
-    min_r = float(t.post_reward[t.post].min())
-    bound = Q_BOUND_FACTOR * -min_r / (1.0 - bank.gamma)
-    top = float(np.abs(q_table(model, w)).max())   # np.max passes a NaN on
+    bound = Q_BOUND_FACTOR * -model.min_reward / (1.0 - bank.gamma)
+    # a NaN at a reached (x, b') passes through max and fails the test below
+    top = float(np.abs(q_table(model, w)).max(where=model.reached, initial=0.0))
     if not top <= bound:
         raise FloatingPointError(
             f"max|Q-hat| = {top:.3g} after {schedule.t_train} training steps "

@@ -9,7 +9,11 @@
 # Q backup gives the reported residual.
 #
 # The only stochasticity is the background transition x -> x', so a backup
-# sums over |S_e| successors rather than the whole state space.
+# sums over |S_e| successors rather than the whole state space. A pair acts
+# only through its post-decision state (x, b + a), so Q-values are held per
+# (x, b'), an (n_bg, num_b) array, and every row argmax or maximum gathers
+# them through the table's post-action ids a chunk of states at a time
+# (env.first_argmax): the solver forms no pair-sized float array.
 
 from __future__ import annotations
 
@@ -19,16 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BankConfig, BackgroundChain
-from .env import bank_model, first_argmax, state_count
+from .env import bank_model, first_argmax, row_max, state_count
 
 STATE_CAP = 10**6
 DEFAULT_TOL = 1e-9
 MAX_SWEEPS = 10**5   # per Q iteration, and per policy evaluation
 MAX_PI_STEPS = 1000
-# states per solution-CSV write: at most this many rows are held as text
-_CSV_BLOCK = 1 << 14
-# pairs per piece of a Q lookahead or backup: what a piece allocates
-_PIECE = 1 << 14
+# states per solution-CSV write: a block's rows are held as Python objects
+# and as text, about 0.3 MiB for 1024 states of three batteries
+_CSV_BLOCK = 1 << 10
 
 
 class StateSpaceTooLarge(ValueError):
@@ -61,15 +64,14 @@ def _fixed_point(sweep, v: np.ndarray, tol: float):
 
 
 class ExactModel:
-    """The bank's compiled table (env.bank_model) read as flat (state,
-    action) arrays for vectorized Bellman sweeps: `table` is
-    `compiled.table` itself, and the model adds no pair-sized array of its
-    own. State i owns the pairs table.offsets[i]:offsets[i + 1], in
-    feasible_actions order, as in `compiled.rows[i]`. State ids put the
-    background state first, so background state x owns contiguous pairs,
-    all of whose successors are read from the same row of expected next
-    values; `blocks` cuts them into pieces `(x, slice)` of at most _PIECE
-    pairs each.
+    """The bank's compiled table (env.bank_model) read for vectorized
+    Bellman sweeps: `table` is `compiled.table` itself, and the model adds
+    no pair-sized array of its own. State i owns the pairs
+    table.offsets[i]:offsets[i + 1], in feasible_actions order, as in
+    `compiled.rows[i]`. Q-values are held per post-decision state, an
+    (n_bg, num_b) array Q whose entry Q[x, b'] is the value of every pair of
+    background state x's block that leads to occupancy b'; a maximum over
+    the pairs is a maximum over `compiled.reached`.
     STATE_CAP bounds the states, not the pairs: a (16,16,16) bank with free
     ramps has 2% of the cap in states and 3.0M pairs."""
 
@@ -82,10 +84,6 @@ class ExactModel:
         self.chain = chain
         self.compiled = bank_model(bank, chain)
         self.table = self.compiled.table
-        ends = self.table.offsets[::self.compiled.num_b].tolist()
-        self.blocks = [(x, slice(lo, min(lo + _PIECE, hi)))
-                       for x, (start, hi) in enumerate(zip(ends, ends[1:]))
-                       for lo in range(start, hi, _PIECE)]
         # (pairs, tol, value) of the latest evaluate_from_zero
         self._from_zero = None
 
@@ -98,7 +96,10 @@ class ExactModel:
         return len(self.table.post)
 
     def state_values(self, q: np.ndarray) -> np.ndarray:
-        return np.maximum.reduceat(q, self.table.offsets[:-1])
+        """Each state's largest Q-value, from per-(x, b') values or from a
+        pair-sized q."""
+        t = self.table
+        return row_max(q, t.offsets, t.post if q.ndim == 2 else None)
 
     def expected_next(self, V: np.ndarray) -> np.ndarray:
         """PV[x, b'] = sum over x' of P[x, x'] V(x', b'): the expected value
@@ -106,33 +107,24 @@ class ExactModel:
         return self.chain.transition @ V.reshape(-1, self.compiled.num_b)
 
     def lookahead(self, V: np.ndarray) -> np.ndarray:
-        """r(s, a) + gamma * E[V(x', b')] for every (state, action) pair,
-        built in one output vector: r + gamma * E[V] is formed once per
-        post-decision state (x, b + a), and each block of background state
-        x's pairs gathers from row x of that by its pairs' post-action ids."""
+        """r(b') + gamma * E[V(x', eta b')] of every post-decision state
+        (x, b'), (n_bg, num_b): the Q-value of each pair leading there."""
         PV = self.expected_next(V)[:, self.table.post_next]
         PV *= self.bank.gamma
         PV += self.table.post_reward
-        q = np.empty(self.n_sa)
-        for x, blk in self.blocks:
-            # post-action ids lie in the row, so "clip" clips nothing;
-            # unlike the default "raise", it writes into `out` without a
-            # buffer. take copies a read-only index, as the table's post
-            # is, so that copy is the piece's one temporary
-            PV[x].take(self.table.post[blk], out=q[blk], mode="clip")
-        return q
+        return PV
 
     def backup(self, q: np.ndarray) -> tuple[np.ndarray, float]:
-        """One synchronous sweep; returns (q', sup-norm change)."""
-        q_new = self.lookahead(self.state_values(q))
-        # one block at a time: no pair-sized difference is held beside q
-        # and q_new, and q is not written
-        change = np.empty(len(self.blocks))
-        for j, (_, blk) in enumerate(self.blocks):
-            diff = q_new[blk] - q[blk]
-            change[j] = np.abs(diff, out=diff).max()
-            del diff   # freed before the next block's difference is taken
-        return q_new, float(change.max())
+        """One synchronous sweep; returns (q', sup-norm change over the
+        pairs). q is per (x, b'), whose change is the largest over the
+        reached entries, or pair-sized, and q' takes q's form."""
+        Q = self.lookahead(self.state_values(q))
+        if q.ndim == 1:   # each pair reads its (x, b')
+            t, num_b = self.table, self.compiled.num_b
+            Q = Q[np.repeat(np.arange(len(Q)), np.diff(t.offsets[::num_b])), t.post]
+            return Q, float(np.abs(Q - q).max())
+        return Q, float(np.abs(Q - q).max(where=self.compiled.reached,
+                                          initial=0.0))
 
     def evaluate_from_zero(self, sa: np.ndarray, tol: float) -> np.ndarray:
         """The value of the policy that takes flat pair sa[i] in state i,
@@ -150,7 +142,7 @@ class ExactModel:
 
 @dataclass
 class ExactSolution:
-    q: np.ndarray
+    q: np.ndarray   # (n_bg, num_b): a pair's Q-value is q[x, post]
     residual: float
     iterations: int
     model: ExactModel
@@ -167,7 +159,8 @@ def solve_q_iteration(bank: BankConfig, chain: BackgroundChain,
                       tol: float = DEFAULT_TOL) -> ExactSolution:
     check_tol(tol)
     model = ExactModel(bank, chain)
-    q, delta, sweeps = _fixed_point(model.backup, np.zeros(model.n_sa), tol)
+    q, delta, sweeps = _fixed_point(
+        model.backup, np.zeros((chain.n_states, model.compiled.num_b)), tol)
     return ExactSolution(q=q, residual=delta, iterations=sweeps, model=model)
 
 
@@ -203,15 +196,17 @@ def solve_policy_iteration(bank: BankConfig, chain: BackgroundChain,
     model = ExactModel(bank, chain)
     g = bank.gamma
     t = model.table
-    sa = first_argmax(t.post_reward[t.post], t.offsets)   # V = 0 improved
+    x = np.arange(model.n_states) // model.compiled.num_b   # of each state
+    sa = first_argmax(t.post_reward, t.offsets, t.post)   # V = 0 improved
     V = model.evaluate_from_zero(sa, tol)
     for step in range(1, MAX_PI_STEPS + 1):
         q = model.lookahead(V)
-        best = first_argmax(q, t.offsets)
-        gain = q[best] - q[sa]
+        best = first_argmax(q, t.offsets, t.post)
+        gain = q[x, t.post[best]] - q[x, t.post[sa]]
         # V is within g * tol / (1 - g) of the policy's value, so q within g
-        # times that; rounding is bounded relative to the largest |q|
-        top = float(max(q.max(), -q.min()))   # max |q|, without an |q| array
+        # times that; rounding is bounded relative to the largest |q| of a
+        # pair
+        top = float(np.abs(q).max(where=model.compiled.reached, initial=0.0))
         margin = (2 * g * g * tol + 64 * np.finfo(float).eps * top) / (1 - g)
         switch = gain > margin
         if not switch.any():
@@ -246,15 +241,15 @@ def evaluate_policy_exact(bank: BankConfig, chain: BackgroundChain, policy,
 def write_solution_csv(sol: ExactSolution, path) -> None:
     """One CRLF-ended row per state id, as csv.writer's excel dialect writes
     them (no field needs quoting): the id, its background index, its
-    occupancies and best action space-joined, and its value in %.12g. Each
-    block of states is formatted with one % operation."""
-    model = sol.model
+    occupancies and best action space-joined, and its value in %.12g, the
+    Q-value of its first argmax. Each block of states is formatted with one
+    % operation."""
+    model, t = sol.model, sol.model.table
     n, num_b, k = model.n_states, model.compiled.num_b, model.bank.n + 4
     ints = " ".join(["%d"] * model.bank.n)
     occ = np.array([ints % tuple(b) for b in
                     model.compiled.decode(np.arange(num_b))[1].tolist()], dtype=object)
-    best = model.table.actions[first_argmax(sol.q, model.table.offsets)]
-    values = sol.values()
+    best = first_argmax(sol.q, t.offsets, t.post)
     row = "%d,%d,%s," + ints + ",%.12g\r\n"
     with open(path, "w", newline="") as fh:
         fh.write("state_index,x,b,best_action,optimal_value\r\n")
@@ -265,7 +260,7 @@ def write_solution_csv(sol: ExactSolution, path) -> None:
             args[0::k] = range(lo, hi)
             args[1::k] = x.tolist()
             args[2::k] = occ[b].tolist()
-            for j, col in enumerate(best[lo:hi].T.tolist(), 3):
+            for j, col in enumerate(t.actions[best[lo:hi]].T.tolist(), 3):
                 args[j::k] = col
-            args[k - 1::k] = values[lo:hi].tolist()
+            args[k - 1::k] = sol.q[x, t.post[best[lo:hi]]].tolist()
             fh.write(row * (hi - lo) % tuple(args))

@@ -5,8 +5,10 @@
 #
 # A policy is an array: entry sid indexes state sid's row of the compiled
 # table. Each rule is written once, over the whole table: greedy and rl are
-# env.first_argmax of the rewards and of features.q_table. The *_action
-# functions apply them to a fresh row: the reference make_policy is tested on.
+# env.first_argmax of values held per post-decision state, the rewards and
+# features.q_table, gathered through the table's post-action ids. The
+# *_action functions apply them to a fresh row: the reference make_policy
+# is tested on.
 
 from __future__ import annotations
 
@@ -88,8 +90,7 @@ def make_policy(name: str, bank: BankConfig, chain: BackgroundChain,
     if name == "naive":
         policy = _naive(bank, t.offsets, t.actions)
     else:
-        values = (t.post_reward[t.post] if name == "greedy"
-                  else q_table(model, weights))
-        policy = first_argmax(values, t.offsets) - t.offsets[:-1]
+        values = t.post_reward if name == "greedy" else q_table(model, weights)
+        policy = first_argmax(values, t.offsets, t.post) - t.offsets[:-1]
     policy.flags.writeable = False
     return policy

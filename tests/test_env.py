@@ -204,8 +204,60 @@ def test_first_argmax_matches_argmax_per_state(rows, chunk):
     values = np.array([v for row in rows for v in row], dtype=float)
     offsets = np.cumsum([0] + [len(row) for row in rows])
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(env, "_ARGMAX_STATES", chunk)
+        mp.setattr(env, "_CHUNK_STATES", chunk)
         got = first_argmax(values, offsets)
     first = [lo + np.argmax(values[lo:hi])
              for lo, hi in zip(offsets[:-1], offsets[1:])]
     np.testing.assert_array_equal(got, first)
+
+
+def random_banks(rng, count):
+    """Banks of 1-3 batteries, each lossy or lossless and with ramps that
+    bind or that never do, under the toy chain."""
+    for i in range(count):
+        n = i % 3 + 1
+        caps = rng.integers(1, 6, size=n)
+        free = i // 3 % 2 == 0
+        ramps = caps + rng.integers(0, 3, size=n) if free else rng.integers(1, 3, size=n)
+        yield make_bank(capacities=tuple(caps.tolist()), ramps=tuple(ramps.tolist()),
+                        weights=tuple(rng.uniform(0.0, 2.0, size=n).tolist()),
+                        dissipation=tuple(rng.choice([0.75, 1.0], size=n).tolist()))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, "num_b - 1"])
+def test_first_argmax_gathers_per_post_decision_values(chunk):
+    # values held per (x, b'), (n_bg, num_b), and per occupancy, (num_b,):
+    # each state's pick is np.argmax of its row's values gathered through
+    # post, among ties, NaNs, infinities and zeros of either sign. The last
+    # chunk size divides no block of num_b states, so chunks end short at
+    # every block's end
+    rng = np.random.default_rng(11)
+    pool = np.array([-1.0, 0.0, 1.0] + SPECIAL)
+    for bank in random_banks(rng, 24):
+        model = env.BankModel(bank.batteries, make_chain())
+        t, num_b = model.table, model.num_b
+        size = chunk if isinstance(chunk, int) else num_b - 1 if num_b > 2 else 3
+        for values in (rng.choice(pool, size=(4, num_b)), rng.choice(pool, size=num_b)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(env, "_CHUNK_STATES", size)
+                got = first_argmax(values, t.offsets, t.post)
+            rows = values.reshape(-1, num_b)
+            for sid, (lo, hi) in enumerate(zip(t.offsets[:-1], t.offsets[1:])):
+                row = rows[sid // num_b if len(rows) > 1 else 0]
+                assert got[sid] == lo + np.argmax(row[t.post[lo:hi]])
+
+
+def test_reached_is_the_set_of_pairs_post_decision_states():
+    rng = np.random.default_rng(12)
+    unreached = 0
+    for bank in random_banks(rng, 12):
+        model = env.BankModel(bank.batteries, make_chain())
+        t = model.table
+        pairs = {(sid // model.num_b, int(p))
+                 for sid, (lo, hi) in enumerate(zip(t.offsets[:-1], t.offsets[1:]))
+                 for p in t.post[lo:hi]}
+        assert set(zip(*np.nonzero(model.reached))) == pairs
+        unreached += model.reached.size - len(pairs)
+        assert not model.reached.flags.writeable
+        assert model.min_reward == t.post_reward[t.post].min()
+    assert unreached   # the mask is not all True

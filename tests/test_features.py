@@ -289,11 +289,12 @@ class TestQHat:
             assert form.__code__.co_filename == f"<width_forms K={2 * n}>"
 
     def test_q_table_equals_q_values(self):
-        # every pair's estimate against the in-order numpy sum on its
-        # state's compiled row, bit for bit, and each state's first argmax,
-        # the rl pick, against np.argmax. N = 1 to 3, on lossy and
-        # ramp-bound banks; one case in four draws weights near the float
-        # range, so that Q-hat overflows to infinities
+        # every (x, b') against the learner's width form, and every sampled
+        # pair's estimate, read at its (x, b'), against the in-order numpy
+        # sum on its state's compiled row, bit for bit, and each state's
+        # first argmax, the rl pick, against np.argmax. N = 1 to 3, on lossy
+        # and ramp-bound banks; one case in four draws weights near the
+        # float range, so that Q-hat overflows to infinities
         rng = np.random.default_rng(8)
         chain = make_chain()
         for i in range(60):
@@ -307,8 +308,13 @@ class TestQHat:
             model = bank_model(bank, chain)
             t = model.table
             got = q_table(model, w)
-            assert got.shape == t.post.shape
-            picks = first_argmax(got, t.offsets) - t.offsets[:-1]
+            assert got.shape == (chain.n_states, model.num_b)
+            w0, bias, kernel_ws = split_weights(w, n, chain.n_states)
+            rewards, kernels = t.post_reward.tolist(), model.post_kernels.tolist()
+            for x in range(chain.n_states):
+                assert hexes(got[x].tolist()) == hexes(width_forms(n).row(
+                    w0, rewards, bias[x], kernels, kernel_ws[x]))
+            picks = first_argmax(got, t.offsets, t.post) - t.offsets[:-1]
             for sid in rng.integers(model.n_states, size=5).tolist():
                 row, x = model.rows[sid], sid // model.num_b
                 b = model.decode(np.array([sid]))[1]
@@ -318,7 +324,7 @@ class TestQHat:
                                     kernel_matrix(bank, row.actions + b),
                                     blk[1:])
                 lo, hi = t.offsets[sid:sid + 2]
-                assert hexes(got[lo:hi].tolist()) == hexes(q.tolist())
+                assert hexes(got[x, t.post[lo:hi]].tolist()) == hexes(q.tolist())
                 assert picks[sid] == int(np.argmax(q))
 
 

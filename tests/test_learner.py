@@ -11,7 +11,7 @@ from battbank.chain import cumulative_transition
 from battbank.core import (BackgroundChain, BankConfig, BatteryConfig, State,
                            load_config)
 from battbank.env import apply_action, bank_model, feasible_actions, reward
-from battbank.features import feature_dim, feature_vector
+from battbank.features import block_slice, feature_dim, feature_vector, q_table
 from battbank.harness import resize_bank
 from battbank.learner import (LearnSchedule, RawDraws, TrainLog, check_q_bound,
                               train, update_weights)
@@ -480,6 +480,24 @@ class TestQBound:
                            match=r"= 300 after 0 training steps exceeds the "
                                  r"bound 200 \("):
             check_q_bound(bank, chain, w, LearnSchedule(t_train=0))
+
+    def test_largest_estimate_counts_only_the_pairs(self):
+        # net generation -4 empties the toy bank as far as it can, so in
+        # background state 0 no pair leads to the full occupancy (2, 3),
+        # where both full-side kernels are -1. Weighting them by the bound
+        # puts max|Q-hat| = 2 x bound there, while over the pairs it stays
+        # at bound / 16, at occupancy (1, 0)
+        bank, chain = make_bank(gamma=0.9), make_chain()
+        model = bank_model(bank, chain)
+        bound = 10 * -model.table.post_reward[model.table.post].min() / 0.1
+        w = np.zeros(feature_dim(bank.n, chain.n_states))
+        blk = block_slice(0, bank.n)
+        w[blk.start + 2] = w[blk.start + 4] = bound
+        full = model.occupancy_id((2, 3))
+        assert not model.reached[0, full]
+        q = q_table(model, w)
+        assert np.abs(q).max() == -q[0, full] == 2 * bound
+        check_q_bound(bank, chain, w, LearnSchedule(t_train=0))
 
     def test_silent_divergence_fails_naming_the_bound(self):
         bank, chain = self.bank_and_chain()

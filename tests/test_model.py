@@ -84,9 +84,9 @@ class TestBankModel:
 
     def test_tabulate_peak_stays_near_the_table(self, toy_chain):
         # the solve-exact benchmark's (8,8,8) bank: beside the table it
-        # returns, the build holds at most three pair-sized int64 vectors.
-        # The bound is the one set when the table still held a float64
-        # reward per pair: that table plus two vectors
+        # returns, the build holds one chunk of states' level arrays and a
+        # few state-sized ones, 0.5 MiB, under one pair-sized int64 vector
+        # (0.89 MiB)
         bank = make_bank(capacities=(8, 8, 8), ramps=(25, 25, 25),
                          weights=(0.1, 1.0, 0.5))
         model = env.BankModel(bank.batteries, toy_chain)
@@ -97,7 +97,7 @@ class TestBankModel:
         finally:
             tracemalloc.stop()
         pairs = len(table.post)
-        assert peak <= sum(arr.nbytes for arr in table) + 3 * 8 * pairs
+        assert peak <= sum(arr.nbytes for arr in table) + 8 * pairs
 
 
 def _count_tabulations(monkeypatch) -> Counter:
@@ -188,19 +188,23 @@ def test_deep_tables_match_scalar_spec(name):
 # at the default tolerance, recorded while the table was still built from a
 # checked grid of candidate actions and held rewards and successor ids per
 # pair
-@pytest.mark.parametrize("name, table_sha, csv_sha", [
+SOLVE_PINS = [
     ("toy",
      "ec999c23f3b6b688139c399c0e0c6727dc8b333363fc105c2e5a21ba11a427b8",
      "6534474a20a06c2e6328fb780f016e4a5b72d7450b9eb069648edb416765cc92"),
     ("3bat-lossy",
      "1ad216053af0a6546e27b85ce822b4d8c5c6806ca7c8f34a7e0b4339c2de6dbd",
      "9778164e93e82a43a77055974c1ef94ed65b3276085a3d20df8ccbb1f642e569"),
-])
+]
+
+
+def pinned_bank(name):
+    return load_config(CONFIG) if name == "toy" else (DEEP_BANKS[name], make_chain())
+
+
+@pytest.mark.parametrize("name, table_sha, csv_sha", SOLVE_PINS)
 def test_solve_path_bytes_pinned(name, table_sha, csv_sha, tmp_path, capsys):
-    if name == "toy":
-        bank, chain = load_config(CONFIG)
-    else:
-        bank, chain = DEEP_BANKS[name], make_chain()
+    bank, chain = pinned_bank(name)
     table = env.BankModel(bank.batteries, chain).table
     # actions and post-action ids are held in the narrowest types, and
     # rewards and successor ids per occupancy; actions are hashed as the
@@ -219,6 +223,30 @@ def test_solve_path_bytes_pinned(name, table_sha, csv_sha, tmp_path, capsys):
     assert cli.main(["solve-exact", str(config), "--out", str(out)]) == 0, \
         capsys.readouterr().err
     assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
+
+
+@pytest.mark.parametrize("block", [1, 7, oracle._CSV_BLOCK])
+@pytest.mark.parametrize("name, table_sha, csv_sha", SOLVE_PINS)
+def test_solution_csv_bytes_do_not_depend_on_the_block(
+        name, table_sha, csv_sha, block, monkeypatch, tmp_path):
+    # the CLI's solve at its default tol, written a block of states at a time
+    bank, chain = pinned_bank(name)
+    monkeypatch.setattr(oracle, "_CSV_BLOCK", block)
+    out = tmp_path / "sol.csv"
+    oracle.write_solution_csv(oracle.solve_policy_iteration(bank, chain), out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("name", DEEP_BANKS)
+def test_table_does_not_depend_on_the_chunk(name, chunk, monkeypatch):
+    bank, chain = DEEP_BANKS[name], make_chain()
+    whole = env.BankModel(bank.batteries, chain).tabulate()
+    monkeypatch.setattr(env, "_CHUNK_STATES", chunk)
+    chunked = env.BankModel(bank.batteries, chain).tabulate()
+    for a, b in zip(whole, chunked):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
 
 
 def test_exact_model_reads_the_table_without_copying(toy_bank, toy_chain):
@@ -378,7 +406,9 @@ def test_exact_lookahead_matches_scalar_spec(inst):
     # nonpositive, as the bank's values are: no sum below cancels, so the
     # two summation orders agree to a relative 1e-12
     V = -np.random.default_rng(seed).exponential(size=model.n_states)
-    q = model.lookahead(V)
+    t = model.table
+    q = model.lookahead(V)[np.repeat(np.arange(chain.n_states), np.diff(
+        t.offsets[::model.compiled.num_b])), t.post]   # each pair's (x, b')
     expected = []
     for s in _states(bank, chain):
         for a in env.feasible_actions(bank, chain, s):

@@ -197,13 +197,31 @@ class TestMemory:
         return result, held, peak
 
     def test_policy_iteration_peak(self, toy_chain):
-        # the solution's q and a lookahead beside it; gathers, differences
-        # and first argmaxes take a block or chunk at a time beside them
+        # Q-values are held per (x, b'), 23 KB here, and each first argmax
+        # gathers and matches a chunk of states' pairs at a time: about
+        # 0.45 MiB, under 0.6 of one pair-sized vector (0.89 MiB)
         bank, vector = self.bank_and_vector(toy_chain)
         sol, _, peak = self.traced(
             lambda: solve_policy_iteration(bank, toy_chain, tol=1e-12))
         assert sol.iterations == 1
-        assert peak <= 3 * vector
+        assert peak <= 0.6 * vector
+
+    def test_solve_exact_path_peak(self, tmp_path):
+        # what solve-exact runs, the table's build included: the solve, the
+        # greedy policy, its value and the solution CSV peak under one
+        # pair-sized float64 vector beside the table they share
+        bank, vector = self.bank_and_vector(make_chain())
+        chain = make_chain()   # a chain of its own: its model is built here
+
+        def solve_exact():
+            sol = solve_policy_iteration(bank, chain, tol=1e-12)
+            greedy = make_policy("greedy", bank, chain)
+            evaluate_policy_exact(bank, chain, greedy, tol=1e-12, model=sol.model)
+            write_solution_csv(sol, tmp_path / "sol.csv")
+            return sol
+
+        sol, _, peak = self.traced(solve_exact)
+        assert peak < sum(arr.nbytes for arr in sol.model.table) + vector
 
     def test_exact_model_holds_no_pair_sized_array(self, toy_chain):
         bank, vector = self.bank_and_vector(toy_chain)
@@ -333,7 +351,8 @@ def reference_solution_csv(sol, path) -> None:
     byte."""
     model = sol.model
     x, b = model.compiled.decode(np.arange(model.n_states))
-    best = model.table.actions[first_argmax(sol.q, model.table.offsets)]
+    t = model.table
+    best = t.actions[first_argmax(sol.q, t.offsets, t.post)]
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["state_index", "x", "b", "best_action", "optimal_value"])
@@ -431,8 +450,8 @@ def test_policy_iteration_matches_value_iteration(inst):
     pi = solve_policy_iteration(bank, chain, tol=1e-12)
     vi = solve_q_iteration(bank, chain, tol=1e-12)
     assert np.abs(pi.values() - vi.values()).max() <= 1e-8
-    offsets = pi.model.table.offsets
-    picks = first_argmax(pi.q, offsets) - offsets[:-1]
+    t = pi.model.table
+    picks = first_argmax(pi.q, t.offsets, t.post) - t.offsets[:-1]
     V_pi = evaluate_policy_exact(bank, chain, picks, tol=1e-12,
                                  model=pi.model)
     assert np.abs(V_pi - vi.values()).max() <= 1e-8
