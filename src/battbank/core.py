@@ -148,17 +148,19 @@ def validate_config(bank: BankConfig, chain: BackgroundChain) -> ValidationRepor
     if not (0.0 < bank.gamma < 1.0):
         bad.append(f"gamma: must lie strictly inside (0, 1), got {bank.gamma}")
 
-    if bank.initial_occupancy != "half":
-        occ = tuple(bank.initial_occupancy)
-        if len(occ) != bank.n:
-            bad.append(f"initial_occupancy: length {len(occ)} != {bank.n} batteries")
-        else:
-            for i, (o, bat) in enumerate(zip(occ, bank.batteries)):
-                if not is_index(o):
-                    bad.append(f"initial_occupancy[{i}]: expected an integer, "
-                               f"got {o!r}")
-                elif not (0 <= o <= bat.capacity):
-                    bad.append(f"initial_occupancy[{i}]: {o} outside [0, {bat.capacity}]")
+    occ = bank.initial_occupancy
+    if isinstance(occ, str):   # "half", never a character per battery
+        if occ != "half":
+            bad.append(f'initial_occupancy: expected "half" or {bank.n} integers, got {occ!r}')
+    elif len(occ := tuple(occ)) != bank.n:
+        bad.append(f"initial_occupancy: length {len(occ)} != {bank.n} batteries")
+    else:
+        for i, (o, bat) in enumerate(zip(occ, bank.batteries)):
+            if not is_index(o):
+                bad.append(f"initial_occupancy[{i}]: expected an integer, "
+                           f"got {o!r}")
+            elif not (0 <= o <= bat.capacity):
+                bad.append(f"initial_occupancy[{i}]: {o} outside [0, {bat.capacity}]")
 
     P = chain.transition
     ns = chain.n_states

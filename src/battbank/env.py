@@ -87,17 +87,13 @@ def apply_action(bank: BankConfig, b: tuple[int, ...], a: Action) -> tuple[int, 
 
 @dataclass(slots=True, eq=False)
 class StateActions:
-    """One state's feasible set, in feasible_actions (lexicographic) order.
-    `next_bid[i]` is the occupancy id action i leads to. `kernels[i]` holds
-    the 2N kernel features of b + a_i as a tuple of Python floats, the one
-    tuple of that post-action occupancy, which every pair reaching it
-    shares; BankModel.rows fills it, state_actions does not."""
+    """One state's feasible set from the scalar spec, in feasible_actions
+    (lexicographic) order, as state_actions returns it: `rewards[i]` is
+    action i's reward and `next_bid[i]` the occupancy id it leads to."""
 
-    actions: np.ndarray   # (n_actions, N) int
-    # Python numbers: the learner's step works in Python floats and ints
+    actions: np.ndarray   # (n_actions, N) int64
     rewards: list[float]
     next_bid: list[int]
-    kernels: list[tuple[float, ...]] | None = None
 
 
 class Table(NamedTuple):
@@ -224,8 +220,8 @@ class BankModel:
     `x * num_b + occupancy_id(b)`, for ids in `range(n_states)`. `table`
     holds every state's feasible actions and post-action occupancy ids, and
     each occupancy's reward and successor id, as one set of flat arrays, which
-    every caller shares: the exact solver's arrays and the actions of each
-    of `rows` are views of it.
+    every caller shares: the exact solver reads it, and `rows` gathers each
+    occupancy's entry by its post-action ids.
     """
 
     def __init__(self, batteries, chain: BackgroundChain):
@@ -320,7 +316,7 @@ class BankModel:
     @functools.cached_property
     def table(self) -> Table:
         """tabulate's arrays, built on first use and read-only, as every
-        row and the exact solver share them."""
+        caller shares them."""
         table = self.tabulate()
         for arr in table:
             arr.flags.writeable = False
@@ -356,27 +352,23 @@ class BankModel:
         return kmat
 
     @functools.cached_property
-    def post_kernels(self) -> np.ndarray:
-        """Each occupancy's 2N kernel features as a tuple of Python floats,
-        built on first use: a pair's kernels are post_kernels[table.post]."""
-        return np.fromiter(map(tuple, self.post_kernel_matrix.tolist()),
-                           object, self.num_b)
+    def post_entries(self) -> np.ndarray:
+        """Each occupancy's (reward, successor id, k_0, ..., k_{2N-1}) as one
+        tuple of Python numbers, built on first use: a pair's entry is
+        post_entries[table.post], shared by every pair reaching it."""
+        t = self.table
+        return np.fromiter(
+            ((r, nxt, *ks) for r, nxt, ks in zip(
+                t.post_reward.tolist(), t.post_next.tolist(),
+                self.post_kernel_matrix.tolist())), object, self.num_b)
 
     @functools.cached_property
-    def rows(self) -> list[StateActions]:
-        """Every state's row, in state-id order, built on first use: views
-        of the table's actions, and lists of its pairs' post_reward,
-        post_next and post_kernels entries, gathered by table.post."""
-        t, ends = self.table, self.table.offsets.tolist()
-
-        def cut(per_occupancy):   # each row's list of its pairs' entries
-            pairs = per_occupancy[t.post].tolist()
-            return [pairs[lo:hi] for lo, hi in zip(ends, ends[1:])]
-
-        return [StateActions(t.actions[lo:hi], rewards, next_bid, kernels)
-                for lo, hi, rewards, next_bid, kernels in zip(
-                    ends, ends[1:], cut(t.post_reward), cut(t.post_next),
-                    cut(self.post_kernels))]
+    def rows(self) -> list[list[tuple]]:
+        """Every state's row in state-id order, built on first use: the list
+        of its pairs' post_entries, gathered by table.post."""
+        ends = self.table.offsets.tolist()
+        pairs = self.post_entries[self.table.post].tolist()
+        return [pairs[lo:hi] for lo, hi in zip(ends, ends[1:])]
 
     def pairs(self, policy: np.ndarray, name: str = "policy") -> np.ndarray:
         """Flat table index of each state's chosen pair under a policy

@@ -13,8 +13,8 @@
 # the same bits:
 #   - the width forms, in Python floats, for the learner's step:
 #     width_forms compiles them for a kernel width, unrolled from one
-#     template: value values one action, row a feasible set, top a feasible
-#     set's max (the learner's TD target) and step the update's kernel part;
+#     template: value values one entry of a row (BankModel.rows), row a
+#     row, top its max (the learner's TD target), step the update's kernels;
 #   - the columns, in numpy, for the table: q_table values every
 #     post-decision state (x, b') at once, one ufunc per term.
 
@@ -89,49 +89,49 @@ def feature_vector(bank: BankConfig, chain: BackgroundChain, s: State,
 
 # Q-hat's one source: each form unrolled over the kernel width K = 2N, so
 # every width runs as the same straight-line arithmetic with no loop per
-# entry. {ks} and {vs} are the kernels k0, ..., k{K-1} and their weights
-# v0, ..., v{K-1}, {terms} the sum + k0 * v0 + ... + k{K-1} * v{K-1} and
-# {steps} the update v0 + scale * k0, ..., v{K-1} + scale * k{K-1}
+# kernel. An entry is (r, successor id, k0, ..., k{K-1}); no form reads the
+# id. {ks} and {vs} are the kernels and their weights v0, ..., v{K-1},
+# {terms} the sum + k0 * v0 + ... and {steps} v0 + scale * k0, ...
 _FORMS = """\
-def value(w0, reward, bias, kernels, kernel_w):
-    {ks} = kernels
+def value(w0, bias, entry, kernel_w):
+    r, _, {ks} = entry
     {vs} = kernel_w
-    return w0 * reward + bias{terms}
+    return w0 * r + bias{terms}
 
 
-def row(w0, rewards, bias, kernels, kernel_w):
+def row(w0, bias, entries, kernel_w):
     {vs} = kernel_w
     return [w0 * r + bias{terms}
-            for r, ({ks}) in zip(rewards, kernels)]
+            for r, _, {ks} in entries]
 
 
-def top(w0, rewards, bias, kernels, kernel_w):
+def top(w0, bias, entries, kernel_w):
     # q_max(row(...)) in one pass with no list: the first largest value and
     # a running sum, the pair _numpy_reduces reads
     {vs} = kernel_w
     best, total = -math.inf, 0.0
-    for r, ({ks}) in zip(rewards, kernels):
+    for r, _, {ks} in entries:
         q = w0 * r + bias{terms}
         total += q
         if q > best:
             best = q
     if _numpy_reduces(best, total):
-        return float(np.maximum.reduce(row(w0, rewards, bias, kernels, kernel_w)))
+        return float(np.maximum.reduce(row(w0, bias, entries, kernel_w)))
     return best
 
 
-def step(kernel_w, scale, kernels):
+def step(kernel_w, scale, entry):
     {vs} = kernel_w
-    {ks} = kernels
+    _, _, {ks} = entry
     return [{steps}]
 """
 
 
 class WidthForms(NamedTuple):
-    # kernels are an action's 2N kernel features, kernel_w its block's
-    # kernel weights, w0 the reward weight and bias the block's bias weight
-    value: Callable[..., float]       # Q-hat of one action
-    row: Callable[..., list[float]]   # Q-hat of each action of a feasible set
+    # entries are a row's, kernel_w its block's kernel weights, w0 the
+    # reward weight and bias the block's bias weight
+    value: Callable[..., float]       # Q-hat of one entry
+    row: Callable[..., list[float]]   # Q-hat of each entry of a feasible set
     step: Callable[..., list[float]]  # kernel_w + scale * kernels: the update
     top: Callable[..., float]         # q_max(row(...)): the learner's TD target
 

@@ -127,12 +127,15 @@ def compare_policies(bank: BankConfig, chain: BackgroundChain,
         schedule = LearnSchedule()
     table = ComparisonTable()
 
-    for size in sizes:
+    for i, size in enumerate(sizes):
         size = tuple(size)
         totals: dict[str, list[float]] = {"greedy": [], "naive": [], "rl": []}
         try:
-            # before any training, so a bad T or seed fails the row at once
+            # before any training, so a bad T, size or seed fails the row at
+            # once: a repeated size would repeat a row table.row cannot find
             check_count(T, "T")
+            if size in map(tuple, sizes[:i]):
+                raise ValueError(f"sizes: {size} given twice")
             if not seeds:
                 raise ValueError("seeds: must name at least one seed, got []")
             # a repeated seed repeats its run: the mean would count it twice

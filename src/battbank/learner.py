@@ -191,10 +191,11 @@ def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
     float64 numpy does, and makes no BLAS call, so the weights are the same
     bits on every CPU. w[0], each block's bias weight and each block's
     kernel weights are carried as Python floats and lists
-    (features.split_weights) and written into w at the end. Q-hat and the
-    update are features.width_forms' for the bank's width: an exploring step
-    values only the drawn action, and the TD target is the next state's
-    row max, the forms' top, in one pass with no list. That
+    (features.split_weights) and written into w at the end. A row is its
+    pairs' (reward, successor id, kernels) entries, BankModel.rows. Q-hat
+    and the update are features.width_forms' for the bank's width: an
+    exploring step values only the drawn action, and the TD target is the
+    next state's row max, the forms' top, in one pass with no list. That
     max and an exploiting step's first argmax fall back to numpy only for a
     zero maximum or a row holding a NaN or an infinity (features.q_max), so a
     divergence is raised at the step where its TD error turns non-finite.
@@ -232,24 +233,24 @@ def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
         if annealed:
             eps = schedule.eps(k)
         beta = beta_num / (beta_tau + k)
-        rewards = e.rewards
         kernel_w = kernel_ws[x]
 
-        a_idx, u = draws(len(rewards), eps)
+        a_idx, u = draws(len(e), eps)
         if a_idx is None:
-            q = q_row(w0, rewards, bias[x], e.kernels, kernel_w)
+            q = q_row(w0, bias[x], e, kernel_w)
             a_idx = q_argmax(q)
-            q_a = q[a_idx]
+            q_a, ent = q[a_idx], e[a_idx]
         else:
-            q_a = q_value(w0, rewards[a_idx], bias[x], e.kernels[a_idx], kernel_w)
+            ent = e[a_idx]
+            q_a = q_value(w0, bias[x], ent, kernel_w)
 
-        r = rewards[a_idx]
+        r = ent[0]
         # bisect_right is searchsorted(side="right") on a Python list
         x_next = bisect.bisect_right(cum_rows[x], u)
-        e_next = rows[x_next * num_b + e.next_bid[a_idx]]
+        e_next = rows[x_next * num_b + ent[1]]
 
-        delta = r + gamma * top(w0, e_next.rewards, bias[x_next],
-                                e_next.kernels, kernel_ws[x_next]) - q_a
+        delta = r + gamma * top(w0, bias[x_next], e_next,
+                                kernel_ws[x_next]) - q_a
         if not math.isfinite(delta):
             raise FloatingPointError(f"non-finite TD error at step {k}, "
                                      f"training seed {schedule.seed}")
@@ -258,7 +259,7 @@ def train(bank: BankConfig, chain: BackgroundChain, schedule: LearnSchedule,
         scale = beta * delta
         w0 += scale * r
         bias[x] += scale
-        kernel_ws[x] = add_scaled(kernel_w, scale, e.kernels[a_idx])
+        kernel_ws[x] = add_scaled(kernel_w, scale, ent)
 
         cum_reward += r
         abs_td_acc += abs(delta)

@@ -55,8 +55,9 @@ def rl_action(bank: BankConfig, chain: BackgroundChain, s: State,
     row = state_actions(bank, chain, s)
     blk = w[block_slice(s.x, bank.n)].tolist()
     kernels = kernel_matrix(bank, row.actions + s.b).tolist()
-    q = width_forms(bank.n).row(float(w[0]), row.rewards, blk[0], kernels,
-                                blk[1:])
+    entries = [(r, nxt, *ks)
+               for r, nxt, ks in zip(row.rewards, row.next_bid, kernels)]
+    q = width_forms(bank.n).row(float(w[0]), blk[0], entries, blk[1:])
     return tuple(row.actions[q_argmax(q)].tolist())
 
 

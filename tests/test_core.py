@@ -126,6 +126,14 @@ class TestValidateConfig:
         report = validate_config(make_bank(occupancy=(1, 2)), toy_chain)
         assert report.passed
 
+    @pytest.mark.parametrize("occupancy", ["full", "ab"])
+    def test_initial_occupancy_string_named(self, occupancy, toy_chain):
+        # a BankConfig built in code used to have the string's characters
+        # read as occupancies: 'full' as length 4, 'ab' as 'a' and 'b'
+        report = validate_config(make_bank(occupancy=occupancy), toy_chain)
+        assert report.violations == [
+            f'initial_occupancy: expected "half" or 2 integers, got {occupancy!r}']
+
     def test_nan_transition_row_named(self, toy_bank):
         # the row sum of a NaN row compares False against the tolerance
         P = np.array(make_chain().transition)

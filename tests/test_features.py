@@ -177,13 +177,21 @@ class TestFeatureVector:
         np.testing.assert_allclose(p1, p2, atol=1e-15)
 
 
+def fresh_entries(bank, chain, s):
+    """s's row from a fresh state_actions table, its kernel matrix and its
+    entries, one (reward, successor id, kernels) tuple per action, the form
+    BankModel.rows holds."""
+    ent = state_actions(bank, chain, s)
+    kmat = kernel_matrix(bank, ent.actions + s.b)
+    return ent, kmat, [(r, nxt, *ks) for r, nxt, ks in zip(
+        ent.rewards, ent.next_bid, kmat.tolist())]
+
+
 def q_block(bank, chain, s, w):
     """Q-hat of s's feasible set, from a fresh state_actions table."""
-    ent = state_actions(bank, chain, s)
     blk = w[block_slice(s.x, bank.n)].tolist()
-    kernels = kernel_matrix(bank, ent.actions + s.b).tolist()
-    return width_forms(bank.n).row(float(w[0]), ent.rewards, blk[0], kernels,
-                                   blk[1:])
+    return width_forms(bank.n).row(float(w[0]), blk[0],
+                                   fresh_entries(bank, chain, s)[2], blk[1:])
 
 
 def q_reference(w0, rewards, bias, kmat, kernel_w):
@@ -262,22 +270,19 @@ class TestQHat:
             s = State(x=int(rng.integers(4)),
                       b=tuple(int(rng.integers(B + 1))
                               for B in bank.capacities))
-            ent = state_actions(bank, chain, s)
-            kmat = kernel_matrix(bank, ent.actions + s.b)
+            ent, kmat, entries = fresh_entries(bank, chain, s)
             blk = w[block_slice(s.x, n)]
-            args = (float(w[0]), ent.rewards, float(blk[0]),
-                    list(map(tuple, kmat.tolist())), blk[1:].tolist())
+            w0, bias, kernel_w = float(w[0]), float(blk[0]), blk[1:].tolist()
             ref = q_reference(w[0], ent.rewards, blk[0], kmat, blk[1:])
-            q = forms.row(*args)
+            q = forms.row(w0, bias, entries, kernel_w)
             assert hexes(q) == hexes(ref.tolist())
-            assert (forms.top(*args).hex() == q_max(q).hex()
-                    == float(np.maximum.reduce(ref)).hex())
-            for a, (r, ks) in enumerate(zip(args[1], args[3])):
-                one = (args[0], r, args[2], ks, args[4])
-                assert forms.value(*one).hex() == q[a].hex()
+            assert (forms.top(w0, bias, entries, kernel_w).hex()
+                    == q_max(q).hex() == float(np.maximum.reduce(ref)).hex())
+            for a, entry in enumerate(entries):
+                assert (forms.value(w0, bias, entry, kernel_w).hex()
+                        == q[a].hex())
                 scale = float(rng.normal())
-                step = (blk[1:].tolist(), scale, ks)
-                assert (hexes(forms.step(*step))
+                assert (hexes(forms.step(kernel_w, scale, entry))
                         == hexes((blk[1:] + scale * kmat[a]).tolist()))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -310,20 +315,19 @@ class TestQHat:
             got = q_table(model, w)
             assert got.shape == (chain.n_states, model.num_b)
             w0, bias, kernel_ws = split_weights(w, n, chain.n_states)
-            rewards, kernels = t.post_reward.tolist(), model.post_kernels.tolist()
+            entries = model.post_entries.tolist()
             for x in range(chain.n_states):
                 assert hexes(got[x].tolist()) == hexes(width_forms(n).row(
-                    w0, rewards, bias[x], kernels, kernel_ws[x]))
+                    w0, bias[x], entries, kernel_ws[x]))
             picks = first_argmax(got, t.offsets, t.post) - t.offsets[:-1]
             for sid in rng.integers(model.n_states, size=5).tolist():
-                row, x = model.rows[sid], sid // model.num_b
+                x, lo, hi = sid // model.num_b, *t.offsets[sid:sid + 2]
                 b = model.decode(np.array([sid]))[1]
                 blk = w[block_slice(x, n)]
+                kmat = kernel_matrix(bank, t.actions[lo:hi] + b)
                 with np.errstate(over="ignore", invalid="ignore"):
-                    q = q_reference(w[0], row.rewards, blk[0],
-                                    kernel_matrix(bank, row.actions + b),
-                                    blk[1:])
-                lo, hi = t.offsets[sid:sid + 2]
+                    q = q_reference(w[0], [r for r, *_ in model.rows[sid]],
+                                    blk[0], kmat, blk[1:])
                 assert hexes(got[x, t.post[lo:hi]].tolist()) == hexes(q.tolist())
                 assert picks[sid] == int(np.argmax(q))
 
@@ -356,42 +360,62 @@ def test_q_max_and_argmax_follow_numpy(q):
 SPECIAL_W = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.7e308, -1.7e308]
 
 
+def entries_of(rewards, kernels, successor=0):
+    """A row's entries, (reward, successor id, kernels) per action, every
+    action leading to one successor id."""
+    return [(r, successor, *ks) for r, ks in zip(rewards, kernels)]
+
+
 @st.composite
 def top_args(draw):
     """A battery count N in 1-4 and top's arguments for a row of 1-8
-    actions: rewards <= 0, kernels in [-1, 0] and weights among SPECIAL_W
-    and ordinary floats."""
+    entries: rewards <= 0, successor ids, kernels in [-1, 0] and weights
+    among SPECIAL_W and ordinary floats."""
     n = draw(st.integers(1, 4))
     size = draw(st.integers(1, 8))
     weight = st.one_of(st.sampled_from(SPECIAL_W), st.floats(-1e3, 1e3))
-    rewards = draw(st.lists(st.floats(-10.0, 0.0), min_size=size,
-                            max_size=size))
-    kernels = draw(st.lists(st.tuples(*[st.floats(-1.0, 0.0)] * (2 * n)),
-                            min_size=size, max_size=size))
+    entries = draw(st.lists(st.tuples(
+        st.floats(-10.0, 0.0), st.integers(0, 10**6),
+        *[st.floats(-1.0, 0.0)] * (2 * n)), min_size=size, max_size=size))
     kernel_w = draw(st.lists(weight, min_size=2 * n, max_size=2 * n))
-    return n, (draw(weight), rewards, draw(weight), kernels, kernel_w)
+    return n, (draw(weight), draw(weight), entries, kernel_w)
 
 
 @settings(max_examples=500, deadline=None)
 @given(top_args())
 # all-zero rows: 0.0 throughout, then -0.0 and 0.0 in one row
-@example((2, (0.0, [-1.0, -2.0], 0.0, [(-0.5,) * 4] * 2, [0.0] * 4)))
-@example((1, (0.0, [-1.0, 0.0], -0.0, [(-0.0, -0.0)] * 2, [0.0, 0.0])))
-@example((4, (0.0, [-1.0, 0.0], -0.0, [(-0.0,) * 8] * 2, [0.0] * 8)))
+@example((2, (0.0, 0.0, entries_of([-1.0, -2.0], [(-0.5,) * 4] * 2),
+              [0.0] * 4)))
+@example((1, (0.0, -0.0, entries_of([-1.0, 0.0], [(-0.0, -0.0)] * 2),
+              [0.0, 0.0])))
+@example((4, (0.0, -0.0, entries_of([-1.0, 0.0], [(-0.0,) * 8] * 2),
+              [0.0] * 8)))
 # mixed-sign infinities: entries that overflow to -inf and +inf, and
 # weights of inf and -inf, which make each entry a NaN
-@example((1, (1.7e308, [-2.0, 0.0], 0.0, [(0.0, 0.0), (-1.0, -1.0)],
+@example((1, (1.7e308, 0.0,
+              entries_of([-2.0, 0.0], [(0.0, 0.0), (-1.0, -1.0)]),
               [-1.7e308, -1.7e308])))
-@example((3, (1.0, [-1.0, -1.0], 0.0, [(-1.0,) + (0.0,) * 5, (-0.5,) * 6],
+@example((3, (1.0, 0.0, entries_of([-1.0, -1.0], [(-1.0,) + (0.0,) * 5,
+                                                  (-0.5,) * 6]),
               [math.inf, -math.inf, 1.0, 1.0, 1.0, 1.0])))
+# no successor id: the forms never read that slot, which None would fail
+@example((2, (0.5, -1.0, entries_of([-1.0, -2.0, 0.0],
+                                    [(-0.5, -0.1, -0.2, -0.3)] * 3, None),
+              [1.0, 2.0, 3.0, 4.0])))
 def test_top_is_numpy_max_of_row(case):
     # bit for bit, the fallback included: a NaN, an infinity and a zero's
-    # sign reach the TD target as np.maximum.reduce of the row gives them
+    # sign reach the TD target as np.maximum.reduce of the row gives them;
+    # value and step read an entry as row does
     n, args = case
     forms = width_forms(n)
-    row = np.array(forms.row(*args))
+    w0, bias, entries, kernel_w = args
+    q = forms.row(*args)
     assert (np.float64(forms.top(*args)).tobytes()
-            == np.maximum.reduce(row).tobytes())
+            == np.maximum.reduce(np.array(q)).tobytes())
+    assert hexes([forms.value(w0, bias, e, kernel_w)
+                  for e in entries]) == hexes(q)
+    assert hexes(forms.step(kernel_w, 0.5, entries[-1])) == hexes(
+        [v + 0.5 * k for v, k in zip(kernel_w, entries[-1][2:])])
 
 
 class TestWeightPersistence:

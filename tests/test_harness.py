@@ -297,6 +297,26 @@ class TestComparePolicies:
             f"sizes {size}: ValueError: seeds: 0 given twice"
             for size in [(2, 3), (3, 3)]]
 
+    def test_repeated_size_fails_its_row(self, toy_bank, toy_chain,
+                                         monkeypatch):
+        # used to train and print the (2, 3) rows twice, of which table.row
+        # found the first; the repeat is rejected before any training and
+        # the other rows run
+        sizes = []
+        real = harness.train
+
+        def training(bank, *args, **kwargs):
+            sizes.append(bank.capacities)
+            return real(bank, *args, **kwargs)
+        monkeypatch.setattr(harness, "train", training)
+        table = compare_policies(toy_bank, toy_chain, [(2, 3), [3, 3], [2, 3]],
+                                 seeds=[0], T=50,
+                                 schedule=LearnSchedule(t_train=50))
+        assert sizes == [(2, 3), (3, 3)]
+        assert [r.sizes for r in table.rows] == [(2, 3)] * 3 + [(3, 3)] * 3
+        assert table.failures == [
+            "sizes (2, 3): ValueError: sizes: (2, 3) given twice"]
+
     def test_csv_export(self, tmp_path, small_table):
         path = tmp_path / "table.csv"
         small_table.write_csv(path)

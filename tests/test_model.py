@@ -52,9 +52,11 @@ class TestBankModel:
             s = model_state(model, sid)
             ent = env.state_actions(bank, toy_chain, s)
             row = model.rows[sid]
-            np.testing.assert_array_equal(row.actions, ent.actions)
-            np.testing.assert_array_equal(row.rewards, ent.rewards)
-            assert row.next_bid == ent.next_bid == [
+            lo, hi = model.table.offsets[sid:sid + 2]
+            np.testing.assert_array_equal(model.table.actions[lo:hi],
+                                          ent.actions)
+            assert [r for r, *_ in row] == ent.rewards
+            assert [nxt for _, nxt, *_ in row] == ent.next_bid == [
                 model.occupancy_id(apply_action(bank, s.b, a))
                 for a in ent.actions.tolist()]
 
@@ -67,20 +69,36 @@ class TestBankModel:
         assert bank_model(bank, make_chain()) is not model
         assert bank_model(make_bank(capacities=(3, 3)), toy_chain) is not model
 
-    def test_rows_build_peak_stays_near_what_they_hold(self, toy_chain):
-        # beside the rows, the build holds one pair-sized gather from the
-        # table and its tolist copy at a time, but neither b + a nor kernel
-        # columns
+    @staticmethod
+    def _traced_rows(toy_chain):
+        """Bytes that building the rows of a (40,40) ramp 25 bank leaves
+        held and its peak, with its table built beforehand, and the pair
+        count, 169,638."""
         bank = make_bank(capacities=(40, 40), ramps=(25, 25))
         model = env.BankModel(bank.batteries, toy_chain)
-        column = len(model.table.post) * 8
+        pairs = len(model.table.post)
         tracemalloc.start()
         try:
             model.rows
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - held <= 3 * column
+        return held, peak, pairs
+
+    def test_rows_build_peak_stays_near_what_they_hold(self, toy_chain):
+        # beside the rows, the build holds the table's gather of entries
+        # and its tolist copy, one pointer per pair each, but neither b + a
+        # nor kernel columns: measured at 1.24 pair-sized columns
+        held, peak, pairs = self._traced_rows(toy_chain)
+        assert peak - held <= 2 * 8 * pairs
+
+    def test_rows_hold_about_a_pointer_per_pair(self, toy_chain):
+        # each row holds a pointer per pair to its occupancy's shared entry,
+        # and the entries, one tuple per occupancy, are few: measured at
+        # 13.0 B/pair, bounded with a margin of 3 B/pair. Three lists per
+        # row, of rewards, successor ids and kernel tuples, held 92.6
+        held, _, pairs = self._traced_rows(toy_chain)
+        assert held <= 16 * pairs
 
     def test_tabulate_peak_stays_near_the_table(self, toy_chain):
         # the solve-exact benchmark's (8,8,8) bank: beside the table it
@@ -172,14 +190,16 @@ def test_deep_tables_match_scalar_spec(name):
         row = model.rows[sid]
         acts = env.feasible_actions(bank, chain, s)
         lengths.append(len(acts))
-        assert row.actions.tolist() == [list(a) for a in acts]
-        assert row.rewards == [reward(bank, s, a) for a in acts]
-        assert row.next_bid == [model.occupancy_id(apply_action(bank, s.b, a))
-                                for a in acts]
-        post = t.post[t.offsets[sid]:t.offsets[sid + 1]]
+        pairs = slice(t.offsets[sid], t.offsets[sid + 1])
+        assert t.actions[pairs].tolist() == [list(a) for a in acts]
+        assert [r for r, *_ in row] == [reward(bank, s, a) for a in acts]
+        next_bid = [nxt for _, nxt, *_ in row]
+        assert next_bid == [model.occupancy_id(apply_action(bank, s.b, a))
+                            for a in acts]
+        post = t.post[pairs]
         assert post.tolist() == [model.occupancy_id(np.add(s.b, a).tolist())
                                  for a in acts]
-        assert t.post_next[post].tolist() == row.next_bid
+        assert t.post_next[post].tolist() == next_bid
     np.testing.assert_array_equal(model.table.offsets, np.cumsum([0] + lengths))
 
 
@@ -307,15 +327,17 @@ def _spec_policies(bank, chain, w):
 def test_block_rows_match_scalar_spec(inst):
     bank, chain, _ = inst
     model = env.BankModel(bank.batteries, chain)
+    t = model.table
     for sid, s in enumerate(_states(bank, chain)):
-        row = model.rows[sid]
         acts = env.feasible_actions(bank, chain, s)
-        assert row.actions.tolist() == [list(a) for a in acts]
-        assert row.rewards == [reward(bank, s, a) for a in acts]
-        assert row.next_bid == [model.occupancy_id(apply_action(bank, s.b, a))
-                                for a in acts]
-        assert row.kernels == list(map(
-            tuple, kernel_matrix(bank, np.add(acts, s.b)).tolist()))
+        lo, hi = t.offsets[sid:sid + 2]
+        assert t.actions[lo:hi].tolist() == [list(a) for a in acts]
+        # each pair's entry: its reward, its successor's occupancy id and
+        # the kernels of b + a, from the scalar spec
+        kernels = kernel_matrix(bank, np.add(acts, s.b)).tolist()
+        assert model.rows[sid] == [
+            (reward(bank, s, a), model.occupancy_id(apply_action(bank, s.b, a)),
+             *ks) for a, ks in zip(acts, kernels)]
 
 
 @PROPERTY
@@ -327,33 +349,31 @@ def test_rows_are_the_tables_slices(inst):
     assert len(model.rows) == model.n_states
     for sid, row in enumerate(model.rows):
         lo, hi = t.offsets[sid:sid + 2]
-        np.testing.assert_array_equal(row.actions, t.actions[lo:hi])
-        assert row.rewards == t.post_reward[t.post[lo:hi]].tolist()
-        assert row.next_bid == t.post_next[t.post[lo:hi]].tolist()
-        b = model.decode(np.array([sid]))[1]
-        np.testing.assert_array_equal(
-            row.kernels, kernel_matrix(bank, row.actions + b))
+        post = t.post[lo:hi]
+        kmat = kernel_matrix(bank, t.actions[lo:hi] + model.decode(
+            np.array([sid]))[1])
+        assert row == [(r, nxt, *ks) for r, nxt, ks in zip(
+            t.post_reward[post].tolist(), t.post_next[post].tolist(),
+            kmat.tolist())]
 
 
 @PROPERTY
 @given(instances())
-def test_rows_are_views_of_their_block(inst):
+def test_rows_share_each_occupancys_entry(inst):
     bank, chain, _ = inst
     model = env.BankModel(bank.batteries, chain)
-    shared = {}   # post-action occupancy id -> the first row entry seen
+    t = model.table
+    assert model.post_entries.shape == (model.num_b,)
     for sid, row in enumerate(model.rows):
-        assert np.shares_memory(row.actions, model.table.actions)
-        # rewards and successor ids are lists, read one entry at a time by
-        # the learner's step, and so are the kernels, tuples of floats
-        assert type(row.rewards) is list and type(row.next_bid) is list
-        assert type(row.kernels) is list
-        posts = row.actions + model.decode(np.array([sid]))[1]
-        kmat = kernel_matrix(bank, posts)
-        for ks, k, post in zip(row.kernels, kmat.tolist(), posts.tolist()):
-            assert type(ks) is tuple and ks == tuple(k)
+        # a list, read one entry at a time by the learner's step, of Python
+        # numbers: a float reward, an int successor id and float kernels
+        assert type(row) is list
+        for ent, post in zip(row, t.post[t.offsets[sid]:t.offsets[sid + 1]]):
             # one tuple per post-action occupancy, which every pair that
             # reaches it shares
-            assert shared.setdefault(model.occupancy_id(post), ks) is ks
+            assert ent is model.post_entries[post]
+            assert type(ent) is tuple and len(ent) == 2 + 2 * bank.n
+            assert list(map(type, ent)) == [float, int] + [float] * 2 * bank.n
 
 
 @PROPERTY
@@ -367,9 +387,10 @@ def test_model_policies_match_scalar_actions_everywhere(inst):
     fast = {name: make_policy(name, bank, chain, weights=w) for name in
             ("greedy", "naive", "rl")}
     fast["rl huge"] = make_policy("rl", bank, chain, weights=huge)
-    model = bank_model(bank, chain)
+    t = bank_model(bank, chain).table
     for sid, s in enumerate(_states(bank, chain)):
-        actions = list(map(tuple, model.rows[sid].actions.tolist()))
+        lo, hi = t.offsets[sid:sid + 2]
+        actions = list(map(tuple, t.actions[lo:hi].tolist()))
         assert actions[fast["greedy"][sid]] == greedy_action(bank, chain, s)
         assert actions[fast["naive"][sid]] == naive_action(bank, chain, s)
         assert actions[fast["rl"][sid]] == rl_action(bank, chain, s, w)

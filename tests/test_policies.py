@@ -164,6 +164,7 @@ class TestMakePolicy:
         d = feature_dim(toy_bank.n, toy_chain.n_states)
         w = np.random.default_rng(3).normal(size=d)
         model = bank_model(toy_bank, toy_chain)
+        t = model.table
         pols = {
             "greedy": (make_policy("greedy", toy_bank, toy_chain),
                        lambda s: greedy_action(toy_bank, toy_chain, s)),
@@ -177,7 +178,8 @@ class TestMakePolicy:
                 for b2 in range(4):
                     s = State(x=x, b=(b1, b2))
                     sid = x * model.num_b + model.occupancy_id(s.b)
-                    actions = list(map(tuple, model.rows[sid].actions.tolist()))
+                    lo, hi = t.offsets[sid:sid + 2]
+                    actions = list(map(tuple, t.actions[lo:hi].tolist()))
                     for policy, fresh in pols.values():
                         assert actions[policy[sid]] == fresh(s)
         for policy, _ in pols.values():
